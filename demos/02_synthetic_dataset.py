@@ -39,8 +39,9 @@ acc = nearest_centroid_accuracy(dataset.train, dataset.eval)
 print(f"\nnearest-centroid accuracy on 3D targets: {acc:.3f} "
       "(actions are separable by construction)")
 
-# Round-trip through the binary format: little-endian f32 blobs with magic,
-# version, and shape headers; a human-readable manifest.
+# Round-trip through the on-disk format: a human-readable manifest.txt, and
+# per split one container file (magic, version, then whole-array input2d,
+# target3d and labels records, then a CRC32; see poselift.container).
 with tempfile.TemporaryDirectory() as tmp:
     save_dataset(dataset, tmp)
     print("\non disk:")

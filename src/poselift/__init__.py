@@ -4,7 +4,8 @@ Library layout:
 
 - `tensor`, `ops`, `optim`, `gradcheck`: the differentiable substrate
   (float32 for training, float64 for gradient verification).
-- `data`: synthetic action-conditioned sequences plus the binary format.
+- `container`: the binary format of checkpoints, dataset splits, embeddings.
+- `data`: synthetic action-conditioned sequences and dataset directories.
 - `encoder`: the dilated temporal-convolution pose encoder with taps.
 - `text_prompts` / `pose_prompts`: the two action-prompting modules.
 - `model`, `losses`, `metrics`, `train`, `ablate`: assembly, objectives,

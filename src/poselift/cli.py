@@ -37,7 +37,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output directory")
 
 
-def _build_config(args, seed_target: str = "train.seed"):
+def _build_config(args, seed_target: str = "train.seed", dataset=None):
     cfg = load_config(args.config)
     overrides = {
         seed_target: args.seed,
@@ -45,6 +45,10 @@ def _build_config(args, seed_target: str = "train.seed"):
         "train.lambda": args.loss_weight,
         "atp.tap_layer": args.tap_layer,
     }
+    if dataset is not None:      # a loaded dataset's shape wins over the config's
+        overrides.update({"data.frames": dataset.manifest.frames,
+                          "data.num_actions": dataset.manifest.num_actions,
+                          "data.joints": dataset.manifest.joints})
     if args.gt_labels_at_eval:
         overrides["train.gt_labels_at_eval"] = True
     if args.disable_atp:
@@ -58,7 +62,10 @@ def _require_out(args) -> Path:
     if not args.out:
         raise ConfigError("--out <dir> is required for this command")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create --out directory: {exc}") from None
     return out
 
 
@@ -79,22 +86,11 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _load_or_generate(cfg, data_dir: str | None):
-    if data_dir:
-        dataset = load_dataset(data_dir)
-        if dataset.manifest.frames != cfg.data.frames:
-            cfg.data.frames = dataset.manifest.frames
-        cfg.data.num_actions = dataset.manifest.num_actions
-        cfg.data.joints = dataset.manifest.joints
-        return dataset
-    return dataset_from_config(cfg)
-
-
 def _cmd_train(args) -> int:
-    cfg = _build_config(args)
+    dataset = load_dataset(args.data) if args.data else None
+    cfg = _build_config(args, dataset=dataset)
     out = _require_out(args)
-    dataset = _load_or_generate(cfg, args.data)
-    result = train_model(cfg, dataset, out_dir=out)
+    result = train_model(cfg, dataset or dataset_from_config(cfg), out_dir=out)
     write_metrics_csv(result.best_report, out / "metrics.csv")
     write_summary_csv(result.best_report, out / "summary.csv")
     if args.plot:
@@ -112,7 +108,7 @@ def _cmd_eval(args) -> int:
     if args.gt_labels_at_eval:
         cfg.train.gt_labels_at_eval = True
     model, _ = restore_model(chk)
-    dataset = _load_or_generate(cfg, args.data)
+    dataset = load_dataset(args.data) if args.data else dataset_from_config(cfg)
     hard = resolve_hard_actions(cfg, dataset)
     report = evaluate(model, dataset.eval, dataset.manifest.action_names, hard,
                       embeddings=chk.embeddings,

@@ -9,6 +9,7 @@ import io
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .encoder import blocks_for_frames
 from .errors import ConfigError
 
 
@@ -84,6 +85,9 @@ class Config:
             raise ConfigError("text_mode = file requires embeddings_path")
         if self.train.label_aux not in ("auto", "on", "off"):
             raise ConfigError(f"unknown label_aux {self.train.label_aux!r}")
+        blocks = blocks_for_frames(self.data.frames)
+        if not 1 <= self.atp.tap_layer <= blocks:
+            raise ConfigError(f"tap_layer {self.atp.tap_layer} out of range 1..{blocks}")
         return self
 
     @property
@@ -121,7 +125,10 @@ def load_config(path: str | Path | None = None) -> Config:
     """Defaults, overlaid with the file at `path` when given."""
     if path is None:
         return Config().validate()
-    return parse_config_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        return parse_config_text(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config: {exc}") from None
 
 
 def parse_config_text(text: str) -> Config:

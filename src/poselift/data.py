@@ -13,18 +13,18 @@ are dimensionless in [-1, 1].
 
 from __future__ import annotations
 
-import io
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .container import Reader, write_container
 from .errors import ConfigError, FormatError
 
 SUPPORTED_FRAMES = (9, 27, 81, 243)
-FORMAT_VERSION = 1
-TENSOR_MAGIC = b"PLTENSOR"
+FORMAT_VERSION = 2                  # manifest.txt, split and embedding files
+SPLIT_MAGIC = b"PLSPLIT\x00"
+EMBEDDING_MAGIC = b"PLEMBED\x00"
 
 # Fixed entropy for motif-identity randomness (joint direction patterns);
 # independent of the dataset seed so action definitions are stable.
@@ -235,46 +235,6 @@ def denormalize_2d(points: np.ndarray, width: float, height: float) -> np.ndarra
     return out
 
 
-# -- binary tensor blobs -------------------------------------------------------
-
-def write_tensor_blob(buf: io.BufferedIOBase, array: np.ndarray) -> None:
-    """magic(8) | u32 version | u32 ndim | u32 shape[ndim] | f32 data, all LE."""
-    arr = np.asarray(array, dtype="<f4")   # asarray keeps 0-d shapes intact
-    buf.write(TENSOR_MAGIC)
-    buf.write(struct.pack("<II", FORMAT_VERSION, arr.ndim))
-    buf.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    buf.write(arr.tobytes())
-
-
-def read_tensor_blob(buf: io.BufferedIOBase, offset: int = 0) -> tuple[np.ndarray, int]:
-    """Read one blob; returns (array, bytes consumed). Raises FormatError with
-    the absolute byte offset of the problem."""
-    head = buf.read(8)
-    if len(head) < 8:
-        raise FormatError(f"truncated tensor blob: magic missing at byte {offset}")
-    if head != TENSOR_MAGIC:
-        raise FormatError(f"bad magic {head!r} at byte {offset}")
-    meta = buf.read(8)
-    if len(meta) < 8:
-        raise FormatError(f"truncated tensor header at byte {offset + 8}")
-    version, ndim = struct.unpack("<II", meta)
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported tensor format version {version} at byte {offset + 8}")
-    if ndim > 8:
-        raise FormatError(f"implausible ndim {ndim} at byte {offset + 12}")
-    shape_bytes = buf.read(4 * ndim)
-    if len(shape_bytes) < 4 * ndim:
-        raise FormatError(f"truncated shape header at byte {offset + 16}")
-    shape = struct.unpack(f"<{ndim}I", shape_bytes)
-    count = int(np.prod(shape)) if ndim else 1
-    payload = buf.read(4 * count)
-    if len(payload) < 4 * count:
-        raise FormatError(
-            f"truncated tensor data at byte {offset + 16 + 4 * ndim + len(payload)}")
-    arr = np.frombuffer(payload, dtype="<f4").reshape(shape)
-    return arr, 16 + 4 * ndim + 4 * count
-
-
 # -- dataset directory io --------------------------------------------------------
 
 def _manifest_lines(manifest: DatasetManifest) -> str:
@@ -314,6 +274,8 @@ def parse_manifest(text: str) -> DatasetManifest:
             eval_count=int(values["eval_count"]))
     except KeyError as exc:
         raise FormatError(f"manifest missing key {exc.args[0]!r}") from None
+    except ValueError as exc:
+        raise FormatError(f"manifest value is not an integer: {exc}") from None
     if manifest.version != FORMAT_VERSION:
         raise FormatError(f"unsupported manifest version {manifest.version}")
     if len(manifest.action_names) != manifest.num_actions:
@@ -324,61 +286,41 @@ def parse_manifest(text: str) -> DatasetManifest:
     return manifest
 
 
-def _write_split(path: Path, split: Split) -> None:
-    with open(path, "wb") as fh:
-        for i in range(len(split)):
-            write_tensor_blob(fh, split.input2d[i])
-            write_tensor_blob(fh, split.target3d[i])
-            fh.write(struct.pack("<I", int(split.labels[i])))
-
-
 def _read_split(path: Path, manifest: DatasetManifest, expected: int) -> Split:
-    inputs, targets, labels = [], [], []
-    offset = 0
-    with open(path, "rb") as fh:
-        for _ in range(expected):
-            x2d, used = read_tensor_blob(fh, offset)
-            offset += used
-            if x2d.shape != (manifest.frames, manifest.joints, 2):
-                raise FormatError(
-                    f"record input2d shape {x2d.shape} does not match manifest "
-                    f"({manifest.frames}, {manifest.joints}, 2)")
-            y3d, used = read_tensor_blob(fh, offset)
-            offset += used
-            if y3d.shape != (manifest.joints, 3):
-                raise FormatError(
-                    f"record target3d shape {y3d.shape} does not match manifest")
-            raw = fh.read(4)
-            if len(raw) < 4:
-                raise FormatError(f"truncated label at byte {offset}")
-            label = struct.unpack("<I", raw)[0]
-            offset += 4
-            if label >= manifest.num_actions:
-                raise FormatError(
-                    f"label {label} out of range for manifest k = {manifest.num_actions}")
-            inputs.append(x2d)
-            targets.append(y3d)
-            labels.append(label)
-        if fh.read(1):
-            raise FormatError(f"trailing bytes after {expected} records at byte {offset}")
-    return Split(input2d=np.stack(inputs), target3d=np.stack(targets),
-                 labels=np.array(labels, dtype=np.int64))
+    reader = Reader(path, SPLIT_MAGIC, FORMAT_VERSION, f"dataset split {path.name}")
+    arrays = {"input2d": reader.tensor("input2d"), "target3d": reader.tensor("target3d"),
+              "labels": reader.tensor("labels", dtype="<u4")}
+    reader.finish()
+    shapes = {"input2d": (expected, manifest.frames, manifest.joints, 2),
+              "target3d": (expected, manifest.joints, 3), "labels": (expected,)}
+    for name, arr in arrays.items():
+        if arr.shape != shapes[name]:
+            raise FormatError(f"{path.name}: {name} shape {arr.shape} does not match "
+                              f"the manifest's {shapes[name]}")
+        if name != "labels" and not np.isfinite(arr).all():
+            raise FormatError(f"{path.name}: {name} holds non-finite values")
+    labels = arrays["labels"].astype(np.int64)
+    if expected and labels.max() >= manifest.num_actions:
+        raise FormatError(f"{path.name}: label {labels.max()} out of range for "
+                          f"manifest k = {manifest.num_actions}")
+    return Split(input2d=arrays["input2d"], target3d=arrays["target3d"], labels=labels)
 
 
 def save_dataset(dataset: PoseDataset, path: str | Path) -> None:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     (path / "manifest.txt").write_text(_manifest_lines(dataset.manifest), encoding="utf-8")
-    _write_split(path / "train.bin", dataset.train)
-    _write_split(path / "eval.bin", dataset.eval)
+    for name, split in (("train.bin", dataset.train), ("eval.bin", dataset.eval)):
+        write_container(path / name, SPLIT_MAGIC, FORMAT_VERSION,
+                        [split.input2d, split.target3d, split.labels])
 
 
 def load_dataset(path: str | Path) -> PoseDataset:
     path = Path(path)
-    manifest_path = path / "manifest.txt"
-    if not manifest_path.exists():
-        raise FormatError(f"no manifest.txt under {path}")
-    manifest = parse_manifest(manifest_path.read_text(encoding="utf-8"))
+    try:
+        manifest = parse_manifest((path / "manifest.txt").read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cannot read the dataset manifest: {exc}") from None
     train = _read_split(path / "train.bin", manifest, manifest.train_count)
     evals = _read_split(path / "eval.bin", manifest, manifest.eval_count)
     return PoseDataset(manifest=manifest, train=train, eval=evals,
@@ -389,8 +331,7 @@ def load_dataset(path: str | Path) -> PoseDataset:
 
 def save_embedding_file(path: str | Path, embeddings: np.ndarray,
                         action_names: list[str]) -> None:
-    """Directory with embeddings.bin (one K x C tensor blob) and a manifest
-    naming the actions in row order."""
+    """Directory with embeddings.bin: a K x C tensor, then K action names."""
     embeddings = np.asarray(embeddings)
     if embeddings.ndim != 2 or embeddings.shape[0] != len(action_names):
         raise ConfigError(
@@ -398,30 +339,17 @@ def save_embedding_file(path: str | Path, embeddings: np.ndarray,
             f"{embeddings.shape} for {len(action_names)} names")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    with open(path / "embeddings.bin", "wb") as fh:
-        write_tensor_blob(fh, embeddings)
-    (path / "manifest.txt").write_text(
-        f"version = {FORMAT_VERSION}\naction_names = {','.join(action_names)}\n",
-        encoding="utf-8")
+    write_container(path / "embeddings.bin", EMBEDDING_MAGIC, FORMAT_VERSION,
+                    [embeddings, *action_names])
 
 
 def load_embedding_file(path: str | Path) -> tuple[np.ndarray, list[str]]:
-    root = Path(path)
-    blob = root / "embeddings.bin"
-    manifest = root / "manifest.txt"
-    if not blob.exists() or not manifest.exists():
-        raise FormatError(
-            f"embedding directory {path} needs embeddings.bin and manifest.txt")
-    values = {}
-    for line in manifest.read_text(encoding="utf-8").splitlines():
-        if "=" in line:
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-    names = [n for n in values.get("action_names", "").split(",") if n]
-    with open(blob, "rb") as fh:
-        arr, _ = read_tensor_blob(fh)
+    reader = Reader(Path(path) / "embeddings.bin", EMBEDDING_MAGIC, FORMAT_VERSION, "embeddings")
+    arr = reader.tensor("embeddings")
     if arr.ndim != 2:
         raise FormatError(f"embedding blob must be 2D, got shape {arr.shape}")
+    names = [reader.string(f"name of action {k}") for k in range(arr.shape[0])]
+    reader.finish()
     return arr, names
 
 

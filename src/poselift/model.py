@@ -41,18 +41,6 @@ class ForwardResult:
     class_probs: Tensor | None     # (B, K) distribution, None for the plain baseline
 
 
-def _load_embeddings_checked(path: str, num_actions: int, channels: int) -> np.ndarray:
-    arr, names = load_embedding_file(path)
-    if arr.shape != (num_actions, channels):
-        raise FormatError(
-            f"embedding file shape {arr.shape} does not match (K, C) = "
-            f"({num_actions}, {channels})")
-    if names and len(names) != num_actions:
-        raise FormatError(
-            f"embedding manifest names {len(names)} actions, expected {num_actions}")
-    return arr
-
-
 class PoseLifter:
     """2D-sequence to 3D-pose model with optional action prompting."""
 
@@ -75,9 +63,6 @@ class PoseLifter:
         self.use_label_aux = cfg.use_label_aux
 
         self.tap_layer = cfg.atp.tap_layer
-        if not 1 <= self.tap_layer <= enc_cfg.blocks:
-            raise ConfigError(
-                f"tap_layer {self.tap_layer} out of range 1..{enc_cfg.blocks}")
 
         self.projector = None
         if self.use_atp or self.use_label_aux:
@@ -104,9 +89,11 @@ class PoseLifter:
                 self.learned_embeddings = Parameter(
                     "atp.embeddings", rng.normal(scale=0.02, size=(k, channels)))
             else:  # file
-                arr = _load_embeddings_checked(cfg.atp.embeddings_path, k, channels)
-                self.learned_embeddings = Parameter("atp.embeddings", arr,
-                                                    trainable=False)
+                arr, _ = load_embedding_file(cfg.atp.embeddings_path)
+                if arr.shape != (k, channels):
+                    raise FormatError(f"embedding file shape {arr.shape} does not match "
+                                      f"(K, C) = ({k}, {channels})")
+                self.learned_embeddings = Parameter("atp.embeddings", arr, trainable=False)
             self.p2t = text_prompts.PoseToText(channels, seeded_rng(self.seed, _STREAM_P2T))
 
         self.label_head = None

@@ -7,15 +7,14 @@ invoked at eval time). The best checkpoint by eval P1 is kept.
 
 from __future__ import annotations
 
-import io
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .config import Config, dump_config, parse_config_text
-from .data import PoseDataset, Split, gen_synthetic, read_tensor_blob, write_tensor_blob
+from .container import Reader, write_container
+from .data import PoseDataset, Split, gen_synthetic
 from .errors import ConfigError, FormatError, TrainingError
 from .layers import seeded_rng
 from .losses import action_loss, pose_loss, total_loss
@@ -24,8 +23,8 @@ from .model import PoseLifter, STREAM_SHUFFLE
 from .optim import Adam
 from .tensor import Tensor
 
-CHECKPOINT_MAGIC = b"PLCKPT01"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_MAGIC = b"PLCKPT\x00\x00"
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -77,6 +76,9 @@ def evaluate(model: PoseLifter, split: Split, action_names: list[str],
         raise ConfigError(
             f"model joints={model.cfg.data.joints} but dataset joints="
             f"{split.target3d.shape[1]}")
+    if model.cfg.data.num_actions != len(action_names):
+        raise ConfigError(f"model actions={model.cfg.data.num_actions} but dataset "
+                          f"actions={len(action_names)}")
     if model.cfg.data.frames != split.input2d.shape[1]:
         raise ConfigError(
             f"model frames={model.cfg.data.frames} but dataset frames="
@@ -188,95 +190,43 @@ def train_model(cfg: Config, dataset: PoseDataset,
 
 # -- checkpoint container -------------------------------------------------------
 
-def _write_string(buf, text: str) -> None:
-    raw = text.encode("utf-8")
-    buf.write(struct.pack("<I", len(raw)))
-    buf.write(raw)
-
-
-def _read_string(buf, what: str) -> str:
-    head = buf.read(4)
-    if len(head) < 4:
-        raise FormatError(f"truncated checkpoint: missing {what} length")
-    (length,) = struct.unpack("<I", head)
-    raw = buf.read(length)
-    if len(raw) < length:
-        raise FormatError(f"truncated checkpoint: short {what}")
-    return raw.decode("utf-8")
+_OPT_SCALARS = ("lr", "beta1", "beta2", "eps", "lr_decay")
 
 
 def write_checkpoint(path: str | Path, chk: Checkpoint) -> None:
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<I", CHECKPOINT_VERSION))
-    _write_string(buf, dump_config(chk.cfg))
-    buf.write(struct.pack("<I", len(chk.params)))
+    records = [dump_config(chk.cfg), len(chk.params)]
     for name, (trainable, values) in chk.params.items():
-        _write_string(buf, name)
-        buf.write(struct.pack("<B", 1 if trainable else 0))
-        write_tensor_blob(buf, values)
-    if chk.optimizer is None:
-        buf.write(struct.pack("<B", 0))
-    else:
-        opt = chk.optimizer
-        buf.write(struct.pack("<B", 1))
-        buf.write(struct.pack("<Q", opt["step_count"]))
-        buf.write(struct.pack("<5d", opt["lr"], opt["beta1"], opt["beta2"],
-                              opt["eps"], opt["lr_decay"]))
-        buf.write(struct.pack("<I", len(opt["m"])))
+        records += [name, int(trainable), values]
+    opt = chk.optimizer
+    records.append(int(opt is not None))
+    if opt is not None:
+        records += [opt["step_count"], *(opt[k] for k in _OPT_SCALARS), len(opt["m"])]
         for name in opt["m"]:
-            _write_string(buf, name)
-            write_tensor_blob(buf, opt["m"][name])
-            write_tensor_blob(buf, opt["v"][name])
-    if chk.embeddings is None:
-        buf.write(struct.pack("<B", 0))
-    else:
-        buf.write(struct.pack("<B", 1))
-        write_tensor_blob(buf, chk.embeddings)
-    Path(path).write_bytes(buf.getvalue())
+            records += [name, opt["m"][name], opt["v"][name]]
+    records += [0] if chk.embeddings is None else [1, chk.embeddings]
+    write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, records)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    raw = Path(path).read_bytes()
-    buf = io.BytesIO(raw)
-    magic = buf.read(8)
-    if magic != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad checkpoint magic {magic!r}")
-    (version,) = struct.unpack("<I", buf.read(4))
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}")
-    cfg_text = _read_string(buf, "config")
-    cfg = parse_config_text(cfg_text)
-    (count,) = struct.unpack("<I", buf.read(4))
+    reader = Reader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
+    cfg_text = reader.string("config")
     params: dict[str, tuple[bool, np.ndarray]] = {}
-    name = "<header>"
-    try:
-        for _ in range(count):
-            name = _read_string(buf, "parameter name")
-            (trainable,) = struct.unpack("<B", buf.read(1))
-            values, _ = read_tensor_blob(buf, buf.tell())
-            params[name] = (bool(trainable), values)
-    except (FormatError, struct.error) as exc:
-        raise FormatError(f"corrupt checkpoint while reading parameter {name!r}: {exc}") from None
-    (has_opt,) = struct.unpack("<B", buf.read(1))
+    for _ in range(reader.count("parameter count")):
+        name = reader.string("parameter name")
+        trainable = reader.count(f"parameter {name!r} trainable flag")
+        params[name] = (bool(trainable), reader.tensor(f"parameter {name!r}"))
     optimizer = None
-    if has_opt:
-        (step_count,) = struct.unpack("<Q", buf.read(8))
-        lr, beta1, beta2, eps, lr_decay = struct.unpack("<5d", buf.read(40))
-        (n_moments,) = struct.unpack("<I", buf.read(4))
-        m, v = {}, {}
-        for _ in range(n_moments):
-            name = _read_string(buf, "moment name")
-            m[name], _ = read_tensor_blob(buf, buf.tell())
-            v[name], _ = read_tensor_blob(buf, buf.tell())
-        optimizer = {"step_count": step_count, "lr": lr, "beta1": beta1,
-                     "beta2": beta2, "eps": eps, "lr_decay": lr_decay,
-                     "m": m, "v": v}
-    (has_emb,) = struct.unpack("<B", buf.read(1))
-    embeddings = None
-    if has_emb:
-        embeddings, _ = read_tensor_blob(buf, buf.tell())
-    return Checkpoint(cfg=cfg, params=params, optimizer=optimizer,
+    if reader.count("optimizer flag"):
+        optimizer = {"step_count": reader.count("optimizer step count"), "m": {}, "v": {}}
+        for key in _OPT_SCALARS:
+            optimizer[key] = reader.scalar(f"optimizer {key}")
+        for _ in range(reader.count("optimizer moment count")):
+            name = reader.string("moment name")
+            optimizer["m"][name] = reader.tensor(f"first moment of {name!r}")
+            optimizer["v"][name] = reader.tensor(f"second moment of {name!r}")
+    embeddings = reader.tensor("embeddings") if reader.count("embeddings flag") else None
+    reader.finish()
+    return Checkpoint(cfg=parse_config_text(cfg_text), params=params, optimizer=optimizer,
                       embeddings=embeddings)
 
 
@@ -297,7 +247,7 @@ def restore_model(chk: Checkpoint, cfg: Config | None = None
             raise FormatError(
                 f"parameter {name!r}: checkpoint shape {values.shape} does not "
                 f"match model shape {param.shape}")
-        param.data = values
+        param.data = values.copy()    # loaded values are read-only file views
     extra = set(chk.params) - set(model.params)
     if extra:
         raise FormatError(f"checkpoint has unknown parameters: {sorted(extra)[:3]}")

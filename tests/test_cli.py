@@ -1,8 +1,13 @@
 """Command-line surface: subcommands, outputs, exit codes, error lines."""
 
+import shutil
+
 import pytest
 
 from poselift.cli import main
+from poselift.config import Config
+from poselift.model import PoseLifter
+from poselift.train import snapshot, write_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -137,3 +142,63 @@ def test_baseline_row_matches_standalone_run(quick_ini, tmp_path):
     p1_ablate = float(baseline_row.split(",")[2])
     p1_solo = float((run / "summary.csv").read_text().splitlines()[1].split(",")[0])
     assert p1_ablate == p1_solo
+
+
+def assert_one_error_line(capsys, kind):
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error:{kind}:"), err
+
+
+def test_truncated_checkpoint_is_an_error_line(tmp_path, capsys):
+    path = tmp_path / "checkpoint.bin"
+    write_checkpoint(path, snapshot(PoseLifter(Config()), None, None))
+    path.write_bytes(path.read_bytes()[:10])
+    assert main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert_one_error_line(capsys, "FormatError")
+
+
+def test_missing_split_file_is_an_error_line(dataset_dir, quick_ini, tmp_path, capsys):
+    data = tmp_path / "ds"
+    shutil.copytree(dataset_dir, data)
+    (data / "train.bin").unlink()
+    assert main(["train", "--config", quick_ini, "--data", str(data),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert_one_error_line(capsys, "FormatError")
+
+
+def test_missing_checkpoint_is_an_error_line(tmp_path, capsys):
+    assert main(["eval", "--checkpoint", str(tmp_path / "nope.bin"),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert_one_error_line(capsys, "FormatError")
+
+
+def test_eval_rejects_data_with_other_actions(tmp_path, capsys):
+    ini = tmp_path / "six.ini"
+    ini.write_text("[data]\nk = 6\ntrain_per_action = 2\neval_per_action = 1\n",
+                   encoding="utf-8")
+    assert main(["gen-data", "--config", str(ini), "--out", str(tmp_path / "ds")]) == 0
+    path = tmp_path / "checkpoint.bin"          # a 4-action model
+    write_checkpoint(path, snapshot(PoseLifter(Config()), None, None))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(path), "--data", str(tmp_path / "ds"),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert_one_error_line(capsys, "ConfigError")
+
+
+def test_out_under_a_regular_file_is_an_error_line(tmp_path, capsys):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    assert main(["gen-data", "--out", str(tmp_path / "file" / "sub")]) == 2
+    assert_one_error_line(capsys, "ConfigError")
+
+
+def test_missing_config_is_an_error_line(tmp_path, capsys):
+    assert main(["gen-data", "--config", str(tmp_path / "nope.ini"),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert_one_error_line(capsys, "ConfigError")
+
+
+def test_tap_layer_is_checked_against_the_loaded_data(dataset_dir, tmp_path):
+    ini = tmp_path / "nine.ini"                 # 9 frames: 2 blocks; the data has 27: 3
+    ini.write_text("[data]\nframes = 9\n\n[train]\nepochs = 1\n", encoding="utf-8")
+    assert main(["train", "--config", str(ini), "--data", dataset_dir,
+                 "--tap-layer", "3", "--out", str(tmp_path / "run")]) == 0

@@ -48,6 +48,15 @@ def test_validation_rules():
         parse_config_text("[atp]\ntext_mode = file\n")
 
 
+def test_tap_layer_range_follows_frames():
+    cfg = apply_overrides(Config(), {"data.frames": 81, "atp.tap_layer": 4})
+    assert cfg.atp.tap_layer == 4
+    with pytest.raises(ConfigError, match=r"tap_layer 4 out of range 1\.\.3"):
+        apply_overrides(Config(), {"atp.tap_layer": 4})
+    with pytest.raises(ConfigError, match="tap_layer 0"):
+        parse_config_text("[atp]\ntap_layer = 0\n")
+
+
 def test_overrides():
     cfg = apply_overrides(Config(), {"train.lambda": 0.3, "data.frames": 81,
                                      "atp.enabled": False, "train.seed": None})

@@ -1,0 +1,196 @@
+"""The binary container: bounded reads, and property tests over truncated and
+byte-flipped checkpoints, dataset directories and embedding directories."""
+
+import os
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from poselift import data
+from poselift import train as T
+from poselift.config import Config
+from poselift.container import Reader, write_container
+from poselift.errors import FormatError
+from poselift.model import PoseLifter
+from poselift.optim import Adam
+
+MAGIC, VERSION = b"PLTEST\x00\x00", 7
+
+
+def read_back(path, kinds):
+    reader = Reader(path, MAGIC, VERSION, "test file")
+    values = [getattr(reader, kind)(f"record {i}") for i, kind in enumerate(kinds)]
+    reader.finish()
+    return values
+
+
+def test_records_round_trip(tmp_path):
+    path = tmp_path / "f.bin"
+    floats = np.arange(6, dtype=np.float32).reshape(2, 3)
+    write_container(path, MAGIC, VERSION, ["héllo", 2.5, 3, floats, np.arange(4)])
+    reader = Reader(path, MAGIC, VERSION, "test file")
+    assert reader.string("s") == "héllo"
+    assert reader.scalar("x") == 2.5
+    assert reader.count("n") == 3
+    assert np.array_equal(reader.tensor("f"), floats)
+    labels = reader.tensor("u", dtype="<u4")
+    reader.finish()
+    assert labels.dtype == np.dtype("<u4") and np.array_equal(labels, np.arange(4))
+    assert os.path.getsize(path) % 4 == 0
+
+
+def test_huge_declared_shape_is_rejected_before_allocation(tmp_path):
+    path = tmp_path / "f.bin"
+    write_container(path, MAGIC, VERSION, [np.zeros((1, 1, 1, 4), np.float32)])
+    raw = bytearray(path.read_bytes())
+    words = np.frombuffer(raw, dtype="<u4")      # writable view of raw
+    assert list(words[3:9]) == [1, 4, 1, 1, 1, 4]  # tag, ndim, shape
+    words[5:8] = 2 ** 31
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match=r"record 0 data at byte 36 needs \d+ bytes"):
+        read_back(path, ["tensor"])
+
+
+@pytest.mark.parametrize("records, kinds, message", [
+    ([1.0], ["tensor"], "record 0 at byte 12 is not a <f4 record"),
+    ([np.zeros(2, np.float32)], ["tensor", "tensor"], "truncated test file: record 1"),
+    ([np.zeros(2, np.float32), 1.0], ["tensor"], "unread bytes"),
+    ([1.5], ["count"], "record 0 at byte 12 is not a count"),
+    ([-1.0], ["count"], "not a count"),
+])
+def test_structural_errors(tmp_path, records, kinds, message):
+    write_container(tmp_path / "f.bin", MAGIC, VERSION, records)
+    with pytest.raises(FormatError, match=message):
+        read_back(tmp_path / "f.bin", kinds)
+
+
+def test_invalid_utf8_string(tmp_path):
+    path = tmp_path / "f.bin"
+    write_container(path, MAGIC, VERSION, ["abcd"])
+    raw = bytearray(path.read_bytes())
+    raw[20] = 0xFF                                  # first byte of the string
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match="record 0 at byte 20 is not UTF-8"):
+        read_back(path, ["string"])
+
+
+def test_checksum_catches_a_payload_flip(tmp_path):
+    path = tmp_path / "f.bin"
+    write_container(path, MAGIC, VERSION, [np.ones(8, np.float32)])
+    raw = bytearray(path.read_bytes())
+    raw[24] ^= 0x01
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match="checksum mismatch"):
+        read_back(path, ["tensor"])
+
+
+def test_missing_file_and_directory(tmp_path):
+    with pytest.raises(FormatError, match="cannot read test file"):
+        Reader(tmp_path / "nope.bin", MAGIC, VERSION, "test file")
+    with pytest.raises(FormatError, match="cannot read test file"):
+        Reader(tmp_path, MAGIC, VERSION, "test file")
+
+
+# -- property tests over the three file formats ------------------------------------
+
+def tiny_checkpoint():
+    """A real F=9, C=4 model with optimizer state and exported embeddings."""
+    cfg = Config()
+    cfg.data.frames, cfg.data.joints, cfg.data.num_actions = 9, 4, 2
+    cfg.encoder.channels = 4
+    cfg.atp.text_mode, cfg.atp.projector_mode = "learnable", "pool"
+    cfg.app.enabled = False
+    model = PoseLifter(cfg)
+    return T.snapshot(model, Adam(model.params), model.export_embeddings())
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """file name -> (path, loader, original bytes); every loader reads the
+    whole checkpoint, dataset directory or embedding directory."""
+    root = tmp_path_factory.mktemp("formats")
+    T.write_checkpoint(root / "checkpoint.bin", tiny_checkpoint())
+    data.save_dataset(data.gen_synthetic(2, 9, 4, 2, 1, seed=5), root / "ds")
+    data.save_embedding_file(root / "emb", np.arange(8, dtype=np.float32).reshape(2, 4),
+                             ["walk", "sit"])
+    def load_checkpoint():
+        return T.load_checkpoint(root / "checkpoint.bin")
+
+    def load_dataset():
+        return data.load_dataset(root / "ds")
+
+    def load_embeddings():
+        return data.load_embedding_file(root / "emb")
+
+    paths = {"checkpoint.bin": (root / "checkpoint.bin", load_checkpoint),
+             "train.bin": (root / "ds" / "train.bin", load_dataset),
+             "eval.bin": (root / "ds" / "eval.bin", load_dataset),
+             "manifest.txt": (root / "ds" / "manifest.txt", load_dataset),
+             "embeddings.bin": (root / "emb" / "embeddings.bin", load_embeddings)}
+    return {name: (path, load, path.read_bytes()) for name, (path, load) in paths.items()}
+
+
+BINARY = ["checkpoint.bin", "train.bin", "eval.bin", "embeddings.bin"]
+
+
+def test_unmodified_files_load(files):
+    for _, load, _ in files.values():
+        load()
+
+
+@pytest.mark.parametrize("name", BINARY)
+def test_every_truncation_raises_format_error(files, name):
+    path, load, raw = files[name]
+    try:
+        for cut in range(len(raw) - 1, -1, -1):     # shrink in place, one syscall each
+            os.truncate(path, cut)
+            with pytest.raises(FormatError):
+                load()
+    finally:
+        path.write_bytes(raw)
+
+
+def draw_flips(draw, size, min_size=1):
+    """Distinct positions below `size`, each XORed with a nonzero mask."""
+    positions = draw(st.lists(st.integers(0, size - 1), min_size=min_size,
+                              max_size=3, unique=True))
+    masks = draw(st.lists(st.integers(1, 255), min_size=len(positions),
+                          max_size=len(positions)))
+    return list(zip(positions, masks))
+
+
+def write_flipped(path, raw, flips):
+    changed = bytearray(raw)
+    for pos, mask in flips:
+        changed[pos] ^= mask
+    path.write_bytes(changed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(BINARY), draw=st.data())
+def test_every_byte_flip_raises_format_error(files, name, draw):
+    path, load, raw = files[name]
+    try:
+        write_flipped(path, raw, draw_flips(draw.draw, len(raw)))
+        with pytest.raises(FormatError):
+            load()
+    finally:
+        path.write_bytes(raw)
+
+
+@settings(max_examples=100, deadline=None)
+@given(draw=st.data())
+def test_edited_manifest_loads_or_raises_format_error(files, draw):
+    # manifest.txt is plain text meant to be read and edited, so it carries
+    # no checksum: an edit may load, but must raise nothing but FormatError.
+    path, load, raw = files["manifest.txt"]
+    kept = raw[:draw.draw(st.integers(1, len(raw)))]
+    try:
+        write_flipped(path, kept, draw_flips(draw.draw, len(kept), min_size=0))
+        try:
+            load()
+        except FormatError:
+            pass
+    finally:
+        path.write_bytes(raw)

@@ -1,11 +1,10 @@
 """Dataset generator, binary format, and pixel normalization."""
 
-import io
-
 import numpy as np
 import pytest
 
 from poselift import data
+from poselift.container import Reader, write_container
 from poselift.errors import ConfigError, FormatError
 
 
@@ -98,10 +97,35 @@ def test_truncated_blob_reports_offset(tmp_path, dataset):
         data.load_dataset(tmp_path / "ds")
 
 
-def test_bad_magic_rejected():
-    buf = io.BytesIO(b"NOTMAGIC" + b"\x00" * 32)
+def test_bad_magic_rejected(tmp_path):
+    path = tmp_path / "blob.bin"
+    path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
     with pytest.raises(FormatError, match="magic"):
-        data.read_tensor_blob(buf)
+        Reader(path, data.SPLIT_MAGIC, data.FORMAT_VERSION, "split")
+
+
+def test_non_finite_values_rejected_naming_split(tmp_path, dataset):
+    for name in ("input2d", "target3d"):
+        bad = data.PoseDataset(dataset.manifest, dataset.train,
+                               data.Split(dataset.eval.input2d.copy(),
+                                          dataset.eval.target3d.copy(),
+                                          dataset.eval.labels))
+        getattr(bad.eval, name)[3, 0, 0] = np.nan
+        data.save_dataset(bad, tmp_path / name)
+        with pytest.raises(FormatError, match=rf"eval\.bin: {name} holds non-finite"):
+            data.load_dataset(tmp_path / name)
+
+
+def test_split_arrays_are_views_of_one_file_buffer(tmp_path, dataset):
+    def owner(arr):
+        while isinstance(arr, np.ndarray):
+            arr = arr.base
+        return arr
+
+    data.save_dataset(dataset, tmp_path / "ds")
+    loaded = data.load_dataset(tmp_path / "ds").eval
+    assert isinstance(owner(loaded.input2d), bytes)
+    assert owner(loaded.input2d) is owner(loaded.target3d)
 
 
 def test_manifest_label_range_mismatch(tmp_path, dataset):
@@ -115,21 +139,23 @@ def test_manifest_label_range_mismatch(tmp_path, dataset):
 
 
 def test_manifest_requires_distinct_names():
-    text = ("version = 1\nk = 2\nframes = 9\njoints = 4\nseed = 0\n"
+    text = (f"version = {data.FORMAT_VERSION}\nk = 2\nframes = 9\njoints = 4\nseed = 0\n"
             "action_names = a,a\ntrain_count = 0\neval_count = 0\n")
     with pytest.raises(FormatError, match="distinct"):
         data.parse_manifest(text)
 
 
-def test_tensor_blob_round_trip_shapes():
+def test_tensor_blob_round_trip_shapes(tmp_path):
+    path = tmp_path / "blob.bin"
     for shape in [(), (3,), (2, 3), (2, 3, 4)]:
-        buf = io.BytesIO()
         arr = np.arange(int(np.prod(shape)) or 1, dtype=np.float32).reshape(shape)
-        data.write_tensor_blob(buf, arr)
-        buf.seek(0)
-        out, used = data.read_tensor_blob(buf)
+        write_container(path, data.SPLIT_MAGIC, data.FORMAT_VERSION, [arr])
+        reader = Reader(path, data.SPLIT_MAGIC, data.FORMAT_VERSION, "split")
+        out = reader.tensor("blob")
+        reader.finish()                   # every byte consumed, checksum intact
         assert out.shape == shape and np.array_equal(out, arr)
-        assert used == len(buf.getvalue())
+        # magic, version, tag, ndim, shape, data, checksum
+        assert path.stat().st_size == 8 + 4 + 4 + 4 + 4 * len(shape) + arr.nbytes + 4
 
 
 # -- pixel normalization ----------------------------------------------------

@@ -90,6 +90,15 @@ def test_checkpoint_restore_evaluates_identically(tmp_path, quick_result, quick_
     assert r_ref == r_loaded
 
 
+def test_restored_model_keeps_training(tmp_path, quick_result, quick_dataset):
+    # loaded values are read-only views of the file; batch norm updates its
+    # running statistics in place
+    path = tmp_path / "c.bin"
+    T.write_checkpoint(path, quick_result.best)
+    model, _ = T.restore_model(T.load_checkpoint(path))
+    model.forward_train(quick_dataset.train.input2d[:4], quick_dataset.train.labels[:4])
+
+
 def test_checkpoint_shape_mismatch_names_parameter(quick_result):
     other = copy.deepcopy(quick_result.best.cfg)
     other.encoder.channels = 8
