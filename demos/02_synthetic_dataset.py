@@ -39,17 +39,20 @@ acc = nearest_centroid_accuracy(dataset.train, dataset.eval)
 print(f"\nnearest-centroid accuracy on 3D targets: {acc:.3f} "
       "(actions are separable by construction)")
 
-# Round-trip through the on-disk format: a human-readable manifest.txt, and
-# per split one container file (magic, version, then whole-array input2d,
-# target3d and labels records, then a CRC32; see poselift.container).
+# Round-trip through the on-disk format: one container file, dataset.bin
+# (magic, version, the seed, the action names and the hard-action names,
+# then whole-array input2d, target3d and labels records for the train and
+# eval splits, then a CRC32; see poselift.container). On load, K, frames,
+# joints and the split sizes are read off the names and the array shapes.
 with tempfile.TemporaryDirectory() as tmp:
     save_dataset(dataset, tmp)
     print("\non disk:")
     for path in sorted(Path(tmp).iterdir()):
         print(f"  {path.name:12s} {path.stat().st_size:9d} bytes")
-    print("\nmanifest.txt:")
-    print((Path(tmp) / "manifest.txt").read_text())
     again = load_dataset(tmp)
+    print("\nloaded manifest:")
+    for name, value in vars(again.manifest).items():
+        print(f"  {name} = {value}")
     identical = (np.array_equal(again.train.input2d, dataset.train.input2d)
                  and np.array_equal(again.eval.target3d, dataset.eval.target3d))
     print("round-trip bit-identical:", identical)

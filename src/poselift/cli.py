@@ -1,7 +1,8 @@
 """Command-line surface: gen-data, train, eval, ablate, gradcheck.
 
-Every subcommand takes --config plus overrides; exit code 0 on success,
-nonzero with a one-line machine-parseable error otherwise.
+gen-data, train and ablate take --config plus overrides; eval takes its
+config from the checkpoint. Exit code 0 on success, nonzero with a one-line
+machine-parseable error otherwise.
 """
 
 from __future__ import annotations
@@ -19,21 +20,31 @@ from .train import (dataset_from_config, evaluate, load_checkpoint,
                     resolve_hard_actions, restore_model, train_model)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        # Usage errors follow the same one-line error contract as the rest.
+        raise ConfigError(message)
+
+
+def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags that build a run config (eval takes its config from the checkpoint)."""
     parser.add_argument("--config", help="key = value config file")
     parser.add_argument("--seed", type=int, help="seed override (data seed for "
                         "gen-data, training seed otherwise)")
     parser.add_argument("--frames", type=int, help="sequence length override")
     parser.add_argument("--lambda", dest="loss_weight", type=float,
                         help="action-loss weight override")
-    parser.add_argument("--gt-labels-at-eval", action="store_true", default=None,
-                        help="select pose prompts with ground-truth labels at eval")
     parser.add_argument("--disable-atp", action="store_true",
                         help="turn the text-prompt module off")
     parser.add_argument("--disable-app", action="store_true",
                         help="turn the pose-prompt module off")
     parser.add_argument("--tap-layer", type=int,
                         help="encoder block feeding the action projector")
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--gt-labels-at-eval", action="store_true", default=None,
+                        help="select pose prompts with ground-truth labels at eval")
     parser.add_argument("--out", help="output directory")
 
 
@@ -46,6 +57,9 @@ def _build_config(args, seed_target: str = "train.seed", dataset=None):
         "atp.tap_layer": args.tap_layer,
     }
     if dataset is not None:      # a loaded dataset's shape wins over the config's
+        if args.frames is not None and args.frames != dataset.manifest.frames:
+            raise ConfigError(f"--frames {args.frames} does not match --data, which "
+                              f"holds {dataset.manifest.frames}-frame sequences")
         overrides.update({"data.frames": dataset.manifest.frames,
                           "data.num_actions": dataset.manifest.num_actions,
                           "data.joints": dataset.manifest.joints})
@@ -165,16 +179,18 @@ def _cmd_gradcheck(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="poselift",
         description="Action-prompted 2D-to-3D pose lifting at desk scale.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset directory")
+    _add_config_flags(p)
     _add_common(p)
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("train", help="train a model and keep the best checkpoint")
+    _add_config_flags(p)
     _add_common(p)
     p.add_argument("--data", help="dataset directory (generated when omitted)")
     p.add_argument("--plot", action="store_true", help="emit per-action plot data")
@@ -188,6 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("ablate", help="run an ablation table")
+    _add_config_flags(p)
     _add_common(p)
     p.add_argument("--mode", default="components",
                    choices=["components", "seq-length", "tap-layer"])
@@ -203,9 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except PoseLiftError as exc:
         print(f"error:{type(exc).__name__}:{exc}", file=sys.stderr)

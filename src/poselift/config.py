@@ -39,9 +39,7 @@ class AtpSection:
     text_layers: int = 2          # frozen transformer depth
     text_mode: str = "encoder"    # encoder | learnable | file
     embeddings_path: str = ""     # for text_mode = file
-    projector_blocks: int = 2
-    projector_mode: str = "tcn"   # tcn | pool
-    projector_padding: str = "same"  # same | valid
+    projector_blocks: int = 2     # TCN blocks before pooling; 0 pools only
     tap_layer: int = 1            # encoder block feeding the action projector
 
 
@@ -85,6 +83,10 @@ class Config:
             raise ConfigError("text_mode = file requires embeddings_path")
         if self.train.label_aux not in ("auto", "on", "off"):
             raise ConfigError(f"unknown label_aux {self.train.label_aux!r}")
+        if self.app.enabled and not (self.atp.enabled or self.use_label_aux
+                                     or self.train.gt_labels_at_eval):
+            raise ConfigError("pose prompts need a label source at eval: enable text "
+                              "prompts, label_aux or gt_labels_at_eval")
         blocks = blocks_for_frames(self.data.frames)
         if not 1 <= self.atp.tap_layer <= blocks:
             raise ConfigError(f"tap_layer {self.atp.tap_layer} out of range 1..{blocks}")

@@ -1,4 +1,4 @@
-"""The one binary container behind checkpoints, dataset splits and embedding
+"""The one binary container behind checkpoints, datasets and embedding
 files; the only module that knows their byte layout.
 
     file   = magic(8) | u32 version | record* | u32 crc32 (zlib, of all bytes before it)
@@ -36,6 +36,9 @@ def _encode(value) -> list[bytes]:
         raw = value.encode("utf-8")
         return [_TAG_U32.pack(_TAGS["string"], len(raw)), raw, bytes(-len(raw) % 4)]
     if isinstance(value, (int, float)):
+        if isinstance(value, int) and abs(value) > 2 ** 53:
+            raise FormatError(f"cannot write {value} as a scalar record: "
+                              "a float64 holds integers exactly only up to 2**53")
         return [_TAG_F64.pack(_TAGS["scalar"], value)]
     arr = np.asarray(value)
     arr = arr.astype("<u4" if arr.dtype.kind in "biu" else "<f4", copy=False)

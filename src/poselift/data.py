@@ -22,8 +22,8 @@ from .container import Reader, write_container
 from .errors import ConfigError, FormatError
 
 SUPPORTED_FRAMES = (9, 27, 81, 243)
-FORMAT_VERSION = 2                  # manifest.txt, split and embedding files
-SPLIT_MAGIC = b"PLSPLIT\x00"
+FORMAT_VERSION = 2                  # dataset and embedding files
+DATASET_MAGIC = b"PLDATA\x00\x00"
 EMBEDDING_MAGIC = b"PLEMBED\x00"
 
 # Fixed entropy for motif-identity randomness (joint direction patterns);
@@ -114,7 +114,8 @@ def _skeleton_template(joints: int) -> np.ndarray:
 
 @dataclass
 class DatasetManifest:
-    version: int
+    """Dataset metadata; on load everything but the names and the seed is
+    read off the array shapes."""
     num_actions: int
     frames: int
     joints: int
@@ -203,8 +204,7 @@ def gen_synthetic(num_actions: int, frames: int, joints: int,
     train = _generate_split(motifs, frames, joints, train_per_action, seed, split_id=0)
     evals = _generate_split(motifs, frames, joints, eval_per_action, seed, split_id=1)
     manifest = DatasetManifest(
-        version=FORMAT_VERSION, num_actions=num_actions, frames=frames,
-        joints=joints, seed=seed,
+        num_actions=num_actions, frames=frames, joints=joints, seed=seed,
         action_names=[m.name for m in motifs],
         hard_actions=hard_action_names(motifs),
         train_count=len(train), eval_count=len(evals))
@@ -237,94 +237,62 @@ def denormalize_2d(points: np.ndarray, width: float, height: float) -> np.ndarra
 
 # -- dataset directory io --------------------------------------------------------
 
-def _manifest_lines(manifest: DatasetManifest) -> str:
-    return "".join(f"{k} = {v}\n" for k, v in [
-        ("version", manifest.version),
-        ("k", manifest.num_actions),
-        ("frames", manifest.frames),
-        ("joints", manifest.joints),
-        ("seed", manifest.seed),
-        ("action_names", ",".join(manifest.action_names)),
-        ("hard_actions", ",".join(manifest.hard_actions)),
-        ("train_count", manifest.train_count),
-        ("eval_count", manifest.eval_count),
-    ])
-
-
-def parse_manifest(text: str) -> DatasetManifest:
-    values: dict[str, str] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise FormatError(f"manifest line without '=': {line!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    try:
-        manifest = DatasetManifest(
-            version=int(values["version"]),
-            num_actions=int(values["k"]),
-            frames=int(values["frames"]),
-            joints=int(values["joints"]),
-            seed=int(values["seed"]),
-            action_names=values["action_names"].split(","),
-            hard_actions=[a for a in values.get("hard_actions", "").split(",") if a],
-            train_count=int(values["train_count"]),
-            eval_count=int(values["eval_count"]))
-    except KeyError as exc:
-        raise FormatError(f"manifest missing key {exc.args[0]!r}") from None
-    except ValueError as exc:
-        raise FormatError(f"manifest value is not an integer: {exc}") from None
-    if manifest.version != FORMAT_VERSION:
-        raise FormatError(f"unsupported manifest version {manifest.version}")
-    if len(manifest.action_names) != manifest.num_actions:
-        raise FormatError(
-            f"manifest k = {manifest.num_actions} but {len(manifest.action_names)} action names")
-    if len(set(manifest.action_names)) != len(manifest.action_names):
-        raise FormatError("manifest action names are not distinct")
-    return manifest
-
-
-def _read_split(path: Path, manifest: DatasetManifest, expected: int) -> Split:
-    reader = Reader(path, SPLIT_MAGIC, FORMAT_VERSION, f"dataset split {path.name}")
-    arrays = {"input2d": reader.tensor("input2d"), "target3d": reader.tensor("target3d"),
-              "labels": reader.tensor("labels", dtype="<u4")}
-    reader.finish()
-    shapes = {"input2d": (expected, manifest.frames, manifest.joints, 2),
-              "target3d": (expected, manifest.joints, 3), "labels": (expected,)}
-    for name, arr in arrays.items():
-        if arr.shape != shapes[name]:
-            raise FormatError(f"{path.name}: {name} shape {arr.shape} does not match "
-                              f"the manifest's {shapes[name]}")
-        if name != "labels" and not np.isfinite(arr).all():
-            raise FormatError(f"{path.name}: {name} holds non-finite values")
-    labels = arrays["labels"].astype(np.int64)
-    if expected and labels.max() >= manifest.num_actions:
-        raise FormatError(f"{path.name}: label {labels.max()} out of range for "
-                          f"manifest k = {manifest.num_actions}")
-    return Split(input2d=arrays["input2d"], target3d=arrays["target3d"], labels=labels)
-
-
 def save_dataset(dataset: PoseDataset, path: str | Path) -> None:
+    """Directory with dataset.bin: the seed, the K action names, the hard-action
+    names, then input2d, target3d and labels of the train and eval splits."""
+    names, hard = dataset.manifest.action_names, dataset.manifest.hard_actions
+    records = [dataset.manifest.seed, len(names), *names, len(hard), *hard]
+    for split in (dataset.train, dataset.eval):
+        records += [split.input2d, split.target3d, split.labels]
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    (path / "manifest.txt").write_text(_manifest_lines(dataset.manifest), encoding="utf-8")
-    for name, split in (("train.bin", dataset.train), ("eval.bin", dataset.eval)):
-        write_container(path / name, SPLIT_MAGIC, FORMAT_VERSION,
-                        [split.input2d, split.target3d, split.labels])
+    write_container(path / "dataset.bin", DATASET_MAGIC, FORMAT_VERSION, records)
+
+
+def _read_split(reader: Reader, name: str) -> Split:
+    input2d = reader.tensor(f"{name}.input2d")
+    target3d = reader.tensor(f"{name}.target3d")
+    labels = reader.tensor(f"{name}.labels", dtype="<u4")
+    if input2d.ndim != 4 or input2d.shape[3] != 2:
+        raise FormatError(f"dataset: {name}.input2d shape {input2d.shape} is not (N, F, J, 2)")
+    count, _, joints, _ = input2d.shape
+    for what, arr, want in (("target3d", target3d, (count, joints, 3)),
+                            ("labels", labels, (count,))):
+        if arr.shape != want:
+            raise FormatError(f"dataset: {name}.{what} shape {arr.shape} does not match "
+                              f"the {want} that input2d implies")
+    return Split(input2d=input2d, target3d=target3d, labels=labels.astype(np.int64))
 
 
 def load_dataset(path: str | Path) -> PoseDataset:
-    path = Path(path)
-    try:
-        manifest = parse_manifest((path / "manifest.txt").read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise FormatError(f"cannot read the dataset manifest: {exc}") from None
-    train = _read_split(path / "train.bin", manifest, manifest.train_count)
-    evals = _read_split(path / "eval.bin", manifest, manifest.eval_count)
+    reader = Reader(Path(path) / "dataset.bin", DATASET_MAGIC, FORMAT_VERSION, "dataset")
+    seed = reader.count("seed")
+    names = [reader.string(f"name of action {k}")
+             for k in range(reader.count("action count"))]
+    hard = [reader.string(f"name of hard action {k}")
+            for k in range(reader.count("hard action count"))]
+    splits = {name: _read_split(reader, name) for name in ("train", "eval")}
+    reader.finish()
+    if len(set(names)) != len(names):
+        raise FormatError(f"dataset action names are not distinct: {names}")
+    train, evals = splits["train"], splits["eval"]
+    if train.input2d.shape[1:] != evals.input2d.shape[1:]:
+        raise FormatError(f"dataset: train input2d {train.input2d.shape} and eval "
+                          f"input2d {evals.input2d.shape} differ in frames or joints")
+    for name, split in splits.items():
+        for field_name in ("input2d", "target3d"):
+            if not np.isfinite(getattr(split, field_name)).all():
+                raise FormatError(f"dataset: {name}.{field_name} holds non-finite values")
+        if len(split) and split.labels.max() >= len(names):
+            raise FormatError(f"dataset: {name}.labels holds label {split.labels.max()}, "
+                              f"out of range for {len(names)} actions")
+    _, frames, joints, _ = train.input2d.shape
+    manifest = DatasetManifest(
+        num_actions=len(names), frames=frames, joints=joints, seed=seed,
+        action_names=names, hard_actions=hard,
+        train_count=len(train), eval_count=len(evals))
     return PoseDataset(manifest=manifest, train=train, eval=evals,
-                       motifs=default_motifs(manifest.num_actions))
+                       motifs=default_motifs(len(names)))
 
 
 # -- precomputed per-action embedding files ----------------------------------------

@@ -20,9 +20,12 @@ from .layers import BatchNorm, Linear
 from .tensor import Parameter, Tensor
 
 
+KERNEL_WIDTH = 3     # temporal kernel of every TCN block, encoder and projector
+
+
 def blocks_for_frames(frames: int) -> int:
-    blocks = round(np.log(frames) / np.log(3)) if frames > 1 else 0
-    if blocks < 2 or 3 ** blocks != frames:
+    blocks = round(np.log(frames) / np.log(KERNEL_WIDTH)) if frames > 1 else 0
+    if blocks < 2 or KERNEL_WIDTH ** blocks != frames:
         raise ConfigError(
             f"unsupported sequence length {frames}; supported: [9, 27, 81, 243]")
     return blocks
@@ -34,7 +37,6 @@ class EncoderConfig:
     joints: int
     channels: int = 16
     dropout: float = 0.0
-    kernel_width: int = 3
 
     @property
     def blocks(self) -> int:
@@ -57,11 +59,11 @@ class TcnBlock:
     """Dilated conv + BN + ReLU + dropout, pointwise conv + BN + ReLU + dropout,
     plus a residual from the (time-cropped) block input."""
 
-    def __init__(self, name: str, channels: int, width: int, dilation: int,
+    def __init__(self, name: str, channels: int, dilation: int,
                  dropout: float, rng: np.random.Generator):
-        bound = 1.0 / np.sqrt(width * channels)
-        self.conv = Parameter(f"{name}.conv",
-                              rng.uniform(-bound, bound, size=(width, channels, channels)))
+        bound = 1.0 / np.sqrt(KERNEL_WIDTH * channels)
+        self.conv = Parameter(f"{name}.conv", rng.uniform(
+            -bound, bound, size=(KERNEL_WIDTH, channels, channels)))
         self.conv_bias = Parameter(f"{name}.conv_bias",
                                    rng.uniform(-bound, bound, size=channels))
         self.bn1 = BatchNorm(f"{name}.bn1", channels)
@@ -71,7 +73,6 @@ class TcnBlock:
         self.pointwise_bias = Parameter(f"{name}.pointwise_bias",
                                         rng.uniform(-bound_pw, bound_pw, size=channels))
         self.bn2 = BatchNorm(f"{name}.bn2", channels)
-        self.width = width
         self.dilation = dilation
         self.dropout = dropout
 
@@ -87,7 +88,7 @@ class TcnBlock:
         h = self.bn2(h, training=training, update_stats=update_stats).relu()
         h = ops.dropout(h, self.dropout, rng, training)
         if padding == "valid":
-            crop = self.dilation * (self.width - 1) // 2
+            crop = self.dilation * (KERNEL_WIDTH - 1) // 2
             residual = x[:, crop:x.shape[1] - crop, :]
         else:
             residual = x
@@ -110,8 +111,8 @@ class TcnEncoder:
         blocks = cfg.blocks
         self.input_proj = Linear(f"{name}.input_proj", 2 * cfg.joints, cfg.channels, rng)
         self.blocks = [
-            TcnBlock(f"{name}.block{b}", cfg.channels, cfg.kernel_width,
-                     dilation=cfg.kernel_width ** (b - 1), dropout=cfg.dropout, rng=rng)
+            TcnBlock(f"{name}.block{b}", cfg.channels, dilation=KERNEL_WIDTH ** (b - 1),
+                     dropout=cfg.dropout, rng=rng)
             for b in range(1, blocks + 1)
         ]
 

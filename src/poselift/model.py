@@ -68,8 +68,7 @@ class PoseLifter:
         if self.use_atp or self.use_label_aux:
             self.projector = text_prompts.ActionProjector(
                 channels, seeded_rng(self.seed, _STREAM_PROJECTOR),
-                blocks=cfg.atp.projector_blocks, mode=cfg.atp.projector_mode,
-                padding=cfg.atp.projector_padding)
+                blocks=cfg.atp.projector_blocks)
 
         self.text_bank = None
         self.text_encoder = None
@@ -207,11 +206,9 @@ class PoseLifter:
                 chosen = np.asarray(gt_labels)
             elif predicted is not None:
                 chosen = predicted
-            elif gt_labels is not None:
-                chosen = np.asarray(gt_labels)
             else:
                 raise ConfigError(
-                    "pose prompts need labels: enable a classifier or pass labels")
+                    "pose prompts need labels: enable a classifier or use_gt_labels")
             selected = pose_prompts.select_prompts(self.prompt_bank, chosen)
             zd = self.refiner(zd, selected)
         pred = self.head(zd)

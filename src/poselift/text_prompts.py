@@ -94,43 +94,23 @@ class FrozenTextEncoder:
 
 
 class ActionProjector:
-    """Map shallow pose features (B, F', C) to one action feature (B, C).
-
-    mode "tcn": dilation-1 width-3 conv blocks, then temporal mean pooling;
-    mode "pool": temporal mean pooling only. "same" padding (default) works
-    down to single-frame inputs; "valid" enforces the stack's receptive field.
-    """
+    """Map shallow pose features (B, F', C) to one action feature (B, C):
+    `blocks` dilation-1 TCN blocks with "same" padding, so any length down to
+    a single frame works, then temporal mean pooling."""
 
     def __init__(self, channels: int, rng: np.random.Generator, blocks: int = 2,
-                 mode: str = "tcn", padding: str = "same", name: str = "proj"):
-        if mode not in ("tcn", "pool"):
-            raise ConfigError(f"unknown projector mode {mode!r}")
-        if padding not in ("same", "valid"):
-            raise ConfigError(f"unknown projector padding {padding!r}")
-        self.mode = mode
-        self.padding = padding
-        self.width = 3
-        self.blocks = [] if mode == "pool" else [
-            TcnBlock(f"{name}.block{b}", channels, width=self.width, dilation=1,
-                     dropout=0.0, rng=rng)
+                 name: str = "proj"):
+        self.blocks = [
+            TcnBlock(f"{name}.block{b}", channels, dilation=1, dropout=0.0, rng=rng)
             for b in range(1, blocks + 1)
         ]
         self.out = Linear(f"{name}.out", channels, channels, rng)
 
-    @property
-    def receptive_field(self) -> int:
-        return 1 + (self.width - 1) * len(self.blocks)
-
     def __call__(self, z: Tensor, training: bool,
                  rng: np.random.Generator | None = None) -> Tensor:
-        frames = z.shape[-2]
-        if self.padding == "valid" and frames < self.receptive_field:
-            raise SequenceTooShortError(
-                f"projector needs at least {self.receptive_field} frames "
-                f"in valid mode, got {frames}")
         h = z
         for block in self.blocks:
-            h = block(h, training=training, padding=self.padding, rng=rng)
+            h = block(h, training=training, padding="same", rng=rng)
         pooled = h.mean(axis=-2)                # (B, C)
         return self.out(pooled)
 

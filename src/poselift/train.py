@@ -24,7 +24,7 @@ from .optim import Adam
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"PLCKPT\x00\x00"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass

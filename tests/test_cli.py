@@ -6,6 +6,7 @@ import pytest
 
 from poselift.cli import main
 from poselift.config import Config
+from poselift.data import load_dataset
 from poselift.model import PoseLifter
 from poselift.train import snapshot, write_checkpoint
 
@@ -29,9 +30,8 @@ def dataset_dir(tmp_path_factory, quick_ini):
 def test_gen_data_writes_directory(dataset_dir, tmp_path):
     from pathlib import Path
     files = {p.name for p in Path(dataset_dir).iterdir()}
-    assert files == {"manifest.txt", "train.bin", "eval.bin"}
-    manifest = (Path(dataset_dir) / "manifest.txt").read_text()
-    assert "seed = 77" in manifest
+    assert files == {"dataset.bin"}
+    assert load_dataset(dataset_dir).manifest.seed == 77
 
 
 def test_train_eval_pipeline(dataset_dir, quick_ini, tmp_path, capsys):
@@ -160,7 +160,7 @@ def test_truncated_checkpoint_is_an_error_line(tmp_path, capsys):
 def test_missing_split_file_is_an_error_line(dataset_dir, quick_ini, tmp_path, capsys):
     data = tmp_path / "ds"
     shutil.copytree(dataset_dir, data)
-    (data / "train.bin").unlink()
+    (data / "dataset.bin").unlink()
     assert main(["train", "--config", quick_ini, "--data", str(data),
                  "--out", str(tmp_path / "o")]) == 2
     assert_one_error_line(capsys, "FormatError")
@@ -202,3 +202,23 @@ def test_tap_layer_is_checked_against_the_loaded_data(dataset_dir, tmp_path):
     ini.write_text("[data]\nframes = 9\n\n[train]\nepochs = 1\n", encoding="utf-8")
     assert main(["train", "--config", str(ini), "--data", dataset_dir,
                  "--tap-layer", "3", "--out", str(tmp_path / "run")]) == 0
+
+
+def test_frames_flag_must_match_the_loaded_data(dataset_dir, quick_ini, tmp_path, capsys):
+    assert main(["train", "--config", quick_ini, "--data", dataset_dir,
+                 "--frames", "81", "--out", str(tmp_path / "run")]) == 2
+    assert_one_error_line(capsys, "ConfigError")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("flags", [["--config", "x.ini"], ["--seed", "7"], ["--frames", "81"],
+                                   ["--lambda", "5"], ["--disable-atp"], ["--disable-app"],
+                                   ["--tap-layer", "2"]])
+def test_eval_rejects_config_flags(tmp_path, capsys, flags):
+    # eval rebuilds the model from the checkpoint's config; nothing can override it.
+    path = tmp_path / "checkpoint.bin"
+    write_checkpoint(path, snapshot(PoseLifter(Config()), None, None))
+    assert main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "o"),
+                 *flags]) == 2
+    assert_one_error_line(capsys, "ConfigError")
+    assert not (tmp_path / "o").exists()

@@ -1,7 +1,8 @@
 """The binary container: bounded reads, and property tests over truncated and
-byte-flipped checkpoints, dataset directories and embedding directories."""
+byte-flipped checkpoints, dataset files and embedding files."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -65,6 +66,13 @@ def test_structural_errors(tmp_path, records, kinds, message):
         read_back(tmp_path / "f.bin", kinds)
 
 
+def test_integer_beyond_float64_is_rejected_on_write(tmp_path):
+    write_container(tmp_path / "f.bin", MAGIC, VERSION, [2 ** 53])
+    assert read_back(tmp_path / "f.bin", ["count"]) == [2 ** 53]
+    with pytest.raises(FormatError, match="only up to 2"):
+        write_container(tmp_path / "g.bin", MAGIC, VERSION, [2 ** 53 + 1])
+
+
 def test_invalid_utf8_string(tmp_path):
     path = tmp_path / "f.bin"
     write_container(path, MAGIC, VERSION, ["abcd"])
@@ -99,7 +107,7 @@ def tiny_checkpoint():
     cfg = Config()
     cfg.data.frames, cfg.data.joints, cfg.data.num_actions = 9, 4, 2
     cfg.encoder.channels = 4
-    cfg.atp.text_mode, cfg.atp.projector_mode = "learnable", "pool"
+    cfg.atp.text_mode, cfg.atp.projector_blocks = "learnable", 0
     cfg.app.enabled = False
     model = PoseLifter(cfg)
     return T.snapshot(model, Adam(model.params), model.export_embeddings())
@@ -124,14 +132,12 @@ def files(tmp_path_factory):
         return data.load_embedding_file(root / "emb")
 
     paths = {"checkpoint.bin": (root / "checkpoint.bin", load_checkpoint),
-             "train.bin": (root / "ds" / "train.bin", load_dataset),
-             "eval.bin": (root / "ds" / "eval.bin", load_dataset),
-             "manifest.txt": (root / "ds" / "manifest.txt", load_dataset),
+             "dataset.bin": (root / "ds" / "dataset.bin", load_dataset),
              "embeddings.bin": (root / "emb" / "embeddings.bin", load_embeddings)}
     return {name: (path, load, path.read_bytes()) for name, (path, load) in paths.items()}
 
 
-BINARY = ["checkpoint.bin", "train.bin", "eval.bin", "embeddings.bin"]
+NAMES = ["checkpoint.bin", "dataset.bin", "embeddings.bin"]
 
 
 def test_unmodified_files_load(files):
@@ -139,11 +145,28 @@ def test_unmodified_files_load(files):
         load()
 
 
-@pytest.mark.parametrize("name", BINARY)
+def dataset_regions(raw, eval_shape):
+    """dataset.bin split at the first byte of each split's input2d record:
+    (seed and names), (train split), (eval split and the checksum)."""
+    train_start = raw.index(struct.pack("<II", 1, 4))      # train.input2d: <f4, 4-D
+    eval_start = raw.index(struct.pack("<II4I", 1, 4, *eval_shape), train_start + 1)
+    assert 0 < train_start < eval_start < len(raw)
+    return {"dataset.bin": (0, train_start), "train.bin": (train_start, eval_start),
+            "eval.bin": (eval_start, len(raw))}
+
+
+# Every cut of dataset.bin is tried once, in three cases: the header records
+# (dataset.bin) and the records of each split, named after the split files
+# train.bin and eval.bin that they replaced.
+@pytest.mark.parametrize("name", ["checkpoint.bin", "dataset.bin", "train.bin",
+                                  "eval.bin", "embeddings.bin"])
 def test_every_truncation_raises_format_error(files, name):
-    path, load, raw = files[name]
+    path, load, raw = files["dataset.bin" if name in ("train.bin", "eval.bin") else name]
+    start, stop = (0, len(raw))
+    if path.name == "dataset.bin":
+        start, stop = dataset_regions(raw, load().eval.input2d.shape)[name]
     try:
-        for cut in range(len(raw) - 1, -1, -1):     # shrink in place, one syscall each
+        for cut in range(stop - 1, start - 1, -1):  # shrink in place, one syscall each
             os.truncate(path, cut)
             with pytest.raises(FormatError):
                 load()
@@ -151,9 +174,9 @@ def test_every_truncation_raises_format_error(files, name):
         path.write_bytes(raw)
 
 
-def draw_flips(draw, size, min_size=1):
+def draw_flips(draw, size):
     """Distinct positions below `size`, each XORed with a nonzero mask."""
-    positions = draw(st.lists(st.integers(0, size - 1), min_size=min_size,
+    positions = draw(st.lists(st.integers(0, size - 1), min_size=1,
                               max_size=3, unique=True))
     masks = draw(st.lists(st.integers(1, 255), min_size=len(positions),
                           max_size=len(positions)))
@@ -168,7 +191,7 @@ def write_flipped(path, raw, flips):
 
 
 @settings(max_examples=300, deadline=None)
-@given(name=st.sampled_from(BINARY), draw=st.data())
+@given(name=st.sampled_from(NAMES), draw=st.data())
 def test_every_byte_flip_raises_format_error(files, name, draw):
     path, load, raw = files[name]
     try:
@@ -179,18 +202,16 @@ def test_every_byte_flip_raises_format_error(files, name, draw):
         path.write_bytes(raw)
 
 
-@settings(max_examples=100, deadline=None)
-@given(draw=st.data())
-def test_edited_manifest_loads_or_raises_format_error(files, draw):
-    # manifest.txt is plain text meant to be read and edited, so it carries
-    # no checksum: an edit may load, but must raise nothing but FormatError.
-    path, load, raw = files["manifest.txt"]
-    kept = raw[:draw.draw(st.integers(1, len(raw)))]
+def test_every_flip_in_the_dataset_names_and_seed_raises_format_error(files):
+    # The bytes before the first array: seed, action names, hard-action names.
+    path, load, raw = files["dataset.bin"]
+    header_end = raw.index(struct.pack("<II", 1, 4))       # train.input2d: <f4, 4-D
+    assert raw.index(b"stride") < header_end    # the hard action, named last
     try:
-        write_flipped(path, kept, draw_flips(draw.draw, len(kept), min_size=0))
-        try:
-            load()
-        except FormatError:
-            pass
+        for pos in range(header_end):
+            for mask in (0x01, 0x80):
+                write_flipped(path, raw, [(pos, mask)])
+                with pytest.raises(FormatError):
+                    load()
     finally:
         path.write_bytes(raw)

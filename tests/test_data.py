@@ -1,5 +1,7 @@
 """Dataset generator, binary format, and pixel normalization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,9 @@ def test_generation_is_byte_identical(tmp_path, dataset):
     again = data.gen_synthetic(4, 27, 8, 50, 20, seed=1234)
     data.save_dataset(dataset, tmp_path / "a")
     data.save_dataset(again, tmp_path / "b")
-    for name in ("manifest.txt", "train.bin", "eval.bin"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    assert [p.name for p in (tmp_path / "a").iterdir()] == ["dataset.bin"]
+    assert (tmp_path / "a" / "dataset.bin").read_bytes() == \
+        (tmp_path / "b" / "dataset.bin").read_bytes()
 
 
 def test_counts_and_label_balance(dataset):
@@ -91,17 +94,16 @@ def test_round_trip_bit_identical(tmp_path, dataset):
 
 def test_truncated_blob_reports_offset(tmp_path, dataset):
     data.save_dataset(dataset, tmp_path / "ds")
-    path = tmp_path / "ds" / "train.bin"
+    path = tmp_path / "ds" / "dataset.bin"
     path.write_bytes(path.read_bytes()[:100])
     with pytest.raises(FormatError, match="byte"):
         data.load_dataset(tmp_path / "ds")
 
 
 def test_bad_magic_rejected(tmp_path):
-    path = tmp_path / "blob.bin"
-    path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
+    (tmp_path / "dataset.bin").write_bytes(b"NOTMAGIC" + b"\x00" * 32)
     with pytest.raises(FormatError, match="magic"):
-        Reader(path, data.SPLIT_MAGIC, data.FORMAT_VERSION, "split")
+        data.load_dataset(tmp_path)
 
 
 def test_non_finite_values_rejected_naming_split(tmp_path, dataset):
@@ -112,7 +114,7 @@ def test_non_finite_values_rejected_naming_split(tmp_path, dataset):
                                           dataset.eval.labels))
         getattr(bad.eval, name)[3, 0, 0] = np.nan
         data.save_dataset(bad, tmp_path / name)
-        with pytest.raises(FormatError, match=rf"eval\.bin: {name} holds non-finite"):
+        with pytest.raises(FormatError, match=rf"eval\.{name} holds non-finite"):
             data.load_dataset(tmp_path / name)
 
 
@@ -129,28 +131,39 @@ def test_split_arrays_are_views_of_one_file_buffer(tmp_path, dataset):
 
 
 def test_manifest_label_range_mismatch(tmp_path, dataset):
-    data.save_dataset(dataset, tmp_path / "ds")
-    manifest = (tmp_path / "ds" / "manifest.txt").read_text()
-    manifest = manifest.replace("k = 4", "k = 2").replace(
-        "action_names = sway,stride,reach,crouch", "action_names = sway,stride")
-    (tmp_path / "ds" / "manifest.txt").write_text(manifest)
-    with pytest.raises(FormatError, match="label"):
+    # K is the number of stored names: two names cannot cover labels 0..3.
+    names = dataclasses.replace(dataset.manifest, action_names=["sway", "stride"])
+    data.save_dataset(dataclasses.replace(dataset, manifest=names), tmp_path / "ds")
+    with pytest.raises(FormatError, match="label 3, out of range for 2 actions"):
         data.load_dataset(tmp_path / "ds")
 
 
-def test_manifest_requires_distinct_names():
-    text = (f"version = {data.FORMAT_VERSION}\nk = 2\nframes = 9\njoints = 4\nseed = 0\n"
-            "action_names = a,a\ntrain_count = 0\neval_count = 0\n")
+def test_manifest_requires_distinct_names(tmp_path, dataset):
+    names = dataclasses.replace(dataset.manifest, action_names=["a", "b", "a", "c"])
+    data.save_dataset(dataclasses.replace(dataset, manifest=names), tmp_path / "ds")
     with pytest.raises(FormatError, match="distinct"):
-        data.parse_manifest(text)
+        data.load_dataset(tmp_path / "ds")
+
+
+def test_split_shapes_must_agree(tmp_path, dataset):
+    cases = {"target3d": (dataset.eval.input2d, dataset.eval.target3d[:, :-1],
+                          dataset.eval.labels),
+             "labels": (dataset.eval.input2d, dataset.eval.target3d, dataset.eval.labels[1:]),
+             "frames or joints": (dataset.eval.input2d[:, 1:], dataset.eval.target3d,
+                                  dataset.eval.labels)}
+    for message, arrays in cases.items():
+        bad = dataclasses.replace(dataset, eval=data.Split(*arrays))
+        data.save_dataset(bad, tmp_path / "ds")
+        with pytest.raises(FormatError, match=message):
+            data.load_dataset(tmp_path / "ds")
 
 
 def test_tensor_blob_round_trip_shapes(tmp_path):
     path = tmp_path / "blob.bin"
     for shape in [(), (3,), (2, 3), (2, 3, 4)]:
         arr = np.arange(int(np.prod(shape)) or 1, dtype=np.float32).reshape(shape)
-        write_container(path, data.SPLIT_MAGIC, data.FORMAT_VERSION, [arr])
-        reader = Reader(path, data.SPLIT_MAGIC, data.FORMAT_VERSION, "split")
+        write_container(path, b"PLTEST\x00\x00", 1, [arr])
+        reader = Reader(path, b"PLTEST\x00\x00", 1, "blob")
         out = reader.tensor("blob")
         reader.finish()                   # every byte consumed, checksum intact
         assert out.shape == shape and np.array_equal(out, arr)

@@ -123,10 +123,13 @@ def test_app_without_classifier_uses_gt_or_fails(small_dataset):
     cfg = small_config()
     cfg.atp.enabled = False
     cfg.train.label_aux = "off"    # force: pose prompts but no label source
+    with pytest.raises(ConfigError, match="label source"):
+        PoseLifter(cfg)
+    cfg.train.gt_labels_at_eval = True
     model = PoseLifter(cfg)
     x = small_dataset.eval.input2d[:3]
     gt = small_dataset.eval.labels[:3]
-    pred, _, _ = model.forward_eval(x, gt_labels=gt)
-    assert pred.shape == (3, 8, 3)
+    pred, labels, _ = model.forward_eval(x, gt_labels=gt, use_gt_labels=True)
+    assert pred.shape == (3, 8, 3) and labels is None
     with pytest.raises(ConfigError, match="label"):
-        model.forward_eval(x)
+        model.forward_eval(x, gt_labels=gt)

@@ -97,16 +97,8 @@ def test_projector_output_shape_any_length():
         assert out.shape == (3, 8)
 
 
-def test_projector_valid_mode_needs_receptive_field():
-    proj = tp.ActionProjector(8, seeded_rng(0, 2), padding="valid")
-    assert proj.receptive_field == 5
-    proj(Tensor(np.zeros((1, 5, 8))), training=False)
-    with pytest.raises(SequenceTooShortError):
-        proj(Tensor(np.zeros((1, 4, 8))), training=False)
-
-
 def test_pooling_projector_on_constant_sequence_equals_single_frame():
-    proj = tp.ActionProjector(8, seeded_rng(3, 2), mode="pool")
+    proj = tp.ActionProjector(8, seeded_rng(3, 2), blocks=0)
     row = np.random.default_rng(4).normal(size=8)
     seq = np.broadcast_to(row, (1, 9, 8)).copy()
     out = proj(Tensor(seq), training=False)
