@@ -1,8 +1,9 @@
 """Command-line surface: gen-data, train, eval, ablate, gradcheck.
 
-gen-data, train and ablate take --config plus overrides; eval takes its
-config from the checkpoint. Exit code 0 on success, nonzero with a one-line
-machine-parseable error otherwise.
+gen-data, train and ablate take --config plus overrides (gen-data only the
+seed and the sequence length); eval takes its config from the checkpoint.
+Exit code 0 on success, nonzero with a one-line machine-parseable error
+otherwise.
 """
 
 from __future__ import annotations
@@ -26,12 +27,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    """Flags that build a run config (eval takes its config from the checkpoint)."""
+def _add_data_flags(parser: argparse.ArgumentParser) -> None:
+    """Config file, seed and sequence length: the flags of every command that
+    builds a config (eval takes its config from the checkpoint)."""
     parser.add_argument("--config", help="key = value config file")
     parser.add_argument("--seed", type=int, help="seed override (data seed for "
                         "gen-data, training seed otherwise)")
     parser.add_argument("--frames", type=int, help="sequence length override")
+
+
+def _add_model_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags that change the model or its training (not read by gen-data)."""
     parser.add_argument("--lambda", dest="loss_weight", type=float,
                         help="action-loss weight override")
     parser.add_argument("--disable-atp", action="store_true",
@@ -48,10 +54,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output directory")
 
 
-def _build_config(args, seed_target: str = "train.seed", dataset=None):
+def _build_config(args, dataset=None):
     cfg = load_config(args.config)
     overrides = {
-        seed_target: args.seed,
+        "train.seed": args.seed,
         "data.frames": args.frames,
         "train.lambda": args.loss_weight,
         "atp.tap_layer": args.tap_layer,
@@ -91,7 +97,8 @@ def _write_plot_data(report: MetricsReport, path: Path) -> None:
 
 
 def _cmd_gen_data(args) -> int:
-    cfg = _build_config(args, seed_target="data.seed")
+    cfg = apply_overrides(load_config(args.config),
+                          {"data.seed": args.seed, "data.frames": args.frames})
     out = _require_out(args)
     dataset = dataset_from_config(cfg)
     save_dataset(dataset, out)
@@ -185,12 +192,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset directory")
-    _add_config_flags(p)
-    _add_common(p)
+    _add_data_flags(p)
+    p.add_argument("--out", help="output directory")
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("train", help="train a model and keep the best checkpoint")
-    _add_config_flags(p)
+    _add_data_flags(p)
+    _add_model_flags(p)
     _add_common(p)
     p.add_argument("--data", help="dataset directory (generated when omitted)")
     p.add_argument("--plot", action="store_true", help="emit per-action plot data")
@@ -204,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("ablate", help="run an ablation table")
-    _add_config_flags(p)
+    _add_data_flags(p)
+    _add_model_flags(p)
     _add_common(p)
     p.add_argument("--mode", default="components",
                    choices=["components", "seq-length", "tap-layer"])

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -62,6 +63,53 @@ class TrainSection:
     gt_labels_at_eval: bool = False
 
 
+@dataclass(frozen=True)
+class _Interval:
+    """Allowed values of a numeric field; NaN is never inside, and an
+    unbounded float field still excludes infinity."""
+    low: float
+    high: float = math.inf
+    low_open: bool = False
+    high_open: bool = True
+
+    def __contains__(self, value) -> bool:
+        above = value > self.low if self.low_open else value >= self.low
+        below = value < self.high if self.high_open else value <= self.high
+        return above and below
+
+    def __str__(self) -> str:
+        return (f"{'(' if self.low_open else '['}{self.low}, "
+                f"{self.high}{')' if self.high_open else ']'}")
+
+
+_SEED = _Interval(0, 2 ** 53, high_open=False)   # what dataset.bin stores exactly
+_POSITIVE = _Interval(0, low_open=True)
+# The range of every numeric field except data.frames and atp.tap_layer,
+# which `validate` checks against the supported sequence lengths.
+_RANGES = {
+    ("data", "num_actions"): _Interval(2),        # the generator needs 2 actions and 4 joints
+    ("data", "joints"): _Interval(4),
+    ("data", "train_per_action"): _Interval(1),
+    ("data", "eval_per_action"): _Interval(1),
+    ("data", "seed"): _SEED,
+    ("encoder", "channels"): _Interval(2),        # one channel layer-norms to NaN
+    ("encoder", "dropout"): _Interval(0, 1),
+    ("encoder", "output_scale"): _POSITIVE,
+    ("atp", "context_tokens"): _Interval(0),
+    ("atp", "tau"): _POSITIVE,
+    ("atp", "text_layers"): _Interval(0),
+    ("atp", "projector_blocks"): _Interval(0),
+    ("app", "prompts_per_action"): _Interval(1),
+    ("app", "decoder_blocks"): _Interval(1),      # none leaves app.prompts without a gradient
+    ("train", "epochs"): _Interval(1),
+    ("train", "batch_size"): _Interval(1),
+    ("train", "lr"): _POSITIVE,
+    ("train", "lr_decay"): _Interval(0, 1, low_open=True, high_open=False),
+    ("train", "loss_weight"): _Interval(0),
+    ("train", "seed"): _SEED,
+}
+
+
 @dataclass
 class Config:
     data: DataSection = field(default_factory=DataSection)
@@ -71,12 +119,11 @@ class Config:
     train: TrainSection = field(default_factory=TrainSection)
 
     def validate(self) -> "Config":
-        if self.train.loss_weight < 0:
-            raise ConfigError(f"lambda must be >= 0, got {self.train.loss_weight}")
-        if self.atp.tau <= 0:
-            raise ConfigError(f"tau must be positive, got {self.atp.tau}")
-        if self.train.epochs < 1 or self.train.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
+        for (section_name, attr), interval in _RANGES.items():
+            value = getattr(getattr(self, section_name), attr)
+            if value not in interval:
+                key = _FILE_KEYS.get((section_name, attr), attr)
+                raise ConfigError(f"[{section_name}] {key} = {value} is outside {interval}")
         if self.atp.text_mode not in ("encoder", "learnable", "file"):
             raise ConfigError(f"unknown text_mode {self.atp.text_mode!r}")
         if self.atp.text_mode == "file" and not self.atp.embeddings_path:
@@ -107,6 +154,7 @@ _SECTIONS = {"data": "data", "encoder": "encoder", "atp": "atp",
              "app": "app", "train": "train"}
 # "lambda" is the file/CLI spelling of TrainSection.loss_weight.
 _KEY_ALIASES = {("train", "lambda"): "loss_weight", ("data", "k"): "num_actions"}
+_FILE_KEYS = {(s, attr): key for (s, key), attr in _KEY_ALIASES.items()}
 
 
 def _coerce(raw: str, target_type: type):
@@ -175,13 +223,12 @@ def apply_overrides(cfg: Config, overrides: dict[str, object]) -> Config:
 
 def dump_config(cfg: Config) -> str:
     """Render back to `key = value` text (lambda keeps its file spelling)."""
-    reverse_alias = {(s, attr): key for (s, key), attr in _KEY_ALIASES.items()}
     out = io.StringIO()
     for section_name in _SECTIONS:
         section = getattr(cfg, section_name)
         out.write(f"[{section_name}]\n")
         for f in fields(section):
-            key = reverse_alias.get((section_name, f.name), f.name)
+            key = _FILE_KEYS.get((section_name, f.name), f.name)
             value = getattr(section, f.name)
             if isinstance(value, bool):
                 value = "true" if value else "false"

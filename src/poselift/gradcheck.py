@@ -209,7 +209,7 @@ def run_model_check(eps: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
         target = dataset.train.target3d.astype(np.float64)
 
         def build_loss() -> Tensor:
-            result = model.forward_train(x2d, labels)
+            result = model.forward(x2d, labels, training=True)
             lp = pose_loss(result.pred3d, Tensor(target))
             la = action_loss(result.class_probs, labels)
             return total_loss(lp, la, cfg.train.loss_weight)

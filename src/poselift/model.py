@@ -20,7 +20,7 @@ from .data import load_embedding_file
 from .encoder import EncoderConfig, TcnEncoder
 from .errors import ConfigError, FormatError
 from .layers import seeded_rng
-from .tensor import Parameter, Tensor, collect_parameters
+from .tensor import Parameter, Tensor, collect_parameters, no_grad
 
 # Fixed per-component seed streams (independent of which components exist).
 _STREAM_ENCODER = 0
@@ -148,69 +148,58 @@ class PoseLifter:
     def text_encoder_calls(self) -> int:
         return 0 if self.text_encoder is None else self.text_encoder.forward_calls
 
-    # -- forward passes ----------------------------------------------------------
+    # -- forward pass ------------------------------------------------------------
 
-    def _classify(self, enc_out, training: bool, embeddings: Tensor | None,
-                  rng: np.random.Generator | None) -> Tensor | None:
-        """Class distribution (B, K) from whichever classifier this variant has."""
-        if not (self.use_atp or self.use_label_aux):
-            return None
-        z_tap = enc_out.tap(self.tap_layer)
-        action_feature = self.projector(z_tap, training=training, rng=rng)
-        if self.use_atp:
-            if embeddings is None:
-                raise ConfigError("text embeddings required for classification")
-            t_bar = self.p2t(embeddings, enc_out.z0)          # (B, K, C)
-            return text_prompts.classify(t_bar, action_feature, self.cfg.atp.tau)
-        return self.label_head(action_feature)
+    def forward(self, x2d: np.ndarray, labels: np.ndarray | None, training: bool,
+                embeddings: np.ndarray | None = None) -> ForwardResult:
+        """Encoder, then the ATP classifier, then APP and the output head.
 
-    def forward_train(self, x2d: np.ndarray, labels: np.ndarray) -> ForwardResult:
-        """Training pass: prompts are selected with ground-truth labels."""
-        x = Tensor(x2d)
-        rng = self.dropout_rng
-        enc_out = self.encoder.forward(x, training=True, rng=rng)
-        embeddings = self.text_embeddings() if self.use_atp else None
-        probs = self._classify(enc_out, True, embeddings, rng)
+        `labels` select the pose prompts (ground truth in training); without
+        them the predicted labels do. `embeddings` are saved per-action text
+        embeddings (K, C); without them a text-prompt model runs its text
+        encoder. Training mode draws dropout from the model's stream and
+        normalizes with batch statistics; eval mode uses the running ones.
+        """
+        rng = self.dropout_rng if training else None
+        enc_out = self.encoder.forward(Tensor(x2d), training=training, rng=rng)
+        probs = None
+        if self.use_atp or self.use_label_aux:
+            action_feature = self.projector(enc_out.tap(self.tap_layer),
+                                            training=training, rng=rng)
+            if self.use_atp:
+                t = self.text_embeddings() if embeddings is None else Tensor(embeddings)
+                t_bar = self.p2t(t, enc_out.z0)                   # (B, K, C)
+                probs = text_prompts.classify(t_bar, action_feature, self.cfg.atp.tau)
+            else:
+                probs = self.label_head(action_feature)
         zd = enc_out.zd
         if self.use_app:
-            selected = pose_prompts.select_prompts(self.prompt_bank, labels)
-            zd = self.refiner(zd, selected)
-        pred = self.head(zd)
-        return ForwardResult(pred3d=pred, class_probs=probs)
+            if labels is None:
+                if probs is None:
+                    raise ConfigError(
+                        "pose prompts need labels: enable a classifier or use_gt_labels")
+                labels = np.argmax(probs.data, axis=-1)
+            zd = self.refiner(zd, pose_prompts.select_prompts(self.prompt_bank, labels))
+        return ForwardResult(pred3d=self.head(zd), class_probs=probs)
 
     def forward_eval(self, x2d: np.ndarray, embeddings: np.ndarray | None = None,
                      gt_labels: np.ndarray | None = None,
                      use_gt_labels: bool = False
                      ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-        """Inference pass; the text encoder is never invoked (pass saved
-        embeddings instead).
+        """Eval-mode `forward` under `no_grad`; the text encoder is never
+        invoked (pass saved embeddings instead).
 
         Returns (pred3d (B, J, 3), predicted_labels (B,) or None, probs or None).
         """
-        x = Tensor(x2d)
-        enc_out = self.encoder.forward(x, training=False)
-        t = None
-        if self.use_atp:
-            if embeddings is None:
-                raise ConfigError(
-                    "inference needs saved text embeddings (text encoder is "
-                    "not used at eval time)")
-            t = Tensor(np.asarray(embeddings))
-        probs = self._classify(enc_out, False, t, None)
-        predicted = None if probs is None else np.argmax(probs.data, axis=-1)
-        zd = enc_out.zd
-        if self.use_app:
-            if use_gt_labels:
-                if gt_labels is None:
-                    raise ConfigError("use_gt_labels requires ground-truth labels")
-                chosen = np.asarray(gt_labels)
-            elif predicted is not None:
-                chosen = predicted
-            else:
-                raise ConfigError(
-                    "pose prompts need labels: enable a classifier or use_gt_labels")
-            selected = pose_prompts.select_prompts(self.prompt_bank, chosen)
-            zd = self.refiner(zd, selected)
-        pred = self.head(zd)
-        probs_np = None if probs is None else np.asarray(probs.data)
-        return np.asarray(pred.data), predicted, probs_np
+        if self.use_atp and embeddings is None:
+            raise ConfigError(
+                "inference needs saved text embeddings (text encoder is "
+                "not used at eval time)")
+        if use_gt_labels and gt_labels is None:
+            raise ConfigError("use_gt_labels requires ground-truth labels")
+        with no_grad():
+            result = self.forward(x2d, gt_labels if use_gt_labels else None,
+                                  training=False, embeddings=embeddings)
+        probs = None if result.class_probs is None else result.class_probs.data
+        predicted = None if probs is None else np.argmax(probs, axis=-1)
+        return result.pred3d.data, predicted, probs

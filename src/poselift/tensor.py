@@ -4,6 +4,14 @@ A Tensor wraps one ndarray and remembers how it was produced, so a single
 `backward()` from a scalar loss fills `.grad` on every tensor that was
 created with `requires_grad=True`. Two float widths are supported: float32
 for training and float64 for gradient-check mode (see `precision`).
+
+Graph lifetime: an op's output holds its parents and a backward closure
+that receives the output gradient as an argument, and nothing points back
+from a parent to its output. A graph therefore lives exactly as long as
+something refers to its output; dropping the loss frees the whole graph at
+once, without waiting for the cycle collector. Inside `no_grad()` an op
+keeps neither parents nor closure, so an inference pass builds no graph
+and frees each intermediate array as soon as the next op has consumed it.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ import numpy as np
 from .errors import DimensionError, TrainingError
 
 _DEFAULT_DTYPE = np.float32
+_GRAD_ENABLED = True
 
 
 def default_dtype() -> np.dtype:
@@ -42,6 +51,20 @@ def precision(dtype):
         set_default_dtype(previous)
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Build no graph inside the block: op outputs have `requires_grad`
+    False and keep no parents. Nested blocks and exceptions restore the
+    previous mode."""
+    global _GRAD_ENABLED
+    previous = _GRAD_ENABLED
+    _GRAD_ENABLED = False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = previous
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
     extra = grad.ndim - len(shape)
@@ -62,19 +85,22 @@ class Tensor:
         self.data = np.asarray(data, dtype=default_dtype())
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[np.ndarray], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
 
     @classmethod
     def _from_op(cls, data: np.ndarray, parents: tuple["Tensor", ...],
-                 backward: Callable[[], None]) -> "Tensor":
-        out = cls.__new__(cls)
-        out.data = data
-        out.requires_grad = any(p.requires_grad for p in parents)
-        out.grad = None
-        out._parents = parents if out.requires_grad else ()
-        out._backward = backward if out.requires_grad else None
-        return out
+                 backward: Callable[[np.ndarray], None]) -> "Tensor":
+        """The output of an op. `backward(g)` takes the output gradient; it is
+        kept only when a parent requires a gradient (so a one-input op's
+        closure needs no check) and never inside `no_grad`."""
+        node = cls.__new__(cls)
+        node.data = data
+        node.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        node.grad = None
+        node._parents = parents if node.requires_grad else ()
+        node._backward = backward if node.requires_grad else None
+        return node
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -101,13 +127,13 @@ class Tensor:
         return self.data
 
     def detach(self) -> "Tensor":
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.requires_grad = False
-        out.grad = None
-        out._parents = ()
-        out._backward = None
-        return out
+        node = Tensor.__new__(Tensor)
+        node.data = self.data
+        node.requires_grad = False
+        node.grad = None
+        node._parents = ()
+        node._backward = None
+        return node
 
     def _accumulate(self, grad: np.ndarray) -> None:
         # Accumulation never mutates in place, so sharing a child's grad
@@ -139,7 +165,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -149,54 +175,41 @@ class Tensor:
     def __add__(self, other) -> "Tensor":
         other = _ensure_tensor(other)
         data = self.data + other.data
-        out = Tensor._from_op(data, (self, other), None)
 
-        def backward():
+        def backward(g):
             if self.requires_grad:
-                self._accumulate(_unbroadcast(out.grad, self.shape))
+                self._accumulate(_unbroadcast(g, self.shape))
             if other.requires_grad:
-                other._accumulate(_unbroadcast(out.grad, other.shape))
+                other._accumulate(_unbroadcast(g, other.shape))
 
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor._from_op(data, (self, other), backward)
 
     def __mul__(self, other) -> "Tensor":
         other = _ensure_tensor(other)
         data = self.data * other.data
-        out = Tensor._from_op(data, (self, other), None)
 
-        def backward():
+        def backward(g):
             if self.requires_grad:
-                self._accumulate(_unbroadcast(out.grad * other.data, self.shape))
+                self._accumulate(_unbroadcast(g * other.data, self.shape))
             if other.requires_grad:
-                other._accumulate(_unbroadcast(out.grad * self.data, other.shape))
+                other._accumulate(_unbroadcast(g * self.data, other.shape))
 
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor._from_op(data, (self, other), backward)
 
     def __truediv__(self, other) -> "Tensor":
         other = _ensure_tensor(other)
         data = self.data / other.data
-        out = Tensor._from_op(data, (self, other), None)
 
-        def backward():
+        def backward(g):
             if self.requires_grad:
-                self._accumulate(_unbroadcast(out.grad / other.data, self.shape))
+                self._accumulate(_unbroadcast(g / other.data, self.shape))
             if other.requires_grad:
-                other._accumulate(_unbroadcast(-out.grad * data / other.data, other.shape))
+                other._accumulate(_unbroadcast(-g * data / other.data, other.shape))
 
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor._from_op(data, (self, other), backward)
 
     def __neg__(self) -> "Tensor":
-        out = Tensor._from_op(-self.data, (self,), None)
-
-        def backward():
-            if self.requires_grad:
-                self._accumulate(-out.grad)
-
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor._from_op(-self.data, (self,), lambda g: self._accumulate(-g))
 
     def __sub__(self, other) -> "Tensor":
         return self + (-_ensure_tensor(other))
@@ -216,76 +229,35 @@ class Tensor:
     def __pow__(self, exponent) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise TrainingError("only scalar exponents are supported")
-        data = self.data ** exponent
-        out = Tensor._from_op(data, (self,), None)
-
-        def backward():
-            if self.requires_grad:
-                self._accumulate(out.grad * exponent * self.data ** (exponent - 1))
-
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor._from_op(
+            self.data ** exponent, (self,),
+            lambda g: self._accumulate(g * exponent * self.data ** (exponent - 1)))
 
     # -- unary ops ---------------------------------------------------------
 
     def exp(self) -> "Tensor":
         data = np.exp(self.data)
-        out = Tensor._from_op(data, (self,), None)
-
-        def backward():
-            if self.requires_grad:
-                self._accumulate(out.grad * data)
-
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor._from_op(data, (self,), lambda g: self._accumulate(g * data))
 
     def log(self) -> "Tensor":
-        data = np.log(self.data)
-        out = Tensor._from_op(data, (self,), None)
-
-        def backward():
-            if self.requires_grad:
-                self._accumulate(out.grad / self.data)
-
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor._from_op(np.log(self.data), (self,),
+                               lambda g: self._accumulate(g / self.data))
 
     def sqrt(self) -> "Tensor":
         data = np.sqrt(self.data)
-        out = Tensor._from_op(data, (self,), None)
-
-        def backward():
-            if self.requires_grad:
-                self._accumulate(out.grad * 0.5 / data)
-
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor._from_op(data, (self,), lambda g: self._accumulate(g * 0.5 / data))
 
     def relu(self) -> "Tensor":
-        data = np.maximum(self.data, 0)
-        out = Tensor._from_op(data, (self,), None)
-
-        def backward():
-            if self.requires_grad:
-                self._accumulate(out.grad * (self.data > 0))
-
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor._from_op(np.maximum(self.data, 0), (self,),
+                               lambda g: self._accumulate(g * (self.data > 0)))
 
     # -- shape ops ----------------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        original = self.shape
-        out = Tensor._from_op(self.data.reshape(shape), (self,), None)
-
-        def backward():
-            if self.requires_grad:
-                self._accumulate(out.grad.reshape(original))
-
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor._from_op(self.data.reshape(shape), (self,),
+                               lambda g: self._accumulate(g.reshape(self.shape)))
 
     def transpose(self, *axes) -> "Tensor":
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
@@ -293,14 +265,8 @@ class Tensor:
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
         inverse = np.argsort(axes)
-        out = Tensor._from_op(self.data.transpose(axes), (self,), None)
-
-        def backward():
-            if self.requires_grad:
-                self._accumulate(out.grad.transpose(inverse))
-
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor._from_op(self.data.transpose(axes), (self,),
+                               lambda g: self._accumulate(g.transpose(inverse)))
 
     def swapaxes(self, a: int, b: int) -> "Tensor":
         axes = list(range(self.ndim))
@@ -308,47 +274,32 @@ class Tensor:
         return self.transpose(tuple(axes))
 
     def broadcast_to(self, shape) -> "Tensor":
-        shape = tuple(shape)
-        original = self.shape
-        out = Tensor._from_op(np.broadcast_to(self.data, shape), (self,), None)
-
-        def backward():
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(out.grad, original))
-
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor._from_op(np.broadcast_to(self.data, tuple(shape)), (self,),
+                               lambda g: self._accumulate(_unbroadcast(g, self.shape)))
 
     def __getitem__(self, index) -> "Tensor":
         data = self.data[index]
         if np.isscalar(data) or data.ndim == 0:
             data = np.asarray(data)
-        out = Tensor._from_op(data, (self,), None)
 
-        def backward():
-            if self.requires_grad:
-                grad = np.zeros_like(self.data)
-                np.add.at(grad, index, out.grad)
-                self._accumulate(grad)
+        def backward(g):
+            grad = np.zeros_like(self.data)
+            np.add.at(grad, index, g)
+            self._accumulate(grad)
 
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor._from_op(data, (self,), backward)
 
     # -- reductions ----------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         data = self.data.sum(axis=axis, keepdims=keepdims)
-        out = Tensor._from_op(np.asarray(data), (self,), None)
 
-        def backward():
-            if self.requires_grad:
-                grad = out.grad
-                if axis is not None and not keepdims:
-                    grad = np.expand_dims(grad, axis)
-                self._accumulate(np.broadcast_to(grad, self.shape))
+        def backward(g):
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            self._accumulate(np.broadcast_to(g, self.shape))
 
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor._from_op(np.asarray(data), (self,), backward)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         count = self.size if axis is None else np.prod(
@@ -366,18 +317,16 @@ class Tensor:
             raise DimensionError(
                 f"matmul inner extents disagree: {self.shape} x {other.shape}")
         data = self.data @ other.data
-        out = Tensor._from_op(data, (self, other), None)
 
-        def backward():
+        def backward(g):
             if self.requires_grad:
-                grad = out.grad @ other.data.swapaxes(-1, -2)
+                grad = g @ other.data.swapaxes(-1, -2)
                 self._accumulate(_unbroadcast(grad, self.shape))
             if other.requires_grad:
-                grad = self.data.swapaxes(-1, -2) @ out.grad
+                grad = self.data.swapaxes(-1, -2) @ g
                 other._accumulate(_unbroadcast(grad, other.shape))
 
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor._from_op(data, (self, other), backward)
 
 
 def _ensure_tensor(value) -> Tensor:
@@ -388,20 +337,18 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate along `axis`; gradients split back to each input."""
     tensors = [_ensure_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    out = Tensor._from_op(data, tuple(tensors), None)
     extents = [t.shape[axis] for t in tensors]
 
-    def backward():
+    def backward(g):
         offset = 0
         index = [slice(None)] * data.ndim
         for t, extent in zip(tensors, extents):
             if t.requires_grad:
                 index[axis] = slice(offset, offset + extent)
-                t._accumulate(out.grad[tuple(index)])
+                t._accumulate(g[tuple(index)])
             offset += extent
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor._from_op(data, tuple(tensors), backward)
 
 
 def zeros(shape) -> Tensor:

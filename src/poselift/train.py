@@ -151,7 +151,7 @@ def train_model(cfg: Config, dataset: PoseDataset,
         sum_lp, sum_la, seen = 0.0, 0.0, 0
         for start in range(0, len(order), cfg.train.batch_size):
             idx = order[start:start + cfg.train.batch_size]
-            result = model.forward_train(train.input2d[idx], train.labels[idx])
+            result = model.forward(train.input2d[idx], train.labels[idx], training=True)
             lp = pose_loss(result.pred3d, Tensor(train.target3d[idx]))
             la = action_loss(result.class_probs, train.labels[idx]) if classifies else None
             loss = total_loss(lp, la if la is not None else 0.0, weight)
@@ -169,6 +169,7 @@ def train_model(cfg: Config, dataset: PoseDataset,
             sum_lp += lp.item() * len(idx)
             sum_la += (la.item() if la is not None else 0.0) * len(idx)
             seen += len(idx)
+            del result, lp, la, loss      # free this step's graph before the next forward
         optimizer.decay_lr()
 
         embeddings = model.export_embeddings() if model.use_atp else None

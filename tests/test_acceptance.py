@@ -67,8 +67,8 @@ def test_criterion_2_zero_init_equivalence(default_dataset):
     base = PoseLifter(base_cfg)
     x = default_dataset.train.input2d[:16]
     labels = default_dataset.train.labels[:16]
-    train_equal = np.array_equal(full.forward_train(x, labels).pred3d.data,
-                                 base.forward_train(x, labels).pred3d.data)
+    train_equal = np.array_equal(full.forward(x, labels, training=True).pred3d.data,
+                                 base.forward(x, labels, training=True).pred3d.data)
     emb = full.export_embeddings()
     eval_full, _, _ = full.forward_eval(x, embeddings=emb)
     eval_base, _, _ = base.forward_eval(x)

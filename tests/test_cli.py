@@ -222,3 +222,27 @@ def test_eval_rejects_config_flags(tmp_path, capsys, flags):
                  *flags]) == 2
     assert_one_error_line(capsys, "ConfigError")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flags", [["--lambda", "5"], ["--disable-atp"], ["--disable-app"],
+                                   ["--tap-layer", "2"], ["--gt-labels-at-eval"]])
+def test_gen_data_rejects_model_flags(tmp_path, capsys, flags):
+    # the generated data depends on the config file, the seed and the frames only
+    assert main(["gen-data", "--out", str(tmp_path / "d"), *flags]) == 2
+    assert_one_error_line(capsys, "ConfigError")
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+def test_negative_seed_is_an_error_line(tmp_path, capsys, command):
+    assert main([command, "--seed", "-3", "--out", str(tmp_path / "o")]) == 2
+    assert_one_error_line(capsys, "ConfigError")
+    assert not (tmp_path / "o").exists()
+
+
+def test_zero_eval_samples_is_an_error_line(tmp_path, capsys):
+    ini = tmp_path / "empty_eval.ini"
+    ini.write_text("[data]\neval_per_action = 0\n", encoding="utf-8")
+    assert main(["gen-data", "--config", str(ini), "--out", str(tmp_path / "o")]) == 2
+    assert_one_error_line(capsys, "ConfigError")
+    assert not (tmp_path / "o").exists()

@@ -1,5 +1,7 @@
 """Config file parsing, overrides, and validation."""
 
+from dataclasses import fields
+
 import pytest
 
 from poselift.config import (Config, apply_overrides, dump_config, load_config,
@@ -85,3 +87,52 @@ def test_label_aux_auto_logic():
     assert cfg.use_label_aux is False
     cfg.train.label_aux = "on"
     assert cfg.use_label_aux is True
+
+
+# Out-of-range values of every numeric field, by section and file spelling.
+OUT_OF_RANGE = {
+    "data": {"k": ["1", "0", "-4"], "frames": ["0", "10", "-27"], "joints": ["3", "0"],
+             "train_per_action": ["0", "-1"], "eval_per_action": ["0"],
+             "seed": ["-1", str(2 ** 53 + 1)]},
+    "encoder": {"channels": ["1", "0", "-16"], "dropout": ["-0.1", "1", "1.5", "nan"],
+                "output_scale": ["0", "-100", "inf", "nan"]},
+    "atp": {"context_tokens": ["-1"], "tau": ["0", "-0.07", "nan", "inf"],
+            "text_layers": ["-1"], "projector_blocks": ["-1"], "tap_layer": ["0", "4"]},
+    "app": {"prompts_per_action": ["0"], "decoder_blocks": ["0", "-1"]},
+    "train": {"epochs": ["0"], "batch_size": ["0", "-16"],
+              "lr": ["0", "-1", "nan", "inf"], "lr_decay": ["0", "-0.5", "1.5", "nan"],
+              "lambda": ["-0.5", "nan", "inf"], "seed": ["-1", str(2 ** 53 + 1)]},
+}
+# The edges the code supports stay valid.
+AT_THE_EDGE = {
+    "data": {"k": "2", "joints": "4", "train_per_action": "1", "eval_per_action": "1",
+             "seed": str(2 ** 53)},
+    "encoder": {"channels": "2", "dropout": "0"},
+    "atp": {"context_tokens": "0", "text_layers": "0", "projector_blocks": "0"},
+    "app": {"prompts_per_action": "1", "decoder_blocks": "1"},
+    "train": {"lambda": "0", "lr_decay": "1", "seed": "0", "batch_size": "1"},
+}
+
+
+def test_out_of_range_numbers_cover_every_numeric_field():
+    aliases = {"loss_weight": "lambda", "num_actions": "k"}
+    cfg = Config()
+    for section, bad in OUT_OF_RANGE.items():
+        numeric = {aliases.get(f.name, f.name) for f in fields(getattr(cfg, section))
+                   if type(getattr(getattr(cfg, section), f.name)) in (int, float)}
+        assert set(bad) == numeric, section
+
+
+@pytest.mark.parametrize("section,key,value", [
+    (section, key, value) for section, keys in OUT_OF_RANGE.items()
+    for key, values in keys.items() for value in values])
+def test_out_of_range_number_is_rejected(section, key, value):
+    named = "sequence length" if key == "frames" else key
+    with pytest.raises(ConfigError, match=named):
+        parse_config_text(f"[{section}]\n{key} = {value}\n")
+
+
+def test_edge_of_range_numbers_are_accepted():
+    for section, keys in AT_THE_EDGE.items():
+        for key, value in keys.items():
+            parse_config_text(f"[{section}]\n{key} = {value}\n")

@@ -1,4 +1,6 @@
-"""Model assembly: variants, embedding sources, gradient reach."""
+"""Model assembly: variants, embedding sources, gradient reach, graph lifetime."""
+
+import gc
 
 import numpy as np
 import pytest
@@ -39,8 +41,8 @@ def test_parameter_names_unique_and_pathlike():
 
 def test_gradients_reach_all_prompt_components(small_dataset):
     model = PoseLifter(small_config())
-    result = model.forward_train(small_dataset.train.input2d[:6],
-                                 small_dataset.train.labels[:6])
+    result = model.forward(small_dataset.train.input2d[:6],
+                           small_dataset.train.labels[:6], training=True)
     lp = pose_loss(result.pred3d, Tensor(small_dataset.train.target3d[:6]))
     la = action_loss(result.class_probs, small_dataset.train.labels[:6])
     total_loss(lp, la, 0.1).backward()
@@ -56,8 +58,8 @@ def test_learnable_embedding_mode(small_dataset):
     assert model.params["atp.embeddings"].trainable
     t = model.text_embeddings()
     assert t.shape == (4, 16)
-    result = model.forward_train(small_dataset.train.input2d[:4],
-                                 small_dataset.train.labels[:4])
+    result = model.forward(small_dataset.train.input2d[:4],
+                           small_dataset.train.labels[:4], training=True)
     assert result.class_probs.shape == (4, 4)
 
 
@@ -111,8 +113,8 @@ def test_baseline_has_no_classifier(small_dataset):
     cfg.app.enabled = False
     cfg.train.label_aux = "off"
     model = PoseLifter(cfg)
-    result = model.forward_train(small_dataset.train.input2d[:3],
-                                 small_dataset.train.labels[:3])
+    result = model.forward(small_dataset.train.input2d[:3],
+                           small_dataset.train.labels[:3], training=True)
     assert result.class_probs is None
     pred, labels, probs = model.forward_eval(small_dataset.eval.input2d[:3])
     assert labels is None and probs is None
@@ -133,3 +135,44 @@ def test_app_without_classifier_uses_gt_or_fails(small_dataset):
     assert pred.shape == (3, 8, 3) and labels is None
     with pytest.raises(ConfigError, match="label"):
         model.forward_eval(x, gt_labels=gt)
+
+
+def live_tensors() -> int:
+    return sum(isinstance(o, Tensor) for o in gc.get_objects())
+
+
+def test_step_graph_is_freed_without_the_cycle_collector(small_dataset):
+    from poselift.optim import Adam
+    model = PoseLifter(small_config())
+    optimizer = Adam(model.params)
+    x, labels = small_dataset.train.input2d[:4], small_dataset.train.labels[:4]
+    target = Tensor(small_dataset.train.target3d[:4])
+    gc.disable()
+    try:
+        before = live_tensors()
+        result = model.forward(x, labels, training=True)
+        loss = total_loss(pose_loss(result.pred3d, target),
+                          action_loss(result.class_probs, labels), 0.1)
+        optimizer.zero_grad()
+        loss.backward()
+        optimizer.step()
+        during = live_tensors()
+        del result, loss
+        after = live_tensors()
+    finally:
+        gc.enable()
+    assert during > before and after == before, (before, during, after)
+
+
+def test_forward_eval_equals_forward_with_a_graph(small_dataset):
+    model = PoseLifter(small_config())
+    emb = model.export_embeddings()
+    x, gt = small_dataset.eval.input2d[:5], small_dataset.eval.labels[:5]
+    for labels, use_gt in ((None, False), (gt, True)):
+        pred, predicted, probs = model.forward_eval(x, embeddings=emb, gt_labels=gt,
+                                                    use_gt_labels=use_gt)
+        result = model.forward(x, labels, training=False, embeddings=emb)
+        assert result.pred3d.requires_grad          # this one built a graph
+        assert np.array_equal(pred, result.pred3d.data)
+        assert np.array_equal(probs, result.class_probs.data)
+        assert np.array_equal(predicted, np.argmax(result.class_probs.data, axis=-1))

@@ -1,11 +1,13 @@
 """Operator semantics: hand-computed cases plus brute-force oracles."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from poselift import ops
 from poselift.errors import DimensionError, SequenceTooShortError
-from poselift.tensor import Tensor, concat, precision
+from poselift.tensor import Tensor, concat, no_grad, precision
 
 
 def test_matmul_identity():
@@ -204,3 +206,43 @@ def test_precision_context_switches_dtype():
     with precision("float64"):
         assert Tensor(np.zeros(2)).data.dtype == np.float64
     assert Tensor(np.zeros(2)).data.dtype == np.float32
+
+
+def test_no_grad_builds_no_graph():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    with no_grad():
+        y = (x * 2.0 + 1.0).sum()
+    assert not y.requires_grad and y._parents == () and y._backward is None
+    assert (x * 2.0).requires_grad       # the mode ends with the block
+
+
+def test_no_grad_restores_the_mode_when_nested_or_raising():
+    x = Tensor(np.ones(2), requires_grad=True)
+    with no_grad():
+        with no_grad():
+            pass
+        assert not (x * 2.0).requires_grad     # the inner block restored "off"
+    assert (x * 2.0).requires_grad
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError("boom")
+    assert (x * 2.0).requires_grad
+
+
+def live_tensors() -> int:
+    return sum(isinstance(o, Tensor) for o in gc.get_objects())
+
+
+def test_a_graph_is_freed_by_reference_counting():
+    x = Tensor(np.ones(3), requires_grad=True)
+    gc.disable()                          # no cycle collection may help
+    try:
+        before = live_tensors()
+        loss = ((x * 2.0) * (x * 2.0)).sum()
+        loss.backward()
+        assert live_tensors() > before
+        del loss
+        assert live_tensors() == before
+    finally:
+        gc.enable()
+    assert np.allclose(x.grad, 8.0)

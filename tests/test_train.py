@@ -96,7 +96,8 @@ def test_restored_model_keeps_training(tmp_path, quick_result, quick_dataset):
     path = tmp_path / "c.bin"
     T.write_checkpoint(path, quick_result.best)
     model, _ = T.restore_model(T.load_checkpoint(path))
-    model.forward_train(quick_dataset.train.input2d[:4], quick_dataset.train.labels[:4])
+    model.forward(quick_dataset.train.input2d[:4], quick_dataset.train.labels[:4],
+                  training=True)
 
 
 def test_checkpoint_shape_mismatch_names_parameter(quick_result):
@@ -152,8 +153,8 @@ def test_frozen_text_encoder_unchanged_across_training(quick_dataset):
     from poselift.tensor import Tensor
     optimizer = Adam(model.params, lr=cfg.train.lr)
     for _ in range(4):
-        result = model.forward_train(dataset.train.input2d[:8],
-                                     dataset.train.labels[:8])
+        result = model.forward(dataset.train.input2d[:8],
+                               dataset.train.labels[:8], training=True)
         lp = pose_loss(result.pred3d, Tensor(dataset.train.target3d[:8]))
         la = action_loss(result.class_probs, dataset.train.labels[:8])
         optimizer.zero_grad()
