@@ -26,8 +26,9 @@ Reading the table:
   baseline     encoder + head only; must infer each action's depth program
                implicitly from 2D dynamics.
   label_only   adds a plain classification side-task through the projector.
-  atp          aligns pose features with learnable per-action text
-               embeddings instead (velocity-aware classifier).
+  atp          aligns pose features with frozen-encoder embeddings of
+               learnable per-action prompts instead (velocity-aware
+               classifier).
   app          refines the final feature with per-action pose prompts,
                selected by the plain classifier at eval time.
   full         text prompts provide the label; pose prompts refine.

@@ -4,7 +4,7 @@ Library layout:
 
 - `tensor`, `ops`, `optim`, `gradcheck`: the differentiable substrate
   (float32 for training, float64 for gradient verification).
-- `container`: the binary format of checkpoints, datasets and embeddings.
+- `container`: the binary format of checkpoints and datasets.
 - `data`: synthetic action-conditioned sequences and dataset directories.
 - `encoder`: the dilated temporal-convolution pose encoder with taps.
 - `text_prompts` / `pose_prompts`: the two action-prompting modules.

@@ -28,7 +28,6 @@ class DataSection:
 @dataclass
 class EncoderSection:
     channels: int = 16
-    dropout: float = 0.0
     output_scale: float = 100.0   # dataset units per unit of head output
 
 
@@ -38,8 +37,6 @@ class AtpSection:
     context_tokens: int = 16      # shared learnable context vectors per prompt
     tau: float = 0.07             # classification temperature
     text_layers: int = 2          # frozen transformer depth
-    text_mode: str = "encoder"    # encoder | learnable | file
-    embeddings_path: str = ""     # for text_mode = file
     projector_blocks: int = 2     # TCN blocks before pooling; 0 pools only
     tap_layer: int = 1            # encoder block feeding the action projector
 
@@ -93,7 +90,6 @@ _RANGES = {
     ("data", "eval_per_action"): _Interval(1),
     ("data", "seed"): _SEED,
     ("encoder", "channels"): _Interval(2),        # one channel layer-norms to NaN
-    ("encoder", "dropout"): _Interval(0, 1),
     ("encoder", "output_scale"): _POSITIVE,
     ("atp", "context_tokens"): _Interval(0),
     ("atp", "tau"): _POSITIVE,
@@ -124,10 +120,6 @@ class Config:
             if value not in interval:
                 key = _FILE_KEYS.get((section_name, attr), attr)
                 raise ConfigError(f"[{section_name}] {key} = {value} is outside {interval}")
-        if self.atp.text_mode not in ("encoder", "learnable", "file"):
-            raise ConfigError(f"unknown text_mode {self.atp.text_mode!r}")
-        if self.atp.text_mode == "file" and not self.atp.embeddings_path:
-            raise ConfigError("text_mode = file requires embeddings_path")
         if self.train.label_aux not in ("auto", "on", "off"):
             raise ConfigError(f"unknown label_aux {self.train.label_aux!r}")
         if self.app.enabled and not (self.atp.enabled or self.use_label_aux

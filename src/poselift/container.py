@@ -1,5 +1,5 @@
-"""The one binary container behind checkpoints, datasets and embedding
-files; the only module that knows their byte layout.
+"""The one binary container behind checkpoints and datasets; the only
+module that knows their byte layout.
 
     file   = magic(8) | u32 version | record* | u32 crc32 (zlib, of all bytes before it)
     record = u32 tag 1 | u32 ndim | u32 shape[ndim] | <f4 data[prod(shape)]

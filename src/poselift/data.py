@@ -22,9 +22,8 @@ from .container import Reader, write_container
 from .errors import ConfigError, FormatError
 
 SUPPORTED_FRAMES = (9, 27, 81, 243)
-FORMAT_VERSION = 2                  # dataset and embedding files
+FORMAT_VERSION = 2
 DATASET_MAGIC = b"PLDATA\x00\x00"
-EMBEDDING_MAGIC = b"PLEMBED\x00"
 
 # Fixed entropy for motif-identity randomness (joint direction patterns);
 # independent of the dataset seed so action definitions are stable.
@@ -280,10 +279,12 @@ def load_dataset(path: str | Path) -> PoseDataset:
         raise FormatError(f"dataset: train input2d {train.input2d.shape} and eval "
                           f"input2d {evals.input2d.shape} differ in frames or joints")
     for name, split in splits.items():
+        if not len(split):
+            raise FormatError(f"dataset: the {name} split holds no samples")
         for field_name in ("input2d", "target3d"):
             if not np.isfinite(getattr(split, field_name)).all():
                 raise FormatError(f"dataset: {name}.{field_name} holds non-finite values")
-        if len(split) and split.labels.max() >= len(names):
+        if split.labels.max() >= len(names):
             raise FormatError(f"dataset: {name}.labels holds label {split.labels.max()}, "
                               f"out of range for {len(names)} actions")
     _, frames, joints, _ = train.input2d.shape
@@ -293,32 +294,6 @@ def load_dataset(path: str | Path) -> PoseDataset:
         train_count=len(train), eval_count=len(evals))
     return PoseDataset(manifest=manifest, train=train, eval=evals,
                        motifs=default_motifs(len(names)))
-
-
-# -- precomputed per-action embedding files ----------------------------------------
-
-def save_embedding_file(path: str | Path, embeddings: np.ndarray,
-                        action_names: list[str]) -> None:
-    """Directory with embeddings.bin: a K x C tensor, then K action names."""
-    embeddings = np.asarray(embeddings)
-    if embeddings.ndim != 2 or embeddings.shape[0] != len(action_names):
-        raise ConfigError(
-            f"embeddings must be (K, C) with K == len(action_names); got "
-            f"{embeddings.shape} for {len(action_names)} names")
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    write_container(path / "embeddings.bin", EMBEDDING_MAGIC, FORMAT_VERSION,
-                    [embeddings, *action_names])
-
-
-def load_embedding_file(path: str | Path) -> tuple[np.ndarray, list[str]]:
-    reader = Reader(Path(path) / "embeddings.bin", EMBEDDING_MAGIC, FORMAT_VERSION, "embeddings")
-    arr = reader.tensor("embeddings")
-    if arr.ndim != 2:
-        raise FormatError(f"embedding blob must be 2D, got shape {arr.shape}")
-    names = [reader.string(f"name of action {k}") for k in range(arr.shape[0])]
-    reader.finish()
-    return arr, names
 
 
 # -- calibration helpers ------------------------------------------------------------

@@ -36,7 +36,6 @@ class EncoderConfig:
     frames: int
     joints: int
     channels: int = 16
-    dropout: float = 0.0
 
     @property
     def blocks(self) -> int:
@@ -56,11 +55,11 @@ class EncoderOutput:
 
 
 class TcnBlock:
-    """Dilated conv + BN + ReLU + dropout, pointwise conv + BN + ReLU + dropout,
-    plus a residual from the (time-cropped) block input."""
+    """Dilated conv + BN + ReLU, pointwise conv + BN + ReLU, plus a residual
+    from the (time-cropped) block input."""
 
     def __init__(self, name: str, channels: int, dilation: int,
-                 dropout: float, rng: np.random.Generator):
+                 rng: np.random.Generator):
         bound = 1.0 / np.sqrt(KERNEL_WIDTH * channels)
         self.conv = Parameter(f"{name}.conv", rng.uniform(
             -bound, bound, size=(KERNEL_WIDTH, channels, channels)))
@@ -74,19 +73,15 @@ class TcnBlock:
                                         rng.uniform(-bound_pw, bound_pw, size=channels))
         self.bn2 = BatchNorm(f"{name}.bn2", channels)
         self.dilation = dilation
-        self.dropout = dropout
 
     def __call__(self, x: Tensor, training: bool, padding: str = "valid",
-                 update_stats: bool = True,
-                 rng: np.random.Generator | None = None) -> Tensor:
+                 update_stats: bool = True) -> Tensor:
         h = ops.dilated_conv1d(x, self.conv.tensor, dilation=self.dilation,
                                bias=self.conv_bias.tensor, padding=padding)
         h = self.bn1(h, training=training, update_stats=update_stats).relu()
-        h = ops.dropout(h, self.dropout, rng, training)
         h = ops.dilated_conv1d(h, self.pointwise.tensor, dilation=1,
                                bias=self.pointwise_bias.tensor)
         h = self.bn2(h, training=training, update_stats=update_stats).relu()
-        h = ops.dropout(h, self.dropout, rng, training)
         if padding == "valid":
             crop = self.dilation * (KERNEL_WIDTH - 1) // 2
             residual = x[:, crop:x.shape[1] - crop, :]
@@ -111,13 +106,11 @@ class TcnEncoder:
         blocks = cfg.blocks
         self.input_proj = Linear(f"{name}.input_proj", 2 * cfg.joints, cfg.channels, rng)
         self.blocks = [
-            TcnBlock(f"{name}.block{b}", cfg.channels, dilation=KERNEL_WIDTH ** (b - 1),
-                     dropout=cfg.dropout, rng=rng)
+            TcnBlock(f"{name}.block{b}", cfg.channels, KERNEL_WIDTH ** (b - 1), rng)
             for b in range(1, blocks + 1)
         ]
 
-    def forward(self, x: Tensor, training: bool,
-                rng: np.random.Generator | None = None) -> EncoderOutput:
+    def forward(self, x: Tensor, training: bool) -> EncoderOutput:
         """x: (B, F, J, 2) -> EncoderOutput."""
         batch, frames, joints, _ = x.shape
         if frames != self.cfg.frames or joints != self.cfg.joints:
@@ -126,11 +119,11 @@ class TcnEncoder:
                 f"config ({self.cfg.frames} frames, {self.cfg.joints} joints)")
         h = self.input_proj(x.reshape(batch, frames, 2 * joints))  # (B, F, C)
         first = self.blocks[0]
-        z0 = first(h, training=training, padding="same", update_stats=False, rng=rng)
-        h = first(h, training=training, padding="valid", rng=rng)
+        z0 = first(h, training=training, padding="same", update_stats=False)
+        h = first(h, training=training, padding="valid")
         taps = [z0]
         for block in self.blocks[1:]:
-            h = block(h, training=training, rng=rng)
+            h = block(h, training=training)
             taps.append(h)
         return EncoderOutput(z0=z0, zd=taps[-1], taps=taps)
 

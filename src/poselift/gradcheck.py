@@ -148,11 +148,6 @@ def run_op_suite(eps: float = 1e-5, tol: float = 1e-4) -> dict[str, GradCheckRep
             x.tensor, gain.tensor, bias.tensor, rm, rv, training=True,
             update_stats=False) * w34).sum(), [x, gain, bias])
 
-        def dropout_loss():
-            drop_rng = np.random.default_rng(7)   # same mask on every call
-            return (ops.dropout(x.tensor, 0.3, drop_rng, training=True) * w34).sum()
-        check("dropout", dropout_loss, [x])
-
         q = Parameter("q", rng.normal(size=(2, 3, 4)))
         kv = Parameter("kv", rng.normal(size=(2, 5, 4)))
         w_attn = rng.normal(size=(2, 3, 4))

@@ -24,21 +24,18 @@ def linear_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarr
 
 class Linear:
     def __init__(self, name: str, fan_in: int, fan_out: int,
-                 rng: np.random.Generator, bias: bool = True, trainable: bool = True):
+                 rng: np.random.Generator, trainable: bool = True):
         self.weight = Parameter(f"{name}.weight", linear_init(rng, fan_in, fan_out),
                                 trainable=trainable)
         bound = 1.0 / np.sqrt(fan_in)
         self.bias = Parameter(f"{name}.bias", rng.uniform(-bound, bound, size=fan_out),
-                              trainable=trainable) if bias else None
+                              trainable=trainable)
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = x @ self.weight.tensor
-        if self.bias is not None:
-            out = out + self.bias.tensor
-        return out
+        return x @ self.weight.tensor + self.bias.tensor
 
     def parameters(self) -> list[Parameter]:
-        return [self.weight] + ([self.bias] if self.bias is not None else [])
+        return [self.weight, self.bias]
 
 
 class LayerNorm:

@@ -16,9 +16,8 @@ import numpy as np
 
 from . import pose_prompts, text_prompts
 from .config import Config
-from .data import load_embedding_file
 from .encoder import EncoderConfig, TcnEncoder
-from .errors import ConfigError, FormatError
+from .errors import ConfigError
 from .layers import seeded_rng
 from .tensor import Parameter, Tensor, collect_parameters, no_grad
 
@@ -31,7 +30,6 @@ _STREAM_TEXT_ENCODER = 4
 _STREAM_P2T = 5
 _STREAM_APP = 6
 _STREAM_LABEL_HEAD = 7
-_STREAM_DROPOUT = 8
 STREAM_SHUFFLE = 9
 
 
@@ -44,19 +42,18 @@ class ForwardResult:
 class PoseLifter:
     """2D-sequence to 3D-pose model with optional action prompting."""
 
-    def __init__(self, cfg: Config, seed: int | None = None):
+    def __init__(self, cfg: Config):
         cfg.validate()
         self.cfg = cfg
-        self.seed = cfg.train.seed if seed is None else seed
+        seed = cfg.train.seed
         k = cfg.data.num_actions
         channels = cfg.encoder.channels
         enc_cfg = EncoderConfig(frames=cfg.data.frames, joints=cfg.data.joints,
-                                channels=channels, dropout=cfg.encoder.dropout)
-        self.encoder = TcnEncoder(enc_cfg, seeded_rng(self.seed, _STREAM_ENCODER))
+                                channels=channels)
+        self.encoder = TcnEncoder(enc_cfg, seeded_rng(seed, _STREAM_ENCODER))
         self.head = pose_prompts.OutputHead(channels, cfg.data.joints,
-                                            seeded_rng(self.seed, _STREAM_HEAD),
+                                            seeded_rng(seed, _STREAM_HEAD),
                                             output_scale=cfg.encoder.output_scale)
-        self.dropout_rng = seeded_rng(self.seed, _STREAM_DROPOUT)
 
         self.use_atp = cfg.atp.enabled
         self.use_app = cfg.app.enabled
@@ -67,43 +64,31 @@ class PoseLifter:
         self.projector = None
         if self.use_atp or self.use_label_aux:
             self.projector = text_prompts.ActionProjector(
-                channels, seeded_rng(self.seed, _STREAM_PROJECTOR),
+                channels, seeded_rng(seed, _STREAM_PROJECTOR),
                 blocks=cfg.atp.projector_blocks)
 
         self.text_bank = None
         self.text_encoder = None
-        self.learned_embeddings = None
         self.p2t = None
         if self.use_atp:
-            if cfg.atp.text_mode == "encoder":
-                self.text_bank = text_prompts.TextPromptBank(
-                    k, cfg.atp.context_tokens, channels,
-                    seeded_rng(self.seed, _STREAM_TEXT_BANK))
-                self.text_encoder = text_prompts.FrozenTextEncoder(
-                    cfg.atp.context_tokens + 1, channels,
-                    seeded_rng(self.seed, _STREAM_TEXT_ENCODER),
-                    layers=cfg.atp.text_layers)
-            elif cfg.atp.text_mode == "learnable":
-                rng = seeded_rng(self.seed, _STREAM_TEXT_BANK)
-                self.learned_embeddings = Parameter(
-                    "atp.embeddings", rng.normal(scale=0.02, size=(k, channels)))
-            else:  # file
-                arr, _ = load_embedding_file(cfg.atp.embeddings_path)
-                if arr.shape != (k, channels):
-                    raise FormatError(f"embedding file shape {arr.shape} does not match "
-                                      f"(K, C) = ({k}, {channels})")
-                self.learned_embeddings = Parameter("atp.embeddings", arr, trainable=False)
-            self.p2t = text_prompts.PoseToText(channels, seeded_rng(self.seed, _STREAM_P2T))
+            self.text_bank = text_prompts.TextPromptBank(
+                k, cfg.atp.context_tokens, channels,
+                seeded_rng(seed, _STREAM_TEXT_BANK))
+            self.text_encoder = text_prompts.FrozenTextEncoder(
+                cfg.atp.context_tokens + 1, channels,
+                seeded_rng(seed, _STREAM_TEXT_ENCODER),
+                layers=cfg.atp.text_layers)
+            self.p2t = text_prompts.PoseToText(channels, seeded_rng(seed, _STREAM_P2T))
 
         self.label_head = None
         if self.use_label_aux:
             self.label_head = text_prompts.LabelHead(
-                channels, k, seeded_rng(self.seed, _STREAM_LABEL_HEAD))
+                channels, k, seeded_rng(seed, _STREAM_LABEL_HEAD))
 
         self.prompt_bank = None
         self.refiner = None
         if self.use_app:
-            rng = seeded_rng(self.seed, _STREAM_APP)
+            rng = seeded_rng(seed, _STREAM_APP)
             self.prompt_bank = pose_prompts.PosePromptBank(
                 k, cfg.app.prompts_per_action, channels, rng)
             self.refiner = pose_prompts.PosePromptRefiner(
@@ -115,14 +100,9 @@ class PoseLifter:
         params = self.encoder.parameters() + self.head.parameters()
         if self.projector is not None:
             params += self.projector.parameters()
-        if self.text_bank is not None:
-            params += self.text_bank.parameters()
-        if self.text_encoder is not None:
-            params += self.text_encoder.parameters()
-        if self.learned_embeddings is not None:
-            params += [self.learned_embeddings]
-        if self.p2t is not None:
-            params += self.p2t.parameters()
+        if self.use_atp:
+            params += (self.text_bank.parameters() + self.text_encoder.parameters()
+                       + self.p2t.parameters())
         if self.label_head is not None:
             params += self.label_head.parameters()
         if self.prompt_bank is not None:
@@ -137,9 +117,7 @@ class PoseLifter:
         """Current per-action embeddings (K, C), with gradients attached."""
         if not self.use_atp:
             raise ConfigError("text prompts are disabled in this model")
-        if self.text_encoder is not None:
-            return self.text_encoder.forward(text_prompts.assemble_prompts(self.text_bank))
-        return self.learned_embeddings.tensor
+        return self.text_encoder.forward(text_prompts.assemble_prompts(self.text_bank))
 
     def export_embeddings(self) -> np.ndarray:
         """Snapshot of the embeddings for checkpointing / inference."""
@@ -157,15 +135,13 @@ class PoseLifter:
         `labels` select the pose prompts (ground truth in training); without
         them the predicted labels do. `embeddings` are saved per-action text
         embeddings (K, C); without them a text-prompt model runs its text
-        encoder. Training mode draws dropout from the model's stream and
-        normalizes with batch statistics; eval mode uses the running ones.
+        encoder. Training mode normalizes with batch statistics; eval mode
+        uses the running ones.
         """
-        rng = self.dropout_rng if training else None
-        enc_out = self.encoder.forward(Tensor(x2d), training=training, rng=rng)
+        enc_out = self.encoder.forward(Tensor(x2d), training=training)
         probs = None
         if self.use_atp or self.use_label_aux:
-            action_feature = self.projector(enc_out.tap(self.tap_layer),
-                                            training=training, rng=rng)
+            action_feature = self.projector(enc_out.tap(self.tap_layer), training=training)
             if self.use_atp:
                 t = self.text_embeddings() if embeddings is None else Tensor(embeddings)
                 t_bar = self.p2t(t, enc_out.z0)                   # (B, K, C)

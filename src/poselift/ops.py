@@ -31,10 +31,6 @@ def cosine_similarity(a: Tensor, b: Tensor, axis: int = -1, eps: float = 1e-8) -
     return dot / (l2_norm(a, axis=axis) * l2_norm(b, axis=axis) + eps)
 
 
-def mean_squared(x: Tensor) -> Tensor:
-    return (x * x).mean()
-
-
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """softmax(q kᵀ / sqrt(C)) v over the last two axes; batch dims broadcast.
 
@@ -125,11 +121,3 @@ def batch_norm(x: Tensor, gain: Tensor, bias: Tensor,
         normed = (x - running_mean) / np.sqrt(running_var + eps)
     return normed * gain + bias
 
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator | None,
-            training: bool) -> Tensor:
-    """Inverted dropout; p=0 or eval mode is an exact identity (no rng draw)."""
-    if not training or p <= 0.0:
-        return x
-    keep = (rng.random(x.shape) >= p).astype(x.data.dtype)
-    return x * (keep / (1.0 - p))

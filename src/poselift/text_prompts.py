@@ -101,16 +101,15 @@ class ActionProjector:
     def __init__(self, channels: int, rng: np.random.Generator, blocks: int = 2,
                  name: str = "proj"):
         self.blocks = [
-            TcnBlock(f"{name}.block{b}", channels, dilation=1, dropout=0.0, rng=rng)
+            TcnBlock(f"{name}.block{b}", channels, dilation=1, rng=rng)
             for b in range(1, blocks + 1)
         ]
         self.out = Linear(f"{name}.out", channels, channels, rng)
 
-    def __call__(self, z: Tensor, training: bool,
-                 rng: np.random.Generator | None = None) -> Tensor:
+    def __call__(self, z: Tensor, training: bool) -> Tensor:
         h = z
         for block in self.blocks:
-            h = block(h, training=training, padding="same", rng=rng)
+            h = block(h, training=training, padding="same")
         pooled = h.mean(axis=-2)                # (B, C)
         return self.out(pooled)
 

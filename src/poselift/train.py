@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .optim import Adam
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"PLCKPT\x00\x00"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 @dataclass
@@ -156,13 +157,8 @@ def train_model(cfg: Config, dataset: PoseDataset,
             la = action_loss(result.class_probs, train.labels[idx]) if classifies else None
             loss = total_loss(lp, la if la is not None else 0.0, weight)
             if not np.isfinite(loss.data).all():
-                if best is not None and out_path is not None:
-                    write_checkpoint(out_path / "checkpoint.bin", best)
-                raise TrainingError(
-                    f"non-finite loss at epoch {epoch} (L_P={lp.item()}, "
-                    f"L_A={'-' if la is None else la.item()}); "
-                    "last good checkpoint "
-                    + ("saved" if best is not None and out_path is not None else "unavailable"))
+                _abort(f"non-finite loss at epoch {epoch} (L_P={lp.item()}, "
+                       f"L_A={'-' if la is None else la.item()})", best, out_path)
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()
@@ -171,10 +167,15 @@ def train_model(cfg: Config, dataset: PoseDataset,
             seen += len(idx)
             del result, lp, la, loss      # free this step's graph before the next forward
         optimizer.decay_lr()
+        for name, param in model.params.items():
+            if not np.isfinite(param.data).all():
+                _abort(f"non-finite parameter {name!r} after epoch {epoch}", best, out_path)
 
         embeddings = model.export_embeddings() if model.use_atp else None
         report = evaluate(model, evals, names, hard, embeddings=embeddings,
                           use_gt_labels=cfg.train.gt_labels_at_eval)
+        if not np.isfinite(report.p1):      # finite weights can still overflow
+            _abort(f"non-finite eval P1 after epoch {epoch}", best, out_path)
         log_lines.append(
             f"{epoch},{sum_lp / seen:.6f},{sum_la / seen:.6f},{report.p1:.6f}\n")
         if best_report is None or report.p1 < best_report.p1:
@@ -187,6 +188,16 @@ def train_model(cfg: Config, dataset: PoseDataset,
         (out_path / "train.log").write_text(result.train_log, encoding="utf-8")
         write_checkpoint(out_path / "checkpoint.bin", best)
     return result
+
+
+def _abort(problem: str, best: Checkpoint | None, out_path: Path | None) -> NoReturn:
+    """Raise `TrainingError` for `problem`, first writing the last good
+    checkpoint to `out_path` when both exist."""
+    saved = best is not None and out_path is not None
+    if saved:
+        write_checkpoint(out_path / "checkpoint.bin", best)
+    raise TrainingError(f"{problem}; last good checkpoint "
+                        + ("saved" if saved else "unavailable"))
 
 
 # -- checkpoint container -------------------------------------------------------

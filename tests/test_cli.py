@@ -1,12 +1,14 @@
 """Command-line surface: subcommands, outputs, exit codes, error lines."""
 
+import dataclasses
 import shutil
 
+import numpy as np
 import pytest
 
 from poselift.cli import main
 from poselift.config import Config
-from poselift.data import load_dataset
+from poselift.data import Split, load_dataset, save_dataset
 from poselift.model import PoseLifter
 from poselift.train import snapshot, write_checkpoint
 
@@ -246,3 +248,35 @@ def test_zero_eval_samples_is_an_error_line(tmp_path, capsys):
     assert main(["gen-data", "--config", str(ini), "--out", str(tmp_path / "o")]) == 2
     assert_one_error_line(capsys, "ConfigError")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("section,key,value", [("atp", "text_mode", "encoder"),
+                                               ("atp", "embeddings_path", "emb"),
+                                               ("encoder", "dropout", "0.0")])
+def test_removed_config_keys_are_an_error_line(tmp_path, capsys, section, key, value):
+    ini = tmp_path / "old.ini"
+    ini.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+    assert main(["train", "--config", str(ini), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"error:ConfigError:unknown key {key!r} in section [{section}]\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_overflowing_last_step_is_an_error_line(tmp_path, capsys):
+    ini = tmp_path / "explode.ini"
+    ini.write_text("[data]\ntrain_per_action = 10\neval_per_action = 5\n\n"
+                   "[train]\nlr = 1e18\nepochs = 1\nbatch_size = 1000\n", encoding="utf-8")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["train", "--config", str(ini), "--out", str(tmp_path / "o")]) == 2
+    assert_one_error_line(capsys, "TrainingError")
+
+
+@pytest.mark.parametrize("split", ["train", "eval"])
+def test_empty_split_is_an_error_line(dataset_dir, tmp_path, capsys, split):
+    dataset = load_dataset(dataset_dir)
+    part = getattr(dataset, split)
+    empty = Split(part.input2d[:0], part.target3d[:0], part.labels[:0])
+    save_dataset(dataclasses.replace(dataset, **{split: empty}), tmp_path / "ds")
+    assert main(["train", "--data", str(tmp_path / "ds"), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error:FormatError:dataset: the {split} split holds no samples\n"

@@ -46,8 +46,6 @@ def test_validation_rules():
         parse_config_text("[train]\nlambda = -0.5\n")
     with pytest.raises(ConfigError, match="tau"):
         parse_config_text("[atp]\ntau = 0\n")
-    with pytest.raises(ConfigError, match="embeddings_path"):
-        parse_config_text("[atp]\ntext_mode = file\n")
 
 
 def test_tap_layer_range_follows_frames():
@@ -94,8 +92,7 @@ OUT_OF_RANGE = {
     "data": {"k": ["1", "0", "-4"], "frames": ["0", "10", "-27"], "joints": ["3", "0"],
              "train_per_action": ["0", "-1"], "eval_per_action": ["0"],
              "seed": ["-1", str(2 ** 53 + 1)]},
-    "encoder": {"channels": ["1", "0", "-16"], "dropout": ["-0.1", "1", "1.5", "nan"],
-                "output_scale": ["0", "-100", "inf", "nan"]},
+    "encoder": {"channels": ["1", "0", "-16"], "output_scale": ["0", "-100", "inf", "nan"]},
     "atp": {"context_tokens": ["-1"], "tau": ["0", "-0.07", "nan", "inf"],
             "text_layers": ["-1"], "projector_blocks": ["-1"], "tap_layer": ["0", "4"]},
     "app": {"prompts_per_action": ["0"], "decoder_blocks": ["0", "-1"]},
@@ -107,7 +104,7 @@ OUT_OF_RANGE = {
 AT_THE_EDGE = {
     "data": {"k": "2", "joints": "4", "train_per_action": "1", "eval_per_action": "1",
              "seed": str(2 ** 53)},
-    "encoder": {"channels": "2", "dropout": "0"},
+    "encoder": {"channels": "2"},
     "atp": {"context_tokens": "0", "text_layers": "0", "projector_blocks": "0"},
     "app": {"prompts_per_action": "1", "decoder_blocks": "1"},
     "train": {"lambda": "0", "lr_decay": "1", "seed": "0", "batch_size": "1"},

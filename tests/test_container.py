@@ -1,5 +1,5 @@
 """The binary container: bounded reads, and property tests over truncated and
-byte-flipped checkpoints, dataset files and embedding files."""
+byte-flipped checkpoints and dataset files."""
 
 import os
 import struct
@@ -100,14 +100,26 @@ def test_missing_file_and_directory(tmp_path):
         Reader(tmp_path, MAGIC, VERSION, "test file")
 
 
-# -- property tests over the three file formats ------------------------------------
+def test_version_3_checkpoint_is_rejected(tmp_path):
+    # Version 3 config records still carry dropout, text_mode and embeddings_path.
+    path = tmp_path / "checkpoint.bin"
+    T.write_checkpoint(path, tiny_checkpoint())
+    raw = bytearray(path.read_bytes())
+    assert raw[:8] == T.CHECKPOINT_MAGIC
+    raw[8:12] = struct.pack("<I", 3)
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match="unsupported checkpoint version 3 at byte 8"):
+        T.load_checkpoint(path)
+
+
+# -- property tests over the two file formats ----------------------------------------
 
 def tiny_checkpoint():
     """A real F=9, C=4 model with optimizer state and exported embeddings."""
     cfg = Config()
     cfg.data.frames, cfg.data.joints, cfg.data.num_actions = 9, 4, 2
     cfg.encoder.channels = 4
-    cfg.atp.text_mode, cfg.atp.projector_blocks = "learnable", 0
+    cfg.atp.context_tokens = cfg.atp.text_layers = cfg.atp.projector_blocks = 0
     cfg.app.enabled = False
     model = PoseLifter(cfg)
     return T.snapshot(model, Adam(model.params), model.export_embeddings())
@@ -116,28 +128,23 @@ def tiny_checkpoint():
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     """file name -> (path, loader, original bytes); every loader reads the
-    whole checkpoint, dataset directory or embedding directory."""
+    whole checkpoint or dataset directory."""
     root = tmp_path_factory.mktemp("formats")
     T.write_checkpoint(root / "checkpoint.bin", tiny_checkpoint())
     data.save_dataset(data.gen_synthetic(2, 9, 4, 2, 1, seed=5), root / "ds")
-    data.save_embedding_file(root / "emb", np.arange(8, dtype=np.float32).reshape(2, 4),
-                             ["walk", "sit"])
+
     def load_checkpoint():
         return T.load_checkpoint(root / "checkpoint.bin")
 
     def load_dataset():
         return data.load_dataset(root / "ds")
 
-    def load_embeddings():
-        return data.load_embedding_file(root / "emb")
-
     paths = {"checkpoint.bin": (root / "checkpoint.bin", load_checkpoint),
-             "dataset.bin": (root / "ds" / "dataset.bin", load_dataset),
-             "embeddings.bin": (root / "emb" / "embeddings.bin", load_embeddings)}
+             "dataset.bin": (root / "ds" / "dataset.bin", load_dataset)}
     return {name: (path, load, path.read_bytes()) for name, (path, load) in paths.items()}
 
 
-NAMES = ["checkpoint.bin", "dataset.bin", "embeddings.bin"]
+NAMES = ["checkpoint.bin", "dataset.bin"]
 
 
 def test_unmodified_files_load(files):
@@ -159,7 +166,7 @@ def dataset_regions(raw, eval_shape):
 # (dataset.bin) and the records of each split, named after the split files
 # train.bin and eval.bin that they replaced.
 @pytest.mark.parametrize("name", ["checkpoint.bin", "dataset.bin", "train.bin",
-                                  "eval.bin", "embeddings.bin"])
+                                  "eval.bin"])
 def test_every_truncation_raises_format_error(files, name):
     path, load, raw = files["dataset.bin" if name in ("train.bin", "eval.bin") else name]
     start, stop = (0, len(raw))

@@ -1,8 +1,11 @@
 """Finite-difference verification of analytic gradients (float64 mode)."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+from poselift import ops
 from poselift.errors import TrainingError
 from poselift.gradcheck import grad_check, run_op_suite
 from poselift.tensor import Parameter, Tensor, precision
@@ -14,6 +17,17 @@ OP_REPORTS = run_op_suite()
 def test_op_gradient(op_name):
     report = OP_REPORTS[op_name]
     assert report.passed, f"{op_name}: {report}"
+
+
+def test_every_public_op_is_in_the_suite():
+    # The suite checks dilated_conv1d once per padding and dilation case.
+    suite_names = {"dilated_conv1d": ("conv_valid", "conv_dilated", "conv_same")}
+    public = [name for name, fn in inspect.getmembers(ops, inspect.isfunction)
+              if fn.__module__ == ops.__name__ and not name.startswith("_")]
+    assert "dilated_conv1d" in public
+    unchecked = [name for name in public
+                 if not any(entry in OP_REPORTS for entry in suite_names.get(name, (name,)))]
+    assert unchecked == []
 
 
 def test_square_at_three():

@@ -1,4 +1,4 @@
-"""Model assembly: variants, embedding sources, gradient reach, graph lifetime."""
+"""Model assembly: variants, gradient reach, graph lifetime."""
 
 import gc
 
@@ -7,8 +7,7 @@ import pytest
 
 from poselift import train as T
 from poselift.config import Config
-from poselift.data import save_embedding_file
-from poselift.errors import ConfigError, FormatError
+from poselift.errors import ConfigError
 from poselift.losses import action_loss, pose_loss, total_loss
 from poselift.model import PoseLifter
 from poselift.tensor import Tensor
@@ -22,12 +21,10 @@ def small_dataset():
     return T.dataset_from_config(cfg)
 
 
-def small_config(**atp_kw):
+def small_config():
     cfg = Config()
     cfg.data.train_per_action = 8
     cfg.data.eval_per_action = 4
-    for key, value in atp_kw.items():
-        setattr(cfg.atp, key, value)
     return cfg
 
 
@@ -50,48 +47,6 @@ def test_gradients_reach_all_prompt_components(small_dataset):
                  "proj.out.weight", "encoder.block1.conv", "head.out.weight"):
         grad = model.params[name].grad
         assert grad is not None and np.abs(grad).sum() > 0, name
-
-
-def test_learnable_embedding_mode(small_dataset):
-    model = PoseLifter(small_config(text_mode="learnable"))
-    assert model.text_encoder is None
-    assert model.params["atp.embeddings"].trainable
-    t = model.text_embeddings()
-    assert t.shape == (4, 16)
-    result = model.forward(small_dataset.train.input2d[:4],
-                           small_dataset.train.labels[:4], training=True)
-    assert result.class_probs.shape == (4, 4)
-
-
-def test_file_embedding_mode(tmp_path, small_dataset):
-    rng = np.random.default_rng(3)
-    embeddings = rng.normal(size=(4, 16)).astype(np.float32)
-    save_embedding_file(tmp_path / "emb", embeddings,
-                        small_dataset.manifest.action_names)
-    cfg = small_config(text_mode="file", embeddings_path=str(tmp_path / "emb"))
-    model = PoseLifter(cfg)
-    assert not model.params["atp.embeddings"].trainable
-    assert np.array_equal(model.text_embeddings().data, embeddings)
-    # classification with loaded embeddings matches passing them explicitly
-    x = small_dataset.eval.input2d[:5]
-    pred_a, labels_a, probs_a = model.forward_eval(x, embeddings=embeddings)
-    reference = PoseLifter(small_config())
-    pred_b, labels_b, probs_b = reference.forward_eval(x, embeddings=embeddings)
-    assert np.array_equal(probs_a, probs_b)
-
-
-def test_file_embedding_shape_mismatch(tmp_path, small_dataset):
-    save_embedding_file(tmp_path / "emb", np.zeros((4, 8), dtype=np.float32),
-                        small_dataset.manifest.action_names)
-    cfg = small_config(text_mode="file", embeddings_path=str(tmp_path / "emb"))
-    with pytest.raises(FormatError, match="shape"):
-        PoseLifter(cfg)
-
-
-def test_file_embedding_missing_files(tmp_path):
-    cfg = small_config(text_mode="file", embeddings_path=str(tmp_path / "nope"))
-    with pytest.raises(FormatError):
-        PoseLifter(cfg)
 
 
 def test_eval_requires_embeddings_for_text_prompts(small_dataset):

@@ -175,19 +175,6 @@ def test_broadcast_add_and_reductions():
     assert abs(out.mean(axis=0).data - out.data.mean(axis=0)).max() < 1e-6
 
 
-def test_dropout_train_and_eval_modes():
-    rng = np.random.default_rng(8)
-    x = Tensor(rng.normal(size=(40, 10)))
-    # eval mode and p=0 are exact identities and draw nothing from the rng
-    assert ops.dropout(x, 0.5, None, training=False) is x
-    assert ops.dropout(x, 0.0, None, training=True) is x
-    dropped = ops.dropout(x, 0.5, np.random.default_rng(1), training=True)
-    zeroed = (dropped.data == 0).mean()
-    assert 0.3 < zeroed < 0.7
-    kept = dropped.data != 0
-    assert np.allclose(dropped.data[kept], x.data[kept] * 2.0, rtol=1e-6)
-
-
 def test_detach_blocks_gradient():
     x = Tensor(np.ones(3), requires_grad=True)
     loss = (x.detach() * x).sum()

@@ -182,6 +182,33 @@ def test_nonfinite_loss_aborts_with_diagnostic(quick_dataset):
             T.train_model(cfg, quick_dataset)
 
 
+def test_overflowing_last_step_aborts_at_eval(quick_dataset, tmp_path):
+    # One step per epoch: its loss is finite, and it leaves finite weights near
+    # 1e18 whose eval pass overflows.
+    cfg = quick_config(lr=1e18, epochs=1, batch_size=1000)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingError, match="non-finite eval P1 after epoch 1; "
+                                                "last good checkpoint unavailable"):
+            T.train_model(cfg, quick_dataset, out_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_nonfinite_parameters_keep_the_last_good_checkpoint(quick_dataset, tmp_path,
+                                                            monkeypatch):
+    def poison_after_epoch_2(opt):              # one step per epoch
+        if opt.step_count == 2:
+            opt.params["atp.context"].data[0, 0] = np.nan
+
+    monkeypatch.setattr(T.Adam, "decay_lr", poison_after_epoch_2)
+    cfg = quick_config(epochs=3, batch_size=1000)
+    with pytest.raises(TrainingError, match="non-finite parameter 'atp.context' after "
+                                            "epoch 2; last good checkpoint saved"):
+        T.train_model(cfg, quick_dataset, out_dir=tmp_path)
+    chk = T.load_checkpoint(tmp_path / "checkpoint.bin")
+    assert chk.optimizer["step_count"] == 1
+    assert all(np.isfinite(values).all() for _, values in chk.params.values())
+
+
 def test_gt_label_eval_matches_predictions_at_full_accuracy():
     # needs the full-size dataset: the classifier saturates there quickly
     cfg = Config()
