@@ -238,7 +238,17 @@ def denormalize_2d(points: np.ndarray, width: float, height: float) -> np.ndarra
 
 def save_dataset(dataset: PoseDataset, path: str | Path) -> None:
     """Directory with dataset.bin: the seed, the K action names, the hard-action
-    names, then input2d, target3d and labels of the train and eval splits."""
+    names, then input2d, target3d and labels of the train and eval splits.
+
+    Refuses, with the same `FormatError`, any dataset `load_dataset` would
+    reject, before it creates the directory."""
+    _check_dataset(dataset.manifest.seed, dataset.manifest.action_names,
+                   dataset.train, dataset.eval)
+    _write_dataset(dataset, path)
+
+
+def _write_dataset(dataset: PoseDataset, path: str | Path) -> None:
+    """`save_dataset` without the checks."""
     names, hard = dataset.manifest.action_names, dataset.manifest.hard_actions
     records = [dataset.manifest.seed, len(names), *names, len(hard), *hard]
     for split in (dataset.train, dataset.eval):
@@ -248,19 +258,47 @@ def save_dataset(dataset: PoseDataset, path: str | Path) -> None:
     write_container(path / "dataset.bin", DATASET_MAGIC, FORMAT_VERSION, records)
 
 
-def _read_split(reader: Reader, name: str) -> Split:
-    input2d = reader.tensor(f"{name}.input2d")
-    target3d = reader.tensor(f"{name}.target3d")
-    labels = reader.tensor(f"{name}.labels", dtype="<u4")
-    if input2d.ndim != 4 or input2d.shape[3] != 2:
-        raise FormatError(f"dataset: {name}.input2d shape {input2d.shape} is not (N, F, J, 2)")
-    count, _, joints, _ = input2d.shape
-    for what, arr, want in (("target3d", target3d, (count, joints, 3)),
-                            ("labels", labels, (count,))):
-        if arr.shape != want:
-            raise FormatError(f"dataset: {name}.{what} shape {arr.shape} does not match "
-                              f"the {want} that input2d implies")
-    return Split(input2d=input2d, target3d=target3d, labels=labels.astype(np.int64))
+def _check_dataset(seed: int, names: list[str], train: Split, evals: Split) -> None:
+    """Raise `FormatError` unless the seed is a count, the names are distinct,
+    each split's shapes agree, both splits hold samples of the same frames
+    and joints with float32-finite values, and every label is below K."""
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed <= 2 ** 53):
+        raise FormatError(f"dataset: seed {seed!r} is not an integer in [0, 2**53]")
+    splits = {"train": train, "eval": evals}
+    for name, split in splits.items():
+        if split.input2d.ndim != 4 or split.input2d.shape[3] != 2:
+            raise FormatError(f"dataset: {name}.input2d shape {split.input2d.shape} "
+                              "is not (N, F, J, 2)")
+        count, _, joints, _ = split.input2d.shape
+        for what, arr, want in (("target3d", split.target3d, (count, joints, 3)),
+                                ("labels", split.labels, (count,))):
+            if arr.shape != want:
+                raise FormatError(f"dataset: {name}.{what} shape {arr.shape} does not match "
+                                  f"the {want} that input2d implies")
+    if len(set(names)) != len(names):
+        raise FormatError(f"dataset action names are not distinct: {names}")
+    if train.input2d.shape[1:] != evals.input2d.shape[1:]:
+        raise FormatError(f"dataset: train input2d {train.input2d.shape} and eval "
+                          f"input2d {evals.input2d.shape} differ in frames or joints")
+    for name, split in splits.items():
+        if not len(split):
+            raise FormatError(f"dataset: the {name} split holds no samples")
+        for field_name in ("input2d", "target3d"):
+            values = getattr(split, field_name)
+            if values.dtype.kind != "f":
+                raise FormatError(f"dataset: {name}.{field_name} has dtype {values.dtype}, "
+                                  "not a float type")
+            with np.errstate(over="ignore"):      # float32 is what is stored
+                if not np.isfinite(values.astype(np.float32, copy=False)).all():
+                    raise FormatError(f"dataset: {name}.{field_name} holds non-finite values")
+        labels = split.labels
+        if labels.dtype.kind not in "biu":
+            raise FormatError(f"dataset: {name}.labels has dtype {labels.dtype}, "
+                              "not an integer type")
+        worst = labels.min() if labels.min() < 0 else labels.max()
+        if not 0 <= worst < len(names):
+            raise FormatError(f"dataset: {name}.labels holds label {worst}, "
+                              f"out of range for {len(names)} actions")
 
 
 def load_dataset(path: str | Path) -> PoseDataset:
@@ -270,23 +308,12 @@ def load_dataset(path: str | Path) -> PoseDataset:
              for k in range(reader.count("action count"))]
     hard = [reader.string(f"name of hard action {k}")
             for k in range(reader.count("hard action count"))]
-    splits = {name: _read_split(reader, name) for name in ("train", "eval")}
+    arrays = [(reader.tensor(f"{name}.input2d"), reader.tensor(f"{name}.target3d"),
+               reader.tensor(f"{name}.labels", dtype="<u4")) for name in ("train", "eval")]
     reader.finish()
-    if len(set(names)) != len(names):
-        raise FormatError(f"dataset action names are not distinct: {names}")
-    train, evals = splits["train"], splits["eval"]
-    if train.input2d.shape[1:] != evals.input2d.shape[1:]:
-        raise FormatError(f"dataset: train input2d {train.input2d.shape} and eval "
-                          f"input2d {evals.input2d.shape} differ in frames or joints")
-    for name, split in splits.items():
-        if not len(split):
-            raise FormatError(f"dataset: the {name} split holds no samples")
-        for field_name in ("input2d", "target3d"):
-            if not np.isfinite(getattr(split, field_name)).all():
-                raise FormatError(f"dataset: {name}.{field_name} holds non-finite values")
-        if split.labels.max() >= len(names):
-            raise FormatError(f"dataset: {name}.labels holds label {split.labels.max()}, "
-                              f"out of range for {len(names)} actions")
+    train, evals = (Split(input2d, target3d, labels.astype(np.int64))
+                    for input2d, target3d, labels in arrays)
+    _check_dataset(seed, names, train, evals)
     _, frames, joints, _ = train.input2d.shape
     manifest = DatasetManifest(
         num_actions=len(names), frames=frames, joints=joints, seed=seed,

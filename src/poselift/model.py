@@ -153,17 +153,17 @@ class PoseLifter:
             if labels is None:
                 if probs is None:
                     raise ConfigError(
-                        "pose prompts need labels: enable a classifier or use_gt_labels")
+                        "pose prompts need labels: enable a classifier or pass labels")
                 labels = np.argmax(probs.data, axis=-1)
             zd = self.refiner(zd, pose_prompts.select_prompts(self.prompt_bank, labels))
         return ForwardResult(pred3d=self.head(zd), class_probs=probs)
 
     def forward_eval(self, x2d: np.ndarray, embeddings: np.ndarray | None = None,
-                     gt_labels: np.ndarray | None = None,
-                     use_gt_labels: bool = False
+                     labels: np.ndarray | None = None
                      ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
         """Eval-mode `forward` under `no_grad`; the text encoder is never
-        invoked (pass saved embeddings instead).
+        invoked (pass saved embeddings instead). `labels`, when given, select
+        the pose prompts; otherwise the predicted labels do.
 
         Returns (pred3d (B, J, 3), predicted_labels (B,) or None, probs or None).
         """
@@ -171,11 +171,8 @@ class PoseLifter:
             raise ConfigError(
                 "inference needs saved text embeddings (text encoder is "
                 "not used at eval time)")
-        if use_gt_labels and gt_labels is None:
-            raise ConfigError("use_gt_labels requires ground-truth labels")
         with no_grad():
-            result = self.forward(x2d, gt_labels if use_gt_labels else None,
-                                  training=False, embeddings=embeddings)
+            result = self.forward(x2d, labels, training=False, embeddings=embeddings)
         probs = None if result.class_probs is None else result.class_probs.data
         predicted = None if probs is None else np.argmax(probs, axis=-1)
         return result.pred3d.data, predicted, probs

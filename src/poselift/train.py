@@ -2,7 +2,10 @@
 
 Training selects pose prompts with ground-truth labels; evaluation predicts
 labels from the saved text embeddings (the text encoder itself is never
-invoked at eval time). The best checkpoint by eval P1 is kept.
+invoked at eval time). The best checkpoint by eval P1 is kept. A checkpoint
+holds what restoring a model for eval reads: the config, each parameter's
+values and, for a text-prompt model, the per-action text embeddings. It
+holds no optimizer state, so training does not resume from one.
 """
 
 from __future__ import annotations
@@ -25,14 +28,13 @@ from .optim import Adam
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"PLCKPT\x00\x00"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 @dataclass
 class Checkpoint:
     cfg: Config
-    params: dict[str, tuple[bool, np.ndarray]]   # name -> (trainable, values)
-    optimizer: dict | None
+    params: dict[str, np.ndarray]     # name -> values
     embeddings: np.ndarray | None
 
 
@@ -85,39 +87,24 @@ def evaluate(model: PoseLifter, split: Split, action_names: list[str],
             f"model frames={model.cfg.data.frames} but dataset frames="
             f"{split.input2d.shape[1]}")
     preds, predicted_labels = [], []
-    have_predictions = True
     for start in range(0, len(split), batch_size):
         stop = min(start + batch_size, len(split))
         pred, plabels, _ = model.forward_eval(
             split.input2d[start:stop], embeddings=embeddings,
-            gt_labels=split.labels[start:stop], use_gt_labels=use_gt_labels)
+            labels=split.labels[start:stop] if use_gt_labels else None)
         preds.append(pred)
-        if plabels is None:
-            have_predictions = False
-        else:
-            predicted_labels.append(plabels)
+        predicted_labels.append(plabels)
     pred = np.concatenate(preds, axis=0)
-    plabels = np.concatenate(predicted_labels) if have_predictions and predicted_labels else None
+    # every batch predicts labels, or none does (a model without a classifier)
+    plabels = None if predicted_labels[0] is None else np.concatenate(predicted_labels)
     return build_report(pred, split.target3d.astype(pred.dtype), split.labels,
                         action_names, hard_actions, predicted_labels=plabels)
 
 
-def snapshot(model: PoseLifter, optimizer: Adam | None,
-             embeddings: np.ndarray | None) -> Checkpoint:
-    params = {name: (p.trainable, np.array(p.data, copy=True))
-              for name, p in model.params.items()}
-    opt_state = None
-    if optimizer is not None:
-        opt_state = {
-            "step_count": optimizer.step_count,
-            "lr": optimizer.lr,
-            "beta1": optimizer.beta1, "beta2": optimizer.beta2,
-            "eps": optimizer.eps, "lr_decay": optimizer.lr_decay,
-            "m": {k: np.array(v, copy=True) for k, v in optimizer.m.items()},
-            "v": {k: np.array(v, copy=True) for k, v in optimizer.v.items()},
-        }
+def snapshot(model: PoseLifter, embeddings: np.ndarray | None) -> Checkpoint:
+    params = {name: np.array(p.data, copy=True) for name, p in model.params.items()}
     emb = None if embeddings is None else np.array(embeddings, copy=True)
-    return Checkpoint(cfg=model.cfg, params=params, optimizer=opt_state, embeddings=emb)
+    return Checkpoint(cfg=model.cfg, params=params, embeddings=emb)
 
 
 def train_model(cfg: Config, dataset: PoseDataset,
@@ -179,7 +166,7 @@ def train_model(cfg: Config, dataset: PoseDataset,
         log_lines.append(
             f"{epoch},{sum_lp / seen:.6f},{sum_la / seen:.6f},{report.p1:.6f}\n")
         if best_report is None or report.p1 < best_report.p1:
-            best = snapshot(model, optimizer, embeddings)
+            best = snapshot(model, embeddings)
             best_report = report
 
     result = TrainResult(model=model, best=best, best_report=best_report,
@@ -202,19 +189,10 @@ def _abort(problem: str, best: Checkpoint | None, out_path: Path | None) -> NoRe
 
 # -- checkpoint container -------------------------------------------------------
 
-_OPT_SCALARS = ("lr", "beta1", "beta2", "eps", "lr_decay")
-
-
 def write_checkpoint(path: str | Path, chk: Checkpoint) -> None:
     records = [dump_config(chk.cfg), len(chk.params)]
-    for name, (trainable, values) in chk.params.items():
-        records += [name, int(trainable), values]
-    opt = chk.optimizer
-    records.append(int(opt is not None))
-    if opt is not None:
-        records += [opt["step_count"], *(opt[k] for k in _OPT_SCALARS), len(opt["m"])]
-        for name in opt["m"]:
-            records += [name, opt["m"][name], opt["v"][name]]
+    for name, values in chk.params.items():
+        records += [name, values]
     records += [0] if chk.embeddings is None else [1, chk.embeddings]
     write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, records)
 
@@ -222,56 +200,47 @@ def write_checkpoint(path: str | Path, chk: Checkpoint) -> None:
 def load_checkpoint(path: str | Path) -> Checkpoint:
     reader = Reader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
     cfg_text = reader.string("config")
-    params: dict[str, tuple[bool, np.ndarray]] = {}
+    params = {}
     for _ in range(reader.count("parameter count")):
         name = reader.string("parameter name")
-        trainable = reader.count(f"parameter {name!r} trainable flag")
-        params[name] = (bool(trainable), reader.tensor(f"parameter {name!r}"))
-    optimizer = None
-    if reader.count("optimizer flag"):
-        optimizer = {"step_count": reader.count("optimizer step count"), "m": {}, "v": {}}
-        for key in _OPT_SCALARS:
-            optimizer[key] = reader.scalar(f"optimizer {key}")
-        for _ in range(reader.count("optimizer moment count")):
-            name = reader.string("moment name")
-            optimizer["m"][name] = reader.tensor(f"first moment of {name!r}")
-            optimizer["v"][name] = reader.tensor(f"second moment of {name!r}")
+        params[name] = reader.tensor(f"parameter {name!r}")
     embeddings = reader.tensor("embeddings") if reader.count("embeddings flag") else None
     reader.finish()
-    return Checkpoint(cfg=parse_config_text(cfg_text), params=params, optimizer=optimizer,
-                      embeddings=embeddings)
+    return Checkpoint(cfg=parse_config_text(cfg_text), params=params, embeddings=embeddings)
 
 
-def restore_model(chk: Checkpoint, cfg: Config | None = None
-                  ) -> tuple[PoseLifter, Adam]:
-    """Rebuild a model (and optimizer) from a checkpoint.
+def restore_model(chk: Checkpoint) -> tuple[PoseLifter, Adam]:
+    """Rebuild a model from a checkpoint's config and parameter values.
 
-    Passing `cfg` overrides the stored config; shape mismatches are reported
-    with the first offending parameter.
+    The optimizer returned with it is a fresh `Adam` (a checkpoint holds no
+    optimizer state). Raises `FormatError` for a missing, unknown or
+    wrong-shaped parameter (naming the first), for a text-prompt model's
+    embeddings when they are missing or not (actions, channels), and for
+    any non-finite value.
     """
-    cfg = chk.cfg if cfg is None else cfg
+    cfg = chk.cfg
     model = PoseLifter(cfg)
     for name, param in model.params.items():
         if name not in chk.params:
             raise FormatError(f"checkpoint is missing parameter {name!r}")
-        trainable, values = chk.params[name]
+        values = chk.params[name]
         if values.shape != param.shape:
             raise FormatError(
                 f"parameter {name!r}: checkpoint shape {values.shape} does not "
                 f"match model shape {param.shape}")
+        if not np.isfinite(values).all():
+            raise FormatError(f"checkpoint parameter {name!r} holds non-finite values")
         param.data = values.copy()    # loaded values are read-only file views
     extra = set(chk.params) - set(model.params)
     if extra:
         raise FormatError(f"checkpoint has unknown parameters: {sorted(extra)[:3]}")
-    optimizer = Adam(model.params, lr=cfg.train.lr, lr_decay=cfg.train.lr_decay)
-    if chk.optimizer is not None:
-        opt = chk.optimizer
-        optimizer.step_count = opt["step_count"]
-        optimizer.lr = opt["lr"]
-        optimizer.beta1, optimizer.beta2 = opt["beta1"], opt["beta2"]
-        optimizer.eps, optimizer.lr_decay = opt["eps"], opt["lr_decay"]
-        for name in optimizer.m:
-            if name in opt["m"]:
-                optimizer.m[name] = opt["m"][name].copy()
-                optimizer.v[name] = opt["v"][name].copy()
-    return model, optimizer
+    if model.use_atp:
+        want, emb = (cfg.data.num_actions, cfg.encoder.channels), chk.embeddings
+        if emb is None:
+            raise FormatError("checkpoint of a text-prompt model holds no text embeddings")
+        if emb.shape != want:
+            raise FormatError(f"checkpoint text embeddings have shape {emb.shape}, "
+                              f"want {want} (actions, channels)")
+        if not np.isfinite(emb).all():
+            raise FormatError("checkpoint text embeddings hold non-finite values")
+    return model, Adam(model.params, lr=cfg.train.lr, lr_decay=cfg.train.lr_decay)

@@ -209,9 +209,8 @@ def test_criterion_7_invariance_suite(default_dataset, tmp_path):
 
     T.write_checkpoint(tmp_path / "c.bin", run_a.best)
     loaded = T.load_checkpoint(tmp_path / "c.bin")
-    for name, (trainable, values) in run_a.best.params.items():
-        got = loaded.params[name]
-        if got[0] != trainable or not np.array_equal(got[1], values):
+    for name, values in run_a.best.params.items():
+        if not np.array_equal(loaded.params[name], values):
             failures.append(f"checkpoint round trip not bit-identical: {name}")
             break
 

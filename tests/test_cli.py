@@ -8,7 +8,8 @@ import pytest
 
 from poselift.cli import main
 from poselift.config import Config
-from poselift.data import Split, load_dataset, save_dataset
+from poselift.data import Split, _write_dataset, load_dataset, save_dataset
+from poselift.errors import FormatError
 from poselift.model import PoseLifter
 from poselift.train import snapshot, write_checkpoint
 
@@ -146,6 +147,12 @@ def test_baseline_row_matches_standalone_run(quick_ini, tmp_path):
     assert p1_ablate == p1_solo
 
 
+def default_checkpoint():
+    """An untrained default model with its exported text embeddings."""
+    model = PoseLifter(Config())
+    return snapshot(model, model.export_embeddings())
+
+
 def assert_one_error_line(capsys, kind):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith(f"error:{kind}:"), err
@@ -153,7 +160,7 @@ def assert_one_error_line(capsys, kind):
 
 def test_truncated_checkpoint_is_an_error_line(tmp_path, capsys):
     path = tmp_path / "checkpoint.bin"
-    write_checkpoint(path, snapshot(PoseLifter(Config()), None, None))
+    write_checkpoint(path, default_checkpoint())
     path.write_bytes(path.read_bytes()[:10])
     assert main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "o")]) == 2
     assert_one_error_line(capsys, "FormatError")
@@ -180,7 +187,7 @@ def test_eval_rejects_data_with_other_actions(tmp_path, capsys):
                    encoding="utf-8")
     assert main(["gen-data", "--config", str(ini), "--out", str(tmp_path / "ds")]) == 0
     path = tmp_path / "checkpoint.bin"          # a 4-action model
-    write_checkpoint(path, snapshot(PoseLifter(Config()), None, None))
+    write_checkpoint(path, default_checkpoint())
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(path), "--data", str(tmp_path / "ds"),
                  "--out", str(tmp_path / "o")]) == 2
@@ -219,7 +226,7 @@ def test_frames_flag_must_match_the_loaded_data(dataset_dir, quick_ini, tmp_path
 def test_eval_rejects_config_flags(tmp_path, capsys, flags):
     # eval rebuilds the model from the checkpoint's config; nothing can override it.
     path = tmp_path / "checkpoint.bin"
-    write_checkpoint(path, snapshot(PoseLifter(Config()), None, None))
+    write_checkpoint(path, default_checkpoint())
     assert main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "o"),
                  *flags]) == 2
     assert_one_error_line(capsys, "ConfigError")
@@ -275,8 +282,37 @@ def test_overflowing_last_step_is_an_error_line(tmp_path, capsys):
 def test_empty_split_is_an_error_line(dataset_dir, tmp_path, capsys, split):
     dataset = load_dataset(dataset_dir)
     part = getattr(dataset, split)
-    empty = Split(part.input2d[:0], part.target3d[:0], part.labels[:0])
-    save_dataset(dataclasses.replace(dataset, **{split: empty}), tmp_path / "ds")
+    empty = dataclasses.replace(dataset, **{split: Split(part.input2d[:0], part.target3d[:0],
+                                                         part.labels[:0])})
+    _write_dataset(empty, tmp_path / "ds")          # save_dataset refuses it
     assert main(["train", "--data", str(tmp_path / "ds"), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert err == f"error:FormatError:dataset: the {split} split holds no samples\n"
+    message = f"dataset: the {split} split holds no samples"
+    assert capsys.readouterr().err == f"error:FormatError:{message}\n"
+    with pytest.raises(FormatError) as refused:
+        save_dataset(empty, tmp_path / "saved")
+    assert str(refused.value) == message
+    assert not (tmp_path / "saved" / "dataset.bin").exists()
+
+
+def _rows_for_three_actions(chk):
+    chk.embeddings = chk.embeddings[:3]
+
+
+def _one_dimensional(chk):
+    chk.embeddings = chk.embeddings.ravel()
+
+
+def _nan_in_head_bias(chk):
+    chk.params["head.out.bias"][1] = np.nan
+
+
+@pytest.mark.parametrize("corrupt", [_rows_for_three_actions, _one_dimensional,
+                                     _nan_in_head_bias])
+def test_bad_checkpoint_values_are_an_error_line(tmp_path, capsys, corrupt):
+    # Each file is well formed, but what it holds is no usable 4-action model.
+    chk = default_checkpoint()
+    corrupt(chk)
+    path = tmp_path / "checkpoint.bin"
+    write_checkpoint(path, chk)
+    assert main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert_one_error_line(capsys, "FormatError")

@@ -14,7 +14,6 @@ from poselift.config import Config
 from poselift.container import Reader, write_container
 from poselift.errors import FormatError
 from poselift.model import PoseLifter
-from poselift.optim import Adam
 
 MAGIC, VERSION = b"PLTEST\x00\x00", 7
 
@@ -100,29 +99,32 @@ def test_missing_file_and_directory(tmp_path):
         Reader(tmp_path, MAGIC, VERSION, "test file")
 
 
-def test_version_3_checkpoint_is_rejected(tmp_path):
-    # Version 3 config records still carry dropout, text_mode and embeddings_path.
+@pytest.mark.parametrize("version", [3, 4])
+def test_old_checkpoint_version_is_rejected(tmp_path, version):
+    # Version 3 config records still carry dropout, text_mode and embeddings_path;
+    # version 4 files also hold trainable flags and optimizer state.
     path = tmp_path / "checkpoint.bin"
     T.write_checkpoint(path, tiny_checkpoint())
     raw = bytearray(path.read_bytes())
     assert raw[:8] == T.CHECKPOINT_MAGIC
-    raw[8:12] = struct.pack("<I", 3)
+    raw[8:12] = struct.pack("<I", version)
     path.write_bytes(raw)
-    with pytest.raises(FormatError, match="unsupported checkpoint version 3 at byte 8"):
+    with pytest.raises(FormatError,
+                       match=f"unsupported checkpoint version {version} at byte 8"):
         T.load_checkpoint(path)
 
 
 # -- property tests over the two file formats ----------------------------------------
 
 def tiny_checkpoint():
-    """A real F=9, C=4 model with optimizer state and exported embeddings."""
+    """A real F=9, C=4 model with exported embeddings."""
     cfg = Config()
     cfg.data.frames, cfg.data.joints, cfg.data.num_actions = 9, 4, 2
     cfg.encoder.channels = 4
     cfg.atp.context_tokens = cfg.atp.text_layers = cfg.atp.projector_blocks = 0
     cfg.app.enabled = False
     model = PoseLifter(cfg)
-    return T.snapshot(model, Adam(model.params), model.export_embeddings())
+    return T.snapshot(model, model.export_embeddings())
 
 
 @pytest.fixture(scope="module")

@@ -106,6 +106,18 @@ def test_bad_magic_rejected(tmp_path):
         data.load_dataset(tmp_path)
 
 
+def assert_rejected(tmp_path, dataset, message, name="ds"):
+    """The reader rejects the file that the unchecked writer leaves, and
+    `save_dataset` raises the same `FormatError` without writing anything."""
+    data._write_dataset(dataset, tmp_path / name)
+    with pytest.raises(FormatError, match=message) as read:
+        data.load_dataset(tmp_path / name)
+    with pytest.raises(FormatError) as saved:
+        data.save_dataset(dataset, tmp_path / f"{name}-saved")
+    assert str(saved.value) == str(read.value)
+    assert not (tmp_path / f"{name}-saved" / "dataset.bin").exists()
+
+
 def test_non_finite_values_rejected_naming_split(tmp_path, dataset):
     for name in ("input2d", "target3d"):
         bad = data.PoseDataset(dataset.manifest, dataset.train,
@@ -113,9 +125,7 @@ def test_non_finite_values_rejected_naming_split(tmp_path, dataset):
                                           dataset.eval.target3d.copy(),
                                           dataset.eval.labels))
         getattr(bad.eval, name)[3, 0, 0] = np.nan
-        data.save_dataset(bad, tmp_path / name)
-        with pytest.raises(FormatError, match=rf"eval\.{name} holds non-finite"):
-            data.load_dataset(tmp_path / name)
+        assert_rejected(tmp_path, bad, rf"eval\.{name} holds non-finite", name=name)
 
 
 def test_split_arrays_are_views_of_one_file_buffer(tmp_path, dataset):
@@ -133,16 +143,13 @@ def test_split_arrays_are_views_of_one_file_buffer(tmp_path, dataset):
 def test_manifest_label_range_mismatch(tmp_path, dataset):
     # K is the number of stored names: two names cannot cover labels 0..3.
     names = dataclasses.replace(dataset.manifest, action_names=["sway", "stride"])
-    data.save_dataset(dataclasses.replace(dataset, manifest=names), tmp_path / "ds")
-    with pytest.raises(FormatError, match="label 3, out of range for 2 actions"):
-        data.load_dataset(tmp_path / "ds")
+    assert_rejected(tmp_path, dataclasses.replace(dataset, manifest=names),
+                    "label 3, out of range for 2 actions")
 
 
 def test_manifest_requires_distinct_names(tmp_path, dataset):
     names = dataclasses.replace(dataset.manifest, action_names=["a", "b", "a", "c"])
-    data.save_dataset(dataclasses.replace(dataset, manifest=names), tmp_path / "ds")
-    with pytest.raises(FormatError, match="distinct"):
-        data.load_dataset(tmp_path / "ds")
+    assert_rejected(tmp_path, dataclasses.replace(dataset, manifest=names), "distinct")
 
 
 def test_split_shapes_must_agree(tmp_path, dataset):
@@ -151,11 +158,37 @@ def test_split_shapes_must_agree(tmp_path, dataset):
              "labels": (dataset.eval.input2d, dataset.eval.target3d, dataset.eval.labels[1:]),
              "frames or joints": (dataset.eval.input2d[:, 1:], dataset.eval.target3d,
                                   dataset.eval.labels)}
-    for message, arrays in cases.items():
+    for i, (message, arrays) in enumerate(cases.items()):
         bad = dataclasses.replace(dataset, eval=data.Split(*arrays))
-        data.save_dataset(bad, tmp_path / "ds")
-        with pytest.raises(FormatError, match=message):
-            data.load_dataset(tmp_path / "ds")
+        assert_rejected(tmp_path, bad, message, name=f"ds{i}")
+
+
+@pytest.mark.parametrize("change", ["negative label", "float labels", "integer input2d",
+                                    "float32 overflow", "negative seed"])
+def test_save_refuses_what_load_rejects_in_stored_form(tmp_path, dataset, change):
+    # Cases that only show once the writer converts them: labels and input2d are
+    # stored as <u4 and <f4 arrays and the seed as an f64 count.
+    evals, manifest = dataset.eval, dataset.manifest
+    if change == "negative label":
+        evals = data.Split(evals.input2d, evals.target3d, evals.labels - 1)
+    elif change == "float labels":
+        evals = data.Split(evals.input2d, evals.target3d, evals.labels.astype(np.float32))
+    elif change == "integer input2d":
+        evals = data.Split(evals.input2d.astype(np.int64), evals.target3d, evals.labels)
+    elif change == "float32 overflow":
+        target3d = evals.target3d.astype(np.float64)
+        target3d[0, 0, 0] = 1e39
+        evals = data.Split(evals.input2d, target3d, evals.labels)
+    else:
+        manifest = dataclasses.replace(manifest, seed=-3)
+    bad = dataclasses.replace(dataset, eval=evals, manifest=manifest)
+    with np.errstate(over="ignore"):
+        data._write_dataset(bad, tmp_path / "ds")
+    with pytest.raises(FormatError):
+        data.load_dataset(tmp_path / "ds")
+    with pytest.raises(FormatError):
+        data.save_dataset(bad, tmp_path / "saved")
+    assert not (tmp_path / "saved").exists()
 
 
 def test_tensor_blob_round_trip_shapes(tmp_path):

@@ -86,10 +86,10 @@ def test_app_without_classifier_uses_gt_or_fails(small_dataset):
     model = PoseLifter(cfg)
     x = small_dataset.eval.input2d[:3]
     gt = small_dataset.eval.labels[:3]
-    pred, labels, _ = model.forward_eval(x, gt_labels=gt, use_gt_labels=True)
+    pred, labels, _ = model.forward_eval(x, labels=gt)
     assert pred.shape == (3, 8, 3) and labels is None
-    with pytest.raises(ConfigError, match="label"):
-        model.forward_eval(x, gt_labels=gt)
+    with pytest.raises(ConfigError, match="pose prompts need labels"):
+        model.forward_eval(x)
 
 
 def live_tensors() -> int:
@@ -123,9 +123,8 @@ def test_forward_eval_equals_forward_with_a_graph(small_dataset):
     model = PoseLifter(small_config())
     emb = model.export_embeddings()
     x, gt = small_dataset.eval.input2d[:5], small_dataset.eval.labels[:5]
-    for labels, use_gt in ((None, False), (gt, True)):
-        pred, predicted, probs = model.forward_eval(x, embeddings=emb, gt_labels=gt,
-                                                    use_gt_labels=use_gt)
+    for labels in (None, gt):
+        pred, predicted, probs = model.forward_eval(x, embeddings=emb, labels=labels)
         result = model.forward(x, labels, training=False, embeddings=emb)
         assert result.pred3d.requires_grad          # this one built a graph
         assert np.array_equal(pred, result.pred3d.data)
