@@ -280,8 +280,14 @@ class Tensor:
             data = np.asarray(data)
 
         def backward(g):
+            # A basic index names each element at most once, so its gradient
+            # is assigned; an advanced one (arrays, lists, bools) may repeat
+            # elements and scatter-adds.
             grad = np.zeros_like(self.data)
-            np.add.at(grad, index, g)
+            if _is_basic_index(index):
+                grad[index] = g
+            else:
+                np.add.at(grad, index, g)
             self._accumulate(grad)
 
         return Tensor._from_op(data, (self,), backward)
@@ -328,6 +334,15 @@ class Tensor:
 
 def _ensure_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
+
+
+def _is_basic_index(index) -> bool:
+    """True for an int, slice, None or Ellipsis, or a tuple of them. A bool
+    is an int to Python but an advanced index to numpy."""
+    parts = index if isinstance(index, tuple) else (index,)
+    return all(part is None or part is Ellipsis or isinstance(part, slice)
+               or (isinstance(part, (int, np.integer)) and not isinstance(part, bool))
+               for part in parts)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

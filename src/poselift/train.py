@@ -86,6 +86,9 @@ def evaluate(model: PoseLifter, split: Split, action_names: list[str],
         raise ConfigError(
             f"model frames={model.cfg.data.frames} but dataset frames="
             f"{split.input2d.shape[1]}")
+    if len(split) == 0:
+        raise ConfigError(f"cannot evaluate an empty split (input2d shape "
+                          f"{split.input2d.shape})")
     preds, predicted_labels = [], []
     for start in range(0, len(split), batch_size):
         stop = min(start + batch_size, len(split))
@@ -190,6 +193,15 @@ def _abort(problem: str, best: Checkpoint | None, out_path: Path | None) -> NoRe
 # -- checkpoint container -------------------------------------------------------
 
 def write_checkpoint(path: str | Path, chk: Checkpoint) -> None:
+    """Write `chk` as a version-5 container. Refuses, with the same
+    `FormatError` and before it opens the file, values `restore_model`
+    would reject."""
+    _check_checkpoint_values(chk)
+    _write_checkpoint(path, chk)
+
+
+def _write_checkpoint(path: str | Path, chk: Checkpoint) -> None:
+    """`write_checkpoint` without the checks."""
     records = [dump_config(chk.cfg), len(chk.params)]
     for name, values in chk.params.items():
         records += [name, values]
@@ -228,19 +240,29 @@ def restore_model(chk: Checkpoint) -> tuple[PoseLifter, Adam]:
             raise FormatError(
                 f"parameter {name!r}: checkpoint shape {values.shape} does not "
                 f"match model shape {param.shape}")
-        if not np.isfinite(values).all():
-            raise FormatError(f"checkpoint parameter {name!r} holds non-finite values")
         param.data = values.copy()    # loaded values are read-only file views
     extra = set(chk.params) - set(model.params)
     if extra:
         raise FormatError(f"checkpoint has unknown parameters: {sorted(extra)[:3]}")
-    if model.use_atp:
-        want, emb = (cfg.data.num_actions, cfg.encoder.channels), chk.embeddings
+    _check_checkpoint_values(chk)
+    return model, Adam(model.params, lr=cfg.train.lr, lr_decay=cfg.train.lr_decay)
+
+
+def _check_checkpoint_values(chk: Checkpoint) -> None:
+    """Raise `FormatError` unless every parameter and embedding value is
+    finite and a text-prompt model's embeddings are (actions, channels) as
+    its config reads. The name and shape checks need a model and stay in
+    `restore_model`."""
+    for name, values in chk.params.items():
+        if not np.isfinite(values).all():
+            raise FormatError(f"checkpoint parameter {name!r} holds non-finite values")
+    emb = chk.embeddings
+    if chk.cfg.atp.enabled:
+        want = (chk.cfg.data.num_actions, chk.cfg.encoder.channels)
         if emb is None:
             raise FormatError("checkpoint of a text-prompt model holds no text embeddings")
         if emb.shape != want:
             raise FormatError(f"checkpoint text embeddings have shape {emb.shape}, "
                               f"want {want} (actions, channels)")
-        if not np.isfinite(emb).all():
-            raise FormatError("checkpoint text embeddings hold non-finite values")
-    return model, Adam(model.params, lr=cfg.train.lr, lr_decay=cfg.train.lr_decay)
+    if emb is not None and not np.isfinite(emb).all():
+        raise FormatError("checkpoint text embeddings hold non-finite values")

@@ -11,7 +11,7 @@ from poselift.config import Config
 from poselift.data import Split, _write_dataset, load_dataset, save_dataset
 from poselift.errors import FormatError
 from poselift.model import PoseLifter
-from poselift.train import snapshot, write_checkpoint
+from poselift.train import _write_checkpoint, snapshot, write_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -313,6 +313,11 @@ def test_bad_checkpoint_values_are_an_error_line(tmp_path, capsys, corrupt):
     chk = default_checkpoint()
     corrupt(chk)
     path = tmp_path / "checkpoint.bin"
-    write_checkpoint(path, chk)
+    _write_checkpoint(path, chk)                    # write_checkpoint refuses it
     assert main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert_one_error_line(capsys, "FormatError")
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:FormatError:"), err
+    with pytest.raises(FormatError) as refused:
+        write_checkpoint(tmp_path / "saved.bin", chk)
+    assert err == f"error:FormatError:{refused.value}\n"
+    assert not (tmp_path / "saved.bin").exists()

@@ -4,10 +4,13 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from poselift import ops
 from poselift.errors import DimensionError, SequenceTooShortError
-from poselift.tensor import Tensor, concat, no_grad, precision
+from poselift.gradcheck import grad_check
+from poselift.tensor import Parameter, Tensor, concat, no_grad, precision
 
 
 def test_matmul_identity():
@@ -233,3 +236,108 @@ def test_a_graph_is_freed_by_reference_counting():
     finally:
         gc.enable()
     assert np.allclose(x.grad, 8.0)
+
+
+# -- slice backward: basic indices assign, advanced indices scatter-add ----------
+
+SLICE_SETTINGS = settings(max_examples=150, deadline=None)
+shapes = hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=5)
+dtypes = st.sampled_from(["float32", "float64"])
+
+
+def draw_array(data, dtype, shape):
+    return data.draw(hnp.arrays(dtype, shape, elements=st.floats(-4, 4, width=32)))
+
+
+def scatter_reference(shape, index, g, dtype):
+    ref = np.zeros(shape, dtype=dtype)
+    np.add.at(ref, index, g)
+    return ref
+
+
+@st.composite
+def advanced_indices(draw, shape):
+    """Int arrays with repeats, lists, boolean masks, a bool scalar, and
+    basic and advanced parts in one tuple."""
+    def positions(side):
+        return st.lists(st.integers(-side, side - 1), min_size=1, max_size=6)
+
+    kind = draw(st.sampled_from(["array", "list", "mask", "full_mask", "bool", "mixed"]))
+    if kind == "array":
+        return np.array(draw(positions(shape[0])))
+    if kind == "list":
+        return draw(positions(shape[0]))
+    if kind == "mask":
+        return draw(hnp.arrays(bool, shape[0]))
+    if kind == "full_mask":
+        return draw(hnp.arrays(bool, shape))
+    if kind == "bool":
+        return draw(st.sampled_from([True, False, np.True_, np.False_]))
+    axis = draw(st.integers(0, len(shape) - 1))
+    parts = [draw(st.slices(side)) for side in shape[:axis]]
+    parts.append(np.array(draw(positions(shape[axis]))))
+    if axis + 1 < len(shape):
+        parts.append(draw(st.integers(-shape[axis + 1], shape[axis + 1] - 1)))
+    return tuple(parts)
+
+
+def check_slice_backward(data, shape, index, dtype):
+    """x[index]'s gradient under the loss sum(x[index] * g) is the scatter-add
+    of g. Assignment can keep a -0.0 where adding to zero gives +0.0;
+    array_equal counts the two as equal."""
+    x = draw_array(data, dtype, shape)
+    g = draw_array(data, dtype, x[index].shape)
+    with precision(dtype):
+        xt = Tensor(x, requires_grad=True)
+        (xt[index] * Tensor(g)).sum().backward()
+    assert np.array_equal(xt.grad, scatter_reference(shape, index, g, dtype))
+
+
+@SLICE_SETTINGS
+@given(data=st.data(), shape=shapes, dtype=dtypes)
+def test_basic_index_gradient_equals_scatter_add(data, shape, dtype):
+    index = data.draw(hnp.basic_indices(shape, allow_newaxis=True, allow_ellipsis=True))
+    check_slice_backward(data, shape, index, dtype)
+
+
+@SLICE_SETTINGS
+@given(data=st.data(), shape=shapes, dtype=dtypes)
+def test_advanced_index_gradient_equals_scatter_add(data, shape, dtype):
+    check_slice_backward(data, shape, data.draw(advanced_indices(shape)), dtype)
+
+
+@SLICE_SETTINGS
+@given(data=st.data(), shape=shapes, dtype=dtypes)
+def test_two_consumers_accumulate_slice_gradients(data, shape, dtype):
+    # One sliced tensor read twice, and the source read through a second index.
+    first = data.draw(hnp.basic_indices(shape, allow_newaxis=True))
+    second = data.draw(st.one_of(hnp.basic_indices(shape), advanced_indices(shape)))
+    x = draw_array(data, dtype, shape)
+    g1, g2 = draw_array(data, dtype, x[first].shape), draw_array(data, dtype, x[first].shape)
+    g3 = draw_array(data, dtype, x[second].shape)
+    with precision(dtype):
+        xt = Tensor(x, requires_grad=True)
+        y = xt[first]
+        ((y * Tensor(g1)).sum() + (y * Tensor(g2)).sum()
+         + (xt[second] * Tensor(g3)).sum()).backward()
+    want = (scatter_reference(shape, first, g1 + g2, dtype)
+            + scatter_reference(shape, second, g3, dtype))
+    assert np.array_equal(xt.grad, want)    # two-term sums round the same either way
+
+
+@pytest.mark.parametrize("index", [
+    (slice(None, None, -1), 2),
+    (-1, slice(3, 0, -2), None),
+    (Ellipsis, slice(1, 1)),
+    (None, slice(1, None), Ellipsis, -2),
+    (np.array([0, 2, 0, -1]), slice(None, None, -1)),
+    (slice(None), np.array([1, 1, 3])),
+    np.array([[True, False, True, False, True]] * 3),
+], ids=["neg-step", "neg-int", "empty", "newaxis", "repeats", "mixed", "mask"])
+def test_slice_gradient_matches_central_differences(index):
+    with precision("float64"):
+        rng = np.random.default_rng(8)
+        x = Parameter("x", rng.normal(size=(3, 5)))
+        w = rng.normal(size=x.data[index].shape)
+        report = grad_check(lambda: (x.tensor[index] * w).sum(), [x])
+    assert report.passed, report

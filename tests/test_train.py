@@ -8,6 +8,7 @@ import pytest
 
 from poselift import train as T
 from poselift.config import Config
+from poselift.data import Split
 from poselift.errors import ConfigError, FormatError, TrainingError
 from poselift.model import PoseLifter
 
@@ -47,6 +48,15 @@ def test_evaluate_is_repeatable(quick_result, quick_dataset):
     r1 = T.evaluate(model, quick_dataset.eval, names, hard, embeddings=emb)
     r2 = T.evaluate(model, quick_dataset.eval, names, hard, embeddings=emb)
     assert r1 == r2
+
+
+def test_evaluate_refuses_an_empty_split(quick_result, quick_dataset):
+    part = quick_dataset.eval
+    empty = Split(part.input2d[:0], part.target3d[:0], part.labels[:0])
+    with pytest.raises(ConfigError, match=r"empty split \(input2d shape \(0, 27, 8, 2\)\)"):
+        T.evaluate(quick_result.model, empty, quick_dataset.manifest.action_names,
+                   quick_dataset.manifest.hard_actions,
+                   embeddings=quick_result.best.embeddings)
 
 
 def test_evaluate_never_touches_text_encoder(quick_result, quick_dataset):
