@@ -6,7 +6,7 @@ Library layout:
   (float32 for training, float64 for gradient verification).
 - `container`: the binary format of checkpoints and datasets.
 - `data`: synthetic action-conditioned sequences and dataset directories.
-- `encoder`: the dilated temporal-convolution pose encoder with taps.
+- `encoder`: the dilated temporal-convolution pose encoder.
 - `text_prompts` / `pose_prompts`: the two action-prompting modules.
 - `model`, `losses`, `metrics`, `train`, `ablate`: assembly, objectives,
   evaluation protocols, training, and the ablation harness.

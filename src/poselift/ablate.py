@@ -116,7 +116,10 @@ def run_seq_length(cfg: Config, frames_list: tuple[int, ...] = (9, 27)
 
 def run_tap_layers(cfg: Config, layers: list[int] | None = None) -> AblationTable:
     """Projector-position sweep: connect the action projector to each encoder
-    block (deeper taps have shorter time extents)."""
+    block. Tap 1 is z0 (all F frames); a deeper tap b is block b's valid
+    output, F - (3**b - 1) frames. Eval computes the blocks up to the tap
+    over all their valid frames and later blocks only over the frames the
+    centre output reads, so a deeper tap costs more eval time."""
     blocks = blocks_for_frames(cfg.data.frames)
     layers = layers or list(range(1, blocks + 1))
     dataset = dataset_from_config(cfg)

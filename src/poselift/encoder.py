@@ -2,15 +2,28 @@
 
 Width-3 convolutions with a x3 dilation schedule reduce the time axis from
 F to exactly 1, so the sequence length must be a power of three (9, 27, 81,
-243). Block 1 is applied twice with shared weights: once valid (feeding the
-deeper blocks) and once zero-padded to keep all F frames, which provides
-the full-length shallow feature tap that downstream consumers difference
-over time.
+243). Block 1 zero-padded keeps all F frames: z0, the full-length shallow
+feature that downstream consumers difference over time.
+
+Training applies block 1 a second time, valid, with shared weights, and
+every later block over all its valid frames, because batch norm's batch
+statistics depend on all of them. Eval normalizes with running statistics,
+so every block is pointwise around its convolutions and computes only the
+frames the centre output reads, with bitwise the same values:
+
+- the valid block-1 output equals z0[:, 1:-1], so block 1 runs once;
+- blocks up to the tap layer b keep their full extent, because the action
+  projector pools the tap over time;
+- after block b, the centre output reads only every 3**b-th frame of
+  block b's valid output, so every later block runs as an undilated
+  stride-3 conv on such a compact array. At F=243 and b=1 that is
+  27 + 9 + 3 + 1 output frames instead of the 241 + 235 + 217 + 163 + 1 of
+  the valid path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +49,7 @@ class EncoderConfig:
     frames: int
     joints: int
     channels: int = 16
+    tap_layer: int = 1      # the block whose full-extent output `tap` holds
 
     @property
     def blocks(self) -> int:
@@ -45,13 +59,8 @@ class EncoderConfig:
 @dataclass
 class EncoderOutput:
     z0: Tensor              # (B, F, C) shallow features, full time extent
+    tap: Tensor             # (B, F', C) block `tap_layer`'s features: z0 at 1, else valid
     zd: Tensor              # (B, 1, C) final features
-    taps: list[Tensor] = field(default_factory=list)  # per-block features, 1-based
-
-    def tap(self, layer: int) -> Tensor:
-        if not 1 <= layer <= len(self.taps):
-            raise ConfigError(f"tap layer {layer} out of range 1..{len(self.taps)}")
-        return self.taps[layer - 1]
 
 
 class TcnBlock:
@@ -75,16 +84,21 @@ class TcnBlock:
         self.dilation = dilation
 
     def __call__(self, x: Tensor, training: bool, padding: str = "valid",
-                 update_stats: bool = True) -> Tensor:
-        h = ops.dilated_conv1d(x, self.conv.tensor, dilation=self.dilation,
-                               bias=self.conv_bias.tensor, padding=padding)
+                 update_stats: bool = True, compact: bool = False) -> Tensor:
+        """`compact`: x holds only every `dilation`-th frame of the block's
+        valid input, so the dilated conv is an undilated stride-3 one and the
+        output holds every (3 * dilation)-th frame of the valid output."""
+        dilation, stride = (1, KERNEL_WIDTH) if compact else (self.dilation, 1)
+        h = ops.dilated_conv1d(x, self.conv.tensor, dilation=dilation,
+                               bias=self.conv_bias.tensor, padding=padding,
+                               stride=stride)
         h = self.bn1(h, training=training, update_stats=update_stats).relu()
         h = ops.dilated_conv1d(h, self.pointwise.tensor, dilation=1,
                                bias=self.pointwise_bias.tensor)
         h = self.bn2(h, training=training, update_stats=update_stats).relu()
         if padding == "valid":
-            crop = self.dilation * (KERNEL_WIDTH - 1) // 2
-            residual = x[:, crop:x.shape[1] - crop, :]
+            crop = dilation * (KERNEL_WIDTH - 1) // 2
+            residual = x[:, crop:x.shape[1] - crop:stride, :]
         else:
             residual = x
         return residual + h
@@ -95,15 +109,17 @@ class TcnBlock:
 
 
 class TcnEncoder:
-    """Stacked dilated-convolution encoder exposing per-block taps.
+    """Stacked dilated-convolution encoder exposing one tap.
 
-    tap 1 is the full-length shallow feature z0 (B, F, C); deeper taps follow
-    the valid-convolution time reduction down to zd (B, 1, C).
+    Tap 1 is the full-length shallow feature z0 (B, F, C); a deeper tap b is
+    block b's valid output, F - (3**b - 1) frames.
     """
 
     def __init__(self, cfg: EncoderConfig, rng: np.random.Generator, name: str = "encoder"):
         self.cfg = cfg
         blocks = cfg.blocks
+        if not 1 <= cfg.tap_layer <= blocks:
+            raise ConfigError(f"tap layer {cfg.tap_layer} out of range 1..{blocks}")
         self.input_proj = Linear(f"{name}.input_proj", 2 * cfg.joints, cfg.channels, rng)
         self.blocks = [
             TcnBlock(f"{name}.block{b}", cfg.channels, KERNEL_WIDTH ** (b - 1), rng)
@@ -120,12 +136,23 @@ class TcnEncoder:
         h = self.input_proj(x.reshape(batch, frames, 2 * joints))  # (B, F, C)
         first = self.blocks[0]
         z0 = first(h, training=training, padding="same", update_stats=False)
-        h = first(h, training=training, padding="valid")
-        taps = [z0]
-        for block in self.blocks[1:]:
+        layer = self.cfg.tap_layer
+        if training:
+            h = first(h, training=True, padding="valid")
+            full_extent = self.blocks[1:]
+        else:
+            h = z0[:, 1:-1, :]          # the valid pass, as BN is pointwise here
+            full_extent = self.blocks[1:layer]
+        tap = z0
+        for b, block in enumerate(full_extent, start=2):
             h = block(h, training=training)
-            taps.append(h)
-        return EncoderOutput(z0=z0, zd=taps[-1], taps=taps)
+            if b == layer:
+                tap = h
+        if not training:
+            h = h[:, ::KERNEL_WIDTH ** layer, :]
+            for block in self.blocks[layer:]:
+                h = block(h, training=False, compact=True)
+        return EncoderOutput(z0=z0, tap=tap, zd=h)
 
     def parameters(self) -> list[Parameter]:
         params = self.input_proj.parameters()

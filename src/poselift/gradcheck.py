@@ -165,6 +165,9 @@ def run_op_suite(eps: float = 1e-5, tol: float = 1e-4) -> dict[str, GradCheckRep
         check("conv_dilated", lambda: (ops.dilated_conv1d(
             seq.tensor, kern.tensor, dilation=3, bias=cbias.tensor)
             * w_same[:, :3]).sum(), [seq, kern, cbias])
+        check("conv_strided", lambda: (ops.dilated_conv1d(
+            seq.tensor, kern.tensor, dilation=1, bias=cbias.tensor, stride=3)
+            * w_same[:, :3]).sum(), [seq, kern, cbias])
         check("conv_same", lambda: (ops.dilated_conv1d(
             seq.tensor, kern.tensor, dilation=1, bias=cbias.tensor, padding="same")
             * w_same).sum(), [seq, kern, cbias])

@@ -49,7 +49,7 @@ class PoseLifter:
         k = cfg.data.num_actions
         channels = cfg.encoder.channels
         enc_cfg = EncoderConfig(frames=cfg.data.frames, joints=cfg.data.joints,
-                                channels=channels)
+                                channels=channels, tap_layer=cfg.atp.tap_layer)
         self.encoder = TcnEncoder(enc_cfg, seeded_rng(seed, _STREAM_ENCODER))
         self.head = pose_prompts.OutputHead(channels, cfg.data.joints,
                                             seeded_rng(seed, _STREAM_HEAD),
@@ -58,8 +58,6 @@ class PoseLifter:
         self.use_atp = cfg.atp.enabled
         self.use_app = cfg.app.enabled
         self.use_label_aux = cfg.use_label_aux
-
-        self.tap_layer = cfg.atp.tap_layer
 
         self.projector = None
         if self.use_atp or self.use_label_aux:
@@ -141,7 +139,7 @@ class PoseLifter:
         enc_out = self.encoder.forward(Tensor(x2d), training=training)
         probs = None
         if self.use_atp or self.use_label_aux:
-            action_feature = self.projector(enc_out.tap(self.tap_layer), training=training)
+            action_feature = self.projector(enc_out.tap, training=training)
             if self.use_atp:
                 t = self.text_embeddings() if embeddings is None else Tensor(embeddings)
                 t_bar = self.p2t(t, enc_out.z0)                   # (B, K, C)

@@ -47,11 +47,14 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 
 
 def dilated_conv1d(x: Tensor, kernel: Tensor, dilation: int = 1,
-                   bias: Tensor | None = None, padding: str = "valid") -> Tensor:
+                   bias: Tensor | None = None, padding: str = "valid",
+                   stride: int = 1) -> Tensor:
     """Temporal convolution along axis -2.
 
     x: (..., F, Cin), kernel: (w, Cin, Cout), bias: (Cout,).
     "valid" yields F' = F - dilation*(w-1); "same" zero-pads to keep F.
+    `stride` keeps every stride-th of those output frames, starting at the
+    first: ceil(F' / stride) frames, each computed as at stride 1.
     """
     if kernel.ndim != 3:
         raise DimensionError(f"conv kernel must be (w, Cin, Cout), got {kernel.shape}")
@@ -76,10 +79,11 @@ def dilated_conv1d(x: Tensor, kernel: Tensor, dilation: int = 1,
     if out_frames < 1:
         raise SequenceTooShortError(
             f"conv needs at least {dilation * (width - 1) + 1} frames, got {frames}")
+    span = (out_frames - 1) // stride * stride + 1     # first to last kept frame
     index = [slice(None)] * x.ndim
     out = None
     for i in range(width):
-        index[-2] = slice(i * dilation, i * dilation + out_frames)
+        index[-2] = slice(i * dilation, i * dilation + span, stride)
         term = x[tuple(index)] @ kernel[i]
         out = term if out is None else out + term
     if bias is not None:

@@ -89,6 +89,8 @@ def evaluate(model: PoseLifter, split: Split, action_names: list[str],
     if len(split) == 0:
         raise ConfigError(f"cannot evaluate an empty split (input2d shape "
                           f"{split.input2d.shape})")
+    if batch_size <= 0:
+        raise ConfigError(f"evaluate batch_size must be positive, got {batch_size}")
     preds, predicted_labels = [], []
     for start in range(0, len(split), batch_size):
         stop = min(start + batch_size, len(split))

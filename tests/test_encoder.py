@@ -1,20 +1,65 @@
-"""Encoder shapes, taps, and gradient flow."""
+"""Encoder shapes, taps, gradient flow, and the compact eval layout."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from poselift.encoder import EncoderConfig, TcnEncoder, blocks_for_frames
+from poselift import ops
+from poselift.encoder import (EncoderConfig, EncoderOutput, TcnBlock, TcnEncoder,
+                              blocks_for_frames)
 from poselift.errors import ConfigError
 from poselift.gradcheck import grad_check
 from poselift.layers import seeded_rng
 from poselift.losses import pose_loss
 from poselift.pose_prompts import OutputHead
-from poselift.tensor import Tensor, precision
+from poselift.tensor import Tensor, no_grad, precision
+
+# Every sequence length with every tap layer it allows.
+FRAMES_AND_TAPS = [(f, b) for f in (9, 27, 81, 243) for b in range(1, blocks_for_frames(f) + 1)]
+EQUIVALENCE_SETTINGS = settings(max_examples=10, deadline=None)
 
 
-def make_encoder(frames=27, joints=8, channels=16, seed=0):
-    cfg = EncoderConfig(frames=frames, joints=joints, channels=channels)
+def make_encoder(frames=27, joints=8, channels=16, seed=0, tap_layer=1):
+    cfg = EncoderConfig(frames=frames, joints=joints, channels=channels,
+                        tap_layer=tap_layer)
     return TcnEncoder(cfg, seeded_rng(seed, 0))
+
+
+def full_extent_eval(enc: TcnEncoder, x: Tensor) -> EncoderOutput:
+    """The eval encoder before the compact layout, kept as the oracle: block 1
+    same-padded for z0 and again valid, then every later block valid over
+    all its frames."""
+    batch, frames, joints, _ = x.shape
+    h = enc.input_proj(x.reshape(batch, frames, 2 * joints))
+    first = enc.blocks[0]
+    taps = [first(h, training=False, padding="same", update_stats=False)]
+    h = first(h, training=False)
+    for block in enc.blocks[1:]:
+        h = block(h, training=False)
+        taps.append(h)
+    return EncoderOutput(z0=taps[0], tap=taps[enc.cfg.tap_layer - 1], zd=taps[-1])
+
+
+def randomize_running_stats(params, rng: np.random.Generator) -> None:
+    for p in params:
+        if p.name.endswith(".running_mean"):
+            p.data = rng.normal(scale=0.5, size=p.shape)
+        elif p.name.endswith(".running_var"):
+            p.data = rng.uniform(0.25, 4.0, size=p.shape)
+
+
+def record_block_calls(monkeypatch) -> list[tuple]:
+    """Record (block, padding, compact, output frames) of every TcnBlock call."""
+    calls = []
+    original = TcnBlock.__call__
+
+    def spy(block, x, training, padding="valid", update_stats=True, compact=False):
+        out = original(block, x, training, padding, update_stats, compact)
+        calls.append((block.conv.name.split(".")[1], padding, compact, out.shape[1]))
+        return out
+
+    monkeypatch.setattr(TcnBlock, "__call__", spy)
+    return calls
 
 
 def test_blocks_for_frames():
@@ -48,17 +93,16 @@ def test_zero_input_finite_and_deterministic():
 
 
 def test_taps_endpoints_and_extents():
-    enc = make_encoder()                       # 3 blocks at F=27
-    out = enc.forward(Tensor(np.random.default_rng(1).normal(size=(1, 27, 8, 2))),
-                      training=True)
-    assert out.tap(1) is out.z0
-    assert out.tap(3) is out.zd
+    x = Tensor(np.random.default_rng(1).normal(size=(1, 27, 8, 2)))
+    outs = {b: make_encoder(tap_layer=b).forward(x, training=True)
+            for b in (1, 2, 3)}                # 3 blocks at F=27
+    assert outs[1].tap is outs[1].z0
+    assert outs[3].tap is outs[3].zd
     # valid-conv extents from the dilation schedule: F - (3^b - 1) for b >= 2
-    assert out.tap(2).shape[1] == 27 - (3 ** 2 - 1)
-    with pytest.raises(ConfigError):
-        out.tap(0)
-    with pytest.raises(ConfigError):
-        out.tap(4)
+    assert outs[2].tap.shape[1] == 27 - (3 ** 2 - 1)
+    for layer in (0, 4):
+        with pytest.raises(ConfigError, match=f"tap layer {layer} out of range 1..3"):
+            make_encoder(tap_layer=layer)
 
 
 def test_frame_mismatch_is_config_error():
@@ -82,3 +126,59 @@ def test_gradcheck_through_encoder_and_head():
         params = [p for p in enc.parameters() + head.parameters() if p.trainable]
         report = grad_check(build_loss, params)
     assert report.passed, str(report)
+
+
+@pytest.mark.parametrize("frames,tap_layer", FRAMES_AND_TAPS)
+@EQUIVALENCE_SETTINGS
+@given(batch=st.integers(1, 4), channels=st.sampled_from([4, 16, 64]),
+       seed=st.integers(0, 2**31 - 1))
+def test_eval_equals_the_full_extent_encoder(frames, tap_layer, batch, channels, seed):
+    enc = make_encoder(frames=frames, channels=channels, seed=seed, tap_layer=tap_layer)
+    rng = np.random.default_rng(seed)
+    randomize_running_stats(enc.parameters(), rng)
+    x = Tensor(rng.normal(size=(batch, frames, 8, 2)))
+    with no_grad():
+        out = enc.forward(x, training=False)
+        oracle = full_extent_eval(enc, x)
+    for field in ("z0", "tap", "zd"):
+        assert np.array_equal(getattr(out, field).data, getattr(oracle, field).data), field
+
+
+@pytest.mark.parametrize("tap_layer,extents", [
+    (1, [243, 27, 9, 3, 1]),
+    (3, [243, 235, 217, 3, 1]),
+    (5, [243, 235, 217, 163, 1]),
+])
+def test_eval_computes_only_the_frames_the_centre_needs(monkeypatch, tap_layer, extents):
+    enc = make_encoder(frames=243, channels=4, tap_layer=tap_layer)
+    calls = record_block_calls(monkeypatch)
+    enc.forward(Tensor(np.zeros((1, 243, 8, 2))), training=False)
+    # block 1 runs once (same-padded); blocks past the tap layer are compact
+    assert [c[0] for c in calls] == ["block1", "block2", "block3", "block4", "block5"]
+    assert [c[2] for c in calls] == [b > tap_layer for b in range(1, 6)]
+    assert [c[3] for c in calls] == extents
+
+
+def test_training_builds_full_valid_extents(monkeypatch):
+    enc = make_encoder(frames=81, channels=4, tap_layer=2)
+    calls = record_block_calls(monkeypatch)
+    out = enc.forward(Tensor(np.random.default_rng(3).normal(size=(2, 81, 8, 2))),
+                      training=True)
+    assert calls == [("block1", "same", False, 81), ("block1", "valid", False, 79),
+                     ("block2", "valid", False, 73), ("block3", "valid", False, 55),
+                     ("block4", "valid", False, 1)]
+    assert out.tap.shape[1] == 73 and out.zd.shape[1] == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(frames=st.integers(3, 30), dilation=st.integers(1, 4), stride=st.integers(1, 4),
+       seed=st.integers(0, 2**31 - 1))
+def test_strided_conv_keeps_every_stride_th_valid_frame(frames, dilation, stride, seed):
+    width = 3
+    assume(frames > dilation * (width - 1))
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=(2, frames, 3)))
+    kernel, bias = Tensor(rng.normal(size=(width, 3, 5))), Tensor(rng.normal(size=5))
+    full = ops.dilated_conv1d(x, kernel, dilation=dilation, bias=bias)
+    strided = ops.dilated_conv1d(x, kernel, dilation=dilation, bias=bias, stride=stride)
+    assert np.allclose(strided.data, full.data[:, ::stride], rtol=1e-5, atol=1e-5)

@@ -20,8 +20,9 @@ def test_op_gradient(op_name):
 
 
 def test_every_public_op_is_in_the_suite():
-    # The suite checks dilated_conv1d once per padding and dilation case.
-    suite_names = {"dilated_conv1d": ("conv_valid", "conv_dilated", "conv_same")}
+    # The suite checks dilated_conv1d once per padding, dilation and stride case.
+    suite_names = {"dilated_conv1d": ("conv_valid", "conv_dilated", "conv_same",
+                                      "conv_strided")}
     public = [name for name, fn in inspect.getmembers(ops, inspect.isfunction)
               if fn.__module__ == ops.__name__ and not name.startswith("_")]
     assert "dilated_conv1d" in public

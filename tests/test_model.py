@@ -4,6 +4,7 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from poselift import train as T
 from poselift.config import Config
@@ -11,6 +12,9 @@ from poselift.errors import ConfigError
 from poselift.losses import action_loss, pose_loss, total_loss
 from poselift.model import PoseLifter
 from poselift.tensor import Tensor
+
+from test_encoder import (EQUIVALENCE_SETTINGS, FRAMES_AND_TAPS, full_extent_eval,
+                          randomize_running_stats)
 
 
 @pytest.fixture(scope="module")
@@ -130,3 +134,24 @@ def test_forward_eval_equals_forward_with_a_graph(small_dataset):
         assert np.array_equal(pred, result.pred3d.data)
         assert np.array_equal(probs, result.class_probs.data)
         assert np.array_equal(predicted, np.argmax(result.class_probs.data, axis=-1))
+
+
+@pytest.mark.parametrize("frames,tap_layer", FRAMES_AND_TAPS)
+@EQUIVALENCE_SETTINGS
+@given(batch=st.integers(1, 4), seed=st.integers(0, 2**31 - 1))
+def test_forward_eval_equals_the_full_extent_encoder(frames, tap_layer, batch, seed):
+    cfg = small_config()
+    cfg.data.frames = frames
+    cfg.atp.tap_layer = tap_layer
+    cfg.train.seed = seed
+    model = PoseLifter(cfg)
+    rng = np.random.default_rng(seed)
+    randomize_running_stats(model.params.values(), rng)
+    emb = model.export_embeddings()
+    x = rng.normal(size=(batch, frames, cfg.data.joints, 2))
+    pred, predicted, probs = model.forward_eval(x, embeddings=emb)
+    model.encoder.forward = lambda x2d, training: full_extent_eval(model.encoder, x2d)
+    want_pred, want_predicted, want_probs = model.forward_eval(x, embeddings=emb)
+    assert np.array_equal(pred, want_pred)
+    assert np.array_equal(probs, want_probs)
+    assert np.array_equal(predicted, want_predicted)

@@ -59,6 +59,15 @@ def test_evaluate_refuses_an_empty_split(quick_result, quick_dataset):
                    embeddings=quick_result.best.embeddings)
 
 
+@pytest.mark.parametrize("batch_size", [0, -1, -256])
+def test_evaluate_refuses_a_batch_size_below_one(quick_result, quick_dataset, batch_size):
+    with pytest.raises(ConfigError, match=rf"batch_size must be positive, got {batch_size}"):
+        T.evaluate(quick_result.model, quick_dataset.eval,
+                   quick_dataset.manifest.action_names,
+                   quick_dataset.manifest.hard_actions,
+                   embeddings=quick_result.best.embeddings, batch_size=batch_size)
+
+
 def test_evaluate_never_touches_text_encoder(quick_result, quick_dataset):
     model = quick_result.model
     calls_before = model.text_encoder_calls()
