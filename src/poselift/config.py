@@ -142,8 +142,7 @@ class Config:
         return self.app.enabled and not self.atp.enabled
 
 
-_SECTIONS = {"data": "data", "encoder": "encoder", "atp": "atp",
-             "app": "app", "train": "train"}
+_SECTIONS = tuple(f.name for f in fields(Config))
 # "lambda" is the file/CLI spelling of TrainSection.loss_weight.
 _KEY_ALIASES = {("train", "lambda"): "loss_weight", ("data", "k"): "num_actions"}
 _FILE_KEYS = {(s, attr): key for (s, key), attr in _KEY_ALIASES.items()}
@@ -175,36 +174,32 @@ def load_config(path: str | Path | None = None) -> Config:
 
 def parse_config_text(text: str) -> Config:
     """Defaults overlaid with `key = value` lines from `text`."""
-    cfg = Config()
     parser = configparser.ConfigParser()
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from None
+    overrides = {}
     for section_name in parser.sections():
         if section_name not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section_name}]")
-        section = getattr(cfg, _SECTIONS[section_name])
-        types = {f.name: type(getattr(section, f.name)) for f in fields(section)}
         for key, raw in parser.items(section_name):
-            attr = _KEY_ALIASES.get((section_name, key), key)
-            if attr not in types:
-                raise ConfigError(f"unknown key {key!r} in section [{section_name}]")
-            setattr(section, attr, _coerce(raw, types[attr]))
-    return cfg.validate()
+            overrides[f"{section_name}.{key}"] = raw
+    return apply_overrides(Config(), overrides)
 
 
 def apply_overrides(cfg: Config, overrides: dict[str, object]) -> Config:
-    """Apply CLI-style dotted overrides, e.g. {"train.lambda": 0.2}."""
+    """Apply CLI-style dotted overrides, e.g. {"train.lambda": 0.2}; a string
+    value is parsed as the field's type."""
     for dotted, value in overrides.items():
         if value is None:
             continue
         section_name, _, key = dotted.partition(".")
         if section_name not in _SECTIONS:
-            raise ConfigError(f"unknown config section {section_name!r}")
-        section = getattr(cfg, _SECTIONS[section_name])
+            raise ConfigError(f"unknown config section [{section_name}]")
+        section = getattr(cfg, section_name)
         attr = _KEY_ALIASES.get((section_name, key), key)
-        if not hasattr(section, attr):
+        if attr not in {f.name for f in fields(section)}:
             raise ConfigError(f"unknown key {key!r} in section [{section_name}]")
         current = getattr(section, attr)
         if isinstance(value, str) and not isinstance(current, str):

@@ -5,20 +5,20 @@ F to exactly 1, so the sequence length must be a power of three (9, 27, 81,
 243). Block 1 zero-padded keeps all F frames: z0, the full-length shallow
 feature that downstream consumers difference over time.
 
-Training applies block 1 a second time, valid, with shared weights, and
-every later block over all its valid frames, because batch norm's batch
-statistics depend on all of them. Eval normalizes with running statistics,
-so every block is pointwise around its convolutions and computes only the
-frames the centre output reads, with bitwise the same values:
+Block 1 runs once in both modes, and block 2 reads its valid frames,
+z0[:, 1:-1]; in training, block 1's batch statistics thus cover all F
+frames. Training runs every later block over all its valid frames, because
+batch norm's batch statistics depend on all of them.
+Eval normalizes with running statistics, so every block is pointwise around
+its convolutions and computes only the frames the centre output reads:
 
-- the valid block-1 output equals z0[:, 1:-1], so block 1 runs once;
 - blocks up to the tap layer b keep their full extent, because the action
   projector pools the tap over time;
 - after block b, the centre output reads only every 3**b-th frame of
   block b's valid output, so every later block runs as an undilated
   stride-3 conv on such a compact array. At F=243 and b=1 that is
   27 + 9 + 3 + 1 output frames instead of the 241 + 235 + 217 + 163 + 1 of
-  the valid path.
+  the valid path, with bitwise the same values.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ class TcnBlock:
         self.dilation = dilation
 
     def __call__(self, x: Tensor, training: bool, padding: str = "valid",
-                 update_stats: bool = True, compact: bool = False) -> Tensor:
+                 compact: bool = False) -> Tensor:
         """`compact`: x holds only every `dilation`-th frame of the block's
         valid input, so the dilated conv is an undilated stride-3 one and the
         output holds every (3 * dilation)-th frame of the valid output."""
@@ -92,10 +92,10 @@ class TcnBlock:
         h = ops.dilated_conv1d(x, self.conv.tensor, dilation=dilation,
                                bias=self.conv_bias.tensor, padding=padding,
                                stride=stride)
-        h = self.bn1(h, training=training, update_stats=update_stats).relu()
+        h = self.bn1(h, training=training).relu()
         h = ops.dilated_conv1d(h, self.pointwise.tensor, dilation=1,
                                bias=self.pointwise_bias.tensor)
-        h = self.bn2(h, training=training, update_stats=update_stats).relu()
+        h = self.bn2(h, training=training).relu()
         if padding == "valid":
             crop = dilation * (KERNEL_WIDTH - 1) // 2
             residual = x[:, crop:x.shape[1] - crop:stride, :]
@@ -134,24 +134,15 @@ class TcnEncoder:
                 f"input ({frames} frames, {joints} joints) does not match encoder "
                 f"config ({self.cfg.frames} frames, {self.cfg.joints} joints)")
         h = self.input_proj(x.reshape(batch, frames, 2 * joints))  # (B, F, C)
-        first = self.blocks[0]
-        z0 = first(h, training=training, padding="same", update_stats=False)
+        z0 = self.blocks[0](h, training=training, padding="same")
         layer = self.cfg.tap_layer
-        if training:
-            h = first(h, training=True, padding="valid")
-            full_extent = self.blocks[1:]
-        else:
-            h = z0[:, 1:-1, :]          # the valid pass, as BN is pointwise here
-            full_extent = self.blocks[1:layer]
-        tap = z0
-        for b, block in enumerate(full_extent, start=2):
-            h = block(h, training=training)
-            if b == layer:
-                tap = h
+        tap, h = z0, z0[:, 1:-1, :]     # block 1's valid frames
+        for block in self.blocks[1:layer]:
+            h = tap = block(h, training=training)
         if not training:
-            h = h[:, ::KERNEL_WIDTH ** layer, :]
-            for block in self.blocks[layer:]:
-                h = block(h, training=False, compact=True)
+            h = h[:, ::KERNEL_WIDTH ** layer, :]    # the frames the centre reads
+        for block in self.blocks[layer:]:
+            h = block(h, training=training, compact=not training)
         return EncoderOutput(z0=z0, tap=tap, zd=h)
 
     def parameters(self) -> list[Parameter]:

@@ -54,18 +54,16 @@ class BatchNorm:
     """Per-channel batch norm; running stats ride along as frozen parameters
     so checkpoints capture them."""
 
-    def __init__(self, name: str, dim: int, momentum: float = 0.1):
+    def __init__(self, name: str, dim: int):
         self.gain = Parameter(f"{name}.gain", np.ones(dim))
         self.bias = Parameter(f"{name}.bias", np.zeros(dim))
         self.running_mean = Parameter(f"{name}.running_mean", np.zeros(dim), trainable=False)
         self.running_var = Parameter(f"{name}.running_var", np.ones(dim), trainable=False)
-        self.momentum = momentum
 
-    def __call__(self, x: Tensor, training: bool, update_stats: bool = True) -> Tensor:
+    def __call__(self, x: Tensor, training: bool) -> Tensor:
         return ops.batch_norm(x, self.gain.tensor, self.bias.tensor,
                               self.running_mean.data, self.running_var.data,
-                              training=training, momentum=self.momentum,
-                              update_stats=update_stats)
+                              training=training)
 
     def parameters(self) -> list[Parameter]:
         return [self.gain, self.bias, self.running_mean, self.running_var]

@@ -48,19 +48,22 @@ class PoseLifter:
         seed = cfg.train.seed
         k = cfg.data.num_actions
         channels = cfg.encoder.channels
+        self.use_atp = cfg.atp.enabled
+        self.use_app = cfg.app.enabled
+        self.use_label_aux = cfg.use_label_aux
+
+        has_projector = self.use_atp or self.use_label_aux
+        # Only the action projector reads a deeper tap.
+        tap_layer = cfg.atp.tap_layer if has_projector else 1
         enc_cfg = EncoderConfig(frames=cfg.data.frames, joints=cfg.data.joints,
-                                channels=channels, tap_layer=cfg.atp.tap_layer)
+                                channels=channels, tap_layer=tap_layer)
         self.encoder = TcnEncoder(enc_cfg, seeded_rng(seed, _STREAM_ENCODER))
         self.head = pose_prompts.OutputHead(channels, cfg.data.joints,
                                             seeded_rng(seed, _STREAM_HEAD),
                                             output_scale=cfg.encoder.output_scale)
 
-        self.use_atp = cfg.atp.enabled
-        self.use_app = cfg.app.enabled
-        self.use_label_aux = cfg.use_label_aux
-
         self.projector = None
-        if self.use_atp or self.use_label_aux:
+        if has_projector:
             self.projector = text_prompts.ActionProjector(
                 channels, seeded_rng(seed, _STREAM_PROJECTOR),
                 blocks=cfg.atp.projector_blocks)
@@ -138,7 +141,7 @@ class PoseLifter:
         """
         enc_out = self.encoder.forward(Tensor(x2d), training=training)
         probs = None
-        if self.use_atp or self.use_label_aux:
+        if self.projector is not None:
             action_feature = self.projector(enc_out.tap, training=training)
             if self.use_atp:
                 t = self.text_embeddings() if embeddings is None else Tensor(embeddings)

@@ -99,29 +99,30 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return centered / (var + eps).sqrt() * gain + bias
 
 
+BN_MOMENTUM = 0.1     # weight of the newest batch in the running statistics
+BN_EPS = 1e-5
+
+
 def batch_norm(x: Tensor, gain: Tensor, bias: Tensor,
                running_mean: np.ndarray, running_var: np.ndarray,
-               training: bool, momentum: float = 0.1, eps: float = 1e-5,
-               update_stats: bool = True) -> Tensor:
+               training: bool) -> Tensor:
     """Per-channel batch normalization over all leading axes of (..., C).
 
     Running statistics are plain arrays mutated in place during training
-    (update_stats=True) and used verbatim in eval mode.
+    and used verbatim in eval mode.
     """
     if training:
         axes = tuple(range(x.ndim - 1))
         mu = x.mean(axis=axes, keepdims=True)
         centered = x - mu
         var = (centered * centered).mean(axis=axes, keepdims=True)
-        if update_stats:
-            n = x.size // x.shape[-1]
-            unbiased = var.data * (n / max(n - 1, 1))
-            running_mean *= 1.0 - momentum
-            running_mean += momentum * mu.data.reshape(-1)
-            running_var *= 1.0 - momentum
-            running_var += momentum * unbiased.reshape(-1)
-        normed = centered / (var + eps).sqrt()
+        n = x.size // x.shape[-1]
+        unbiased = var.data * (n / max(n - 1, 1))
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mu.data.reshape(-1)
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * unbiased.reshape(-1)
+        normed = centered / (var + BN_EPS).sqrt()
     else:
-        normed = (x - running_mean) / np.sqrt(running_var + eps)
+        normed = (x - running_mean) / np.sqrt(running_var + BN_EPS)
     return normed * gain + bias
-

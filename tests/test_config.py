@@ -67,6 +67,15 @@ def test_overrides():
         apply_overrides(Config(), {"train.nope": 1})
 
 
+@pytest.mark.parametrize("dotted", ["data.__doc__", "train.__class__", "atp.__dict__"])
+def test_only_dataclass_fields_are_keys(dotted):
+    section, _, key = dotted.partition(".")
+    with pytest.raises(ConfigError, match=f"unknown key '{key}' in section \\[{section}\\]"):
+        apply_overrides(Config(), {dotted: "5"})
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config_text(f"[{section}]\n{key} = 5\n")
+
+
 def test_dump_round_trip():
     cfg = Config()
     cfg.train.loss_weight = 0.42

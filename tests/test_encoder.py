@@ -5,12 +5,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from poselift import ops
+from poselift.config import Config
 from poselift.encoder import (EncoderConfig, EncoderOutput, TcnBlock, TcnEncoder,
                               blocks_for_frames)
 from poselift.errors import ConfigError
 from poselift.gradcheck import grad_check
 from poselift.layers import seeded_rng
 from poselift.losses import pose_loss
+from poselift.model import PoseLifter
 from poselift.pose_prompts import OutputHead
 from poselift.tensor import Tensor, no_grad, precision
 
@@ -32,7 +34,7 @@ def full_extent_eval(enc: TcnEncoder, x: Tensor) -> EncoderOutput:
     batch, frames, joints, _ = x.shape
     h = enc.input_proj(x.reshape(batch, frames, 2 * joints))
     first = enc.blocks[0]
-    taps = [first(h, training=False, padding="same", update_stats=False)]
+    taps = [first(h, training=False, padding="same")]
     h = first(h, training=False)
     for block in enc.blocks[1:]:
         h = block(h, training=False)
@@ -53,8 +55,8 @@ def record_block_calls(monkeypatch) -> list[tuple]:
     calls = []
     original = TcnBlock.__call__
 
-    def spy(block, x, training, padding="valid", update_stats=True, compact=False):
-        out = original(block, x, training, padding, update_stats, compact)
+    def spy(block, x, training, padding="valid", compact=False):
+        out = original(block, x, training, padding, compact)
         calls.append((block.conv.name.split(".")[1], padding, compact, out.shape[1]))
         return out
 
@@ -164,10 +166,35 @@ def test_training_builds_full_valid_extents(monkeypatch):
     calls = record_block_calls(monkeypatch)
     out = enc.forward(Tensor(np.random.default_rng(3).normal(size=(2, 81, 8, 2))),
                       training=True)
-    assert calls == [("block1", "same", False, 81), ("block1", "valid", False, 79),
-                     ("block2", "valid", False, 73), ("block3", "valid", False, 55),
-                     ("block4", "valid", False, 1)]
+    assert calls == [("block1", "same", False, 81), ("block2", "valid", False, 73),
+                     ("block3", "valid", False, 55), ("block4", "valid", False, 1)]
     assert out.tap.shape[1] == 73 and out.zd.shape[1] == 1
+
+
+def baseline_lifter(tap_layer: int) -> PoseLifter:
+    """A model with no action projector at F=81."""
+    cfg = Config()
+    cfg.data.frames = 81
+    cfg.atp.enabled = cfg.app.enabled = False
+    cfg.train.label_aux = "off"
+    cfg.atp.tap_layer = tap_layer
+    return PoseLifter(cfg)
+
+
+def test_a_model_without_projector_runs_no_full_extent_tap(monkeypatch):
+    model = baseline_lifter(tap_layer=3)
+    calls = record_block_calls(monkeypatch)
+    model.forward_eval(np.zeros((1, 81, 8, 2)))
+    assert [(c[0], c[3]) for c in calls] == [("block1", 81), ("block2", 9),
+                                             ("block3", 3), ("block4", 1)]
+
+
+def test_a_model_without_projector_ignores_the_tap_layer():
+    x = np.random.default_rng(4).normal(size=(2, 81, 8, 2))
+    deep, shallow = baseline_lifter(tap_layer=3), baseline_lifter(tap_layer=1)
+    assert np.array_equal(deep.forward(x, None, training=True).pred3d.data,
+                          shallow.forward(x, None, training=True).pred3d.data)
+    assert np.array_equal(deep.forward_eval(x)[0], shallow.forward_eval(x)[0])
 
 
 @settings(max_examples=60, deadline=None)

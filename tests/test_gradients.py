@@ -4,6 +4,8 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from poselift import ops
 from poselift.errors import TrainingError
@@ -57,3 +59,61 @@ def test_gradient_accumulates_for_repeated_operand():
     x = Tensor(np.array([2.0, -1.0]), requires_grad=True)
     ((x * x) + x).sum().backward()
     assert np.allclose(x.grad, 2 * x.data + 1)
+
+
+# -- property checks over drawn shapes (float64, central differences, 1e-4) --------
+
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)
+
+
+def grid_values(rng: np.random.Generator, shape) -> np.ndarray:
+    """Multiples of 0.1 in [-3, 3], so two distinct values differ by 0.1 or more."""
+    return rng.integers(-30, 31, size=shape) / 10.0
+
+
+@PROPERTY_SETTINGS
+@given(lead=hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=4),
+       channels=st.integers(1, 4), constant_channel=st.none() | st.integers(0, 3),
+       seed=st.integers(0, 2**31 - 1))
+@example(lead=(1,), channels=3, constant_channel=None, seed=0)        # one sample
+@example(lead=(1, 1), channels=2, constant_channel=1, seed=1)
+@example(lead=(4, 5), channels=2, constant_channel=0, seed=2)         # a constant channel
+def test_batch_norm_training_gradient_over_drawn_shapes(lead, channels, constant_channel,
+                                                        seed):
+    rng = np.random.default_rng(seed)
+    values = grid_values(rng, lead + (channels,))
+    if constant_channel is not None and constant_channel < channels:
+        values[..., constant_channel] = rng.integers(-30, 31) / 10.0
+    with precision("float64"):
+        x = Parameter("x", values)
+        gain = Parameter("gain", 1.0 + 0.1 * rng.normal(size=channels))
+        bias = Parameter("bias", 0.1 * rng.normal(size=channels))
+        running_mean, running_var = np.zeros(channels), np.ones(channels)
+        weights = rng.normal(size=values.shape)
+        report = grad_check(lambda: (ops.batch_norm(
+            x.tensor, gain.tensor, bias.tensor, running_mean, running_var,
+            training=True) * weights).sum(), [x, gain, bias], tol=1e-4)
+    assert report.passed, str(report)
+
+
+@PROPERTY_SETTINGS
+@given(lead=hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=2),
+       frames=st.integers(1, 20), width=st.integers(1, 3), dilation=st.integers(1, 4),
+       stride=st.integers(1, 4), padding=st.sampled_from(["valid", "same"]),
+       c_in=st.integers(1, 3), c_out=st.integers(1, 3), seed=st.integers(0, 2**31 - 1))
+def test_dilated_conv1d_gradient_over_drawn_shapes(lead, frames, width, dilation, stride,
+                                                   padding, c_in, c_out, seed):
+    assume(padding == "same" or frames > dilation * (width - 1))
+    rng = np.random.default_rng(seed)
+    with precision("float64"):
+        x = Parameter("x", rng.normal(size=lead + (frames, c_in)))
+        kernel = Parameter("kernel", rng.normal(size=(width, c_in, c_out)))
+        bias = Parameter("bias", rng.normal(size=c_out))
+        out_shape = ops.dilated_conv1d(x.tensor, kernel.tensor, dilation=dilation,
+                                       bias=bias.tensor, padding=padding,
+                                       stride=stride).shape
+        weights = rng.normal(size=out_shape)
+        report = grad_check(lambda: (ops.dilated_conv1d(
+            x.tensor, kernel.tensor, dilation=dilation, bias=bias.tensor,
+            padding=padding, stride=stride) * weights).sum(), [x, kernel, bias], tol=1e-4)
+    assert report.passed, str(report)
