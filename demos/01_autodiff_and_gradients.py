@@ -43,7 +43,7 @@ print("attention: queries (2,3,4) x memory (2,7,4) ->",
 # 1e-4 tolerance is tighter than float32 noise.
 with precision("float64"):
     p = Parameter("p", np.array(3.0))
-    report = grad_check(lambda: (p.tensor * p.tensor).sum(), [p])
+    report = grad_check(lambda: (p * p).sum(), [p])
 print(f"\nd(x^2)/dx at 3: analytic {p.grad}, report -> {report}")
 
 print("\nchecking every operation against central differences...")

@@ -7,6 +7,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -148,18 +149,31 @@ _KEY_ALIASES = {("train", "lambda"): "loss_weight", ("data", "k"): "num_actions"
 _FILE_KEYS = {(s, attr): key for (s, key), attr in _KEY_ALIASES.items()}
 
 
-def _coerce(raw: str, target_type: type):
-    if target_type is bool:
-        lowered = raw.strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"expected a boolean, got {raw!r}")
-    try:
-        return target_type(raw)
-    except ValueError:
-        raise ConfigError(f"expected {target_type.__name__}, got {raw!r}") from None
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+
+
+def _coerce(value, target: type, where: str):
+    """`value` as a field of type `target`, or a `ConfigError` naming
+    `where`. A bool takes a bool or a bool word, an int an int that is not a
+    bool, a float a finite number, a str a str; a string is first parsed as
+    the field's type."""
+    if isinstance(value, str) and target is not str:
+        text = value.strip()
+        try:
+            value = _BOOL_WORDS[text.lower()] if target is bool else target(text)
+        except (KeyError, ValueError):
+            raise ConfigError(f"{where}: expected {target.__name__}, got {value!r}") from None
+    if not isinstance(value, bool):
+        if target is int and isinstance(value, numbers.Integral):
+            value = int(value)
+        elif target is float and isinstance(value, numbers.Real):
+            value = float(value)
+            if not math.isfinite(value):
+                raise ConfigError(f"{where}: expected a finite number, got {value}")
+    if type(value) is not target:
+        raise ConfigError(f"{where}: expected {target.__name__}, got {value!r}")
+    return value
 
 
 def load_config(path: str | Path | None = None) -> Config:
@@ -174,7 +188,7 @@ def load_config(path: str | Path | None = None) -> Config:
 
 def parse_config_text(text: str) -> Config:
     """Defaults overlaid with `key = value` lines from `text`."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)    # "%" is a plain character
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -189,8 +203,8 @@ def parse_config_text(text: str) -> Config:
 
 
 def apply_overrides(cfg: Config, overrides: dict[str, object]) -> Config:
-    """Apply CLI-style dotted overrides, e.g. {"train.lambda": 0.2}; a string
-    value is parsed as the field's type."""
+    """Apply CLI-style dotted overrides, e.g. {"train.lambda": 0.2}; each
+    value is coerced to its field's type (see `_coerce`), and None skips."""
     for dotted, value in overrides.items():
         if value is None:
             continue
@@ -199,12 +213,10 @@ def apply_overrides(cfg: Config, overrides: dict[str, object]) -> Config:
             raise ConfigError(f"unknown config section [{section_name}]")
         section = getattr(cfg, section_name)
         attr = _KEY_ALIASES.get((section_name, key), key)
-        if attr not in {f.name for f in fields(section)}:
+        types = {f.name: type(f.default) for f in fields(section)}
+        if attr not in types:
             raise ConfigError(f"unknown key {key!r} in section [{section_name}]")
-        current = getattr(section, attr)
-        if isinstance(value, str) and not isinstance(current, str):
-            value = _coerce(value, type(current))
-        setattr(section, attr, value)
+        setattr(section, attr, _coerce(value, types[attr], f"[{section_name}] {key}"))
     return cfg.validate()
 
 

@@ -89,12 +89,10 @@ class TcnBlock:
         valid input, so the dilated conv is an undilated stride-3 one and the
         output holds every (3 * dilation)-th frame of the valid output."""
         dilation, stride = (1, KERNEL_WIDTH) if compact else (self.dilation, 1)
-        h = ops.dilated_conv1d(x, self.conv.tensor, dilation=dilation,
-                               bias=self.conv_bias.tensor, padding=padding,
-                               stride=stride)
+        h = ops.dilated_conv1d(x, self.conv, dilation=dilation,
+                               bias=self.conv_bias, padding=padding, stride=stride)
         h = self.bn1(h, training=training).relu()
-        h = ops.dilated_conv1d(h, self.pointwise.tensor, dilation=1,
-                               bias=self.pointwise_bias.tensor)
+        h = ops.dilated_conv1d(h, self.pointwise, dilation=1, bias=self.pointwise_bias)
         h = self.bn2(h, training=training).relu()
         if padding == "valid":
             crop = dilation * (KERNEL_WIDTH - 1) // 2

@@ -51,7 +51,7 @@ def grad_check(build_loss: Callable[[], Tensor], params: list[Parameter],
     if not np.isfinite(loss.data).all():
         raise TrainingError(f"gradient check aborted: loss is not finite ({loss.data})")
     for p in params:
-        p.zero_grad()
+        p.grad = None
     loss.backward()
     analytic = {}
     for p in params:
@@ -105,54 +105,54 @@ def run_op_suite(eps: float = 1e-5, tol: float = 1e-4) -> dict[str, GradCheckRep
         bat = Parameter("bat", rng.normal(size=(2, 4, 5)))
         w_mm = rng.normal(size=(4, 3))
         w_bat = rng.normal(size=(2, 4, 3))
-        check("matmul", lambda: ((a.tensor @ b.tensor) * w_mm).sum(), [a, b])
-        check("matmul_batched", lambda: ((bat.tensor @ b.tensor) * w_bat).sum(), [bat, b])
+        check("matmul", lambda: ((a @ b) * w_mm).sum(), [a, b])
+        check("matmul_batched", lambda: ((bat @ b) * w_bat).sum(), [bat, b])
 
         x = Parameter("x", rng.normal(size=(3, 4)))
         y = Parameter("y", rng.normal(size=(4,)))           # broadcasts over rows
         w34 = rng.normal(size=(3, 4))
-        check("add", lambda: ((x.tensor + y.tensor) * w34).sum(), [x, y])
-        check("mul", lambda: ((x.tensor * y.tensor) * w34).sum(), [x, y])
-        check("sub", lambda: ((x.tensor - y.tensor) * w34).sum(), [x, y])
-        check("div", lambda: ((x.tensor / (y.tensor * y.tensor + 1.5)) * w34).sum(), [x, y])
-        check("neg", lambda: ((-x.tensor) * w34).sum(), [x])
-        check("pow", lambda: (((x.tensor * x.tensor + 0.5) ** 1.5) * w34).sum(), [x])
-        check("exp", lambda: (x.tensor.exp() * w34).sum(), [x])
-        check("log", lambda: ((x.tensor * x.tensor + 0.5).log() * w34).sum(), [x])
-        check("sqrt", lambda: ((x.tensor * x.tensor + 0.5).sqrt() * w34).sum(), [x])
-        check("relu", lambda: ((x.tensor + 0.05).relu() * w34).sum(), [x])
-        check("reshape", lambda: ((x.tensor.reshape(4, 3)) * w34.reshape(4, 3)).sum(), [x])
-        check("transpose", lambda: ((x.tensor.transpose(1, 0)) * w34.T).sum(), [x])
-        check("slice", lambda: (x.tensor[1:, ::2] * w34[1:, ::2]).sum(), [x])
+        check("add", lambda: ((x + y) * w34).sum(), [x, y])
+        check("mul", lambda: ((x * y) * w34).sum(), [x, y])
+        check("sub", lambda: ((x - y) * w34).sum(), [x, y])
+        check("div", lambda: ((x / (y * y + 1.5)) * w34).sum(), [x, y])
+        check("neg", lambda: ((-x) * w34).sum(), [x])
+        check("pow", lambda: (((x * x + 0.5) ** 1.5) * w34).sum(), [x])
+        check("exp", lambda: (x.exp() * w34).sum(), [x])
+        check("log", lambda: ((x * x + 0.5).log() * w34).sum(), [x])
+        check("sqrt", lambda: ((x * x + 0.5).sqrt() * w34).sum(), [x])
+        check("relu", lambda: ((x + 0.05).relu() * w34).sum(), [x])
+        check("reshape", lambda: ((x.reshape(4, 3)) * w34.reshape(4, 3)).sum(), [x])
+        check("transpose", lambda: ((x.transpose(1, 0)) * w34.T).sum(), [x])
+        check("slice", lambda: (x[1:, ::2] * w34[1:, ::2]).sum(), [x])
         idx = np.array([0, 2, 0])
-        check("gather", lambda: (x.tensor[idx] * w34).sum(), [x])
-        check("concat", lambda: (concat([x.tensor, x.tensor * 2.0], axis=1)
+        check("gather", lambda: (x[idx] * w34).sum(), [x])
+        check("concat", lambda: (concat([x, x * 2.0], axis=1)
                                  * np.concatenate([w34, w34], axis=1)).sum(), [x])
-        check("broadcast_to", lambda: (y.tensor.reshape(1, 4).broadcast_to((3, 4))
+        check("broadcast_to", lambda: (y.reshape(1, 4).broadcast_to((3, 4))
                                        * w34).sum(), [y])
-        check("sum", lambda: (x.tensor.sum(axis=0) * w34[0]).sum(), [x])
-        check("mean", lambda: (x.tensor.mean(axis=1, keepdims=True)
+        check("sum", lambda: (x.sum(axis=0) * w34[0]).sum(), [x])
+        check("mean", lambda: (x.mean(axis=1, keepdims=True)
                                * w34[:, :1]).sum(), [x])
-        check("softmax", lambda: (ops.softmax(x.tensor, axis=-1) * w34).sum(), [x])
-        check("l2_norm", lambda: (ops.l2_norm(x.tensor, axis=-1) * w34[:, 0]).sum(), [x])
+        check("softmax", lambda: (ops.softmax(x, axis=-1) * w34).sum(), [x])
+        check("l2_norm", lambda: (ops.l2_norm(x, axis=-1) * w34[:, 0]).sum(), [x])
         check("cosine_similarity",
-              lambda: (ops.cosine_similarity(x.tensor, Tensor(w34), axis=-1)
+              lambda: (ops.cosine_similarity(x, Tensor(w34), axis=-1)
                        * w34[:, 1]).sum(), [x])
 
         gain = Parameter("gain", 1.0 + 0.1 * rng.normal(size=4))
         bias = Parameter("bias", 0.1 * rng.normal(size=4))
-        check("layer_norm", lambda: (ops.layer_norm(x.tensor, gain.tensor, bias.tensor)
+        check("layer_norm", lambda: (ops.layer_norm(x, gain, bias)
                                      * w34).sum(), [x, gain, bias])
         rm, rv = np.zeros(4), np.ones(4)
         check("batch_norm", lambda: (ops.batch_norm(
-            x.tensor, gain.tensor, bias.tensor, rm, rv, training=True)
+            x, gain, bias, rm, rv, training=True)
             * w34).sum(), [x, gain, bias])
 
         q = Parameter("q", rng.normal(size=(2, 3, 4)))
         kv = Parameter("kv", rng.normal(size=(2, 5, 4)))
         w_attn = rng.normal(size=(2, 3, 4))
         check("scaled_dot_attention",
-              lambda: (ops.scaled_dot_attention(q.tensor, kv.tensor, kv.tensor)
+              lambda: (ops.scaled_dot_attention(q, kv, kv)
                        * w_attn).sum(), [q, kv])
 
         seq = Parameter("seq", rng.normal(size=(2, 9, 3)))
@@ -160,16 +160,16 @@ def run_op_suite(eps: float = 1e-5, tol: float = 1e-4) -> dict[str, GradCheckRep
         cbias = Parameter("cbias", rng.normal(size=4))
         w_same = rng.normal(size=(2, 9, 4))
         check("conv_valid", lambda: (ops.dilated_conv1d(
-            seq.tensor, kern.tensor, dilation=1, bias=cbias.tensor)
+            seq, kern, dilation=1, bias=cbias)
             * w_same[:, :7]).sum(), [seq, kern, cbias])
         check("conv_dilated", lambda: (ops.dilated_conv1d(
-            seq.tensor, kern.tensor, dilation=3, bias=cbias.tensor)
+            seq, kern, dilation=3, bias=cbias)
             * w_same[:, :3]).sum(), [seq, kern, cbias])
         check("conv_strided", lambda: (ops.dilated_conv1d(
-            seq.tensor, kern.tensor, dilation=1, bias=cbias.tensor, stride=3)
+            seq, kern, dilation=1, bias=cbias, stride=3)
             * w_same[:, :3]).sum(), [seq, kern, cbias])
         check("conv_same", lambda: (ops.dilated_conv1d(
-            seq.tensor, kern.tensor, dilation=1, bias=cbias.tensor, padding="same")
+            seq, kern, dilation=1, bias=cbias, padding="same")
             * w_same).sum(), [seq, kern, cbias])
     return reports
 
@@ -212,5 +212,5 @@ def run_model_check(eps: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
             la = action_loss(result.class_probs, labels)
             return total_loss(lp, la, cfg.train.loss_weight)
 
-        trainable = [p for p in model.params.values() if p.trainable]
+        trainable = [p for p in model.params.values() if p.requires_grad]
         return grad_check(build_loss, trainable, eps=eps, tol=tol)

@@ -1,7 +1,9 @@
 """Parameterized building blocks: linear maps, norms, attention, feed-forward.
 
-Each layer owns named Parameters (full dotted paths) and exposes
-`parameters()` so the model can assemble a flat, unique registry.
+Each layer owns named Parameters (full dotted paths), which its ops take as
+tensors, and exposes `parameters()` so the model can assemble a flat,
+unique registry. Weights are built trainable; a module that freezes some
+(the text encoder) clears their `requires_grad` after building them.
 """
 
 from __future__ import annotations
@@ -23,28 +25,25 @@ def linear_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarr
 
 
 class Linear:
-    def __init__(self, name: str, fan_in: int, fan_out: int,
-                 rng: np.random.Generator, trainable: bool = True):
-        self.weight = Parameter(f"{name}.weight", linear_init(rng, fan_in, fan_out),
-                                trainable=trainable)
+    def __init__(self, name: str, fan_in: int, fan_out: int, rng: np.random.Generator):
+        self.weight = Parameter(f"{name}.weight", linear_init(rng, fan_in, fan_out))
         bound = 1.0 / np.sqrt(fan_in)
-        self.bias = Parameter(f"{name}.bias", rng.uniform(-bound, bound, size=fan_out),
-                              trainable=trainable)
+        self.bias = Parameter(f"{name}.bias", rng.uniform(-bound, bound, size=fan_out))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return x @ self.weight.tensor + self.bias.tensor
+        return x @ self.weight + self.bias
 
     def parameters(self) -> list[Parameter]:
         return [self.weight, self.bias]
 
 
 class LayerNorm:
-    def __init__(self, name: str, dim: int, trainable: bool = True):
-        self.gain = Parameter(f"{name}.gain", np.ones(dim), trainable=trainable)
-        self.bias = Parameter(f"{name}.bias", np.zeros(dim), trainable=trainable)
+    def __init__(self, name: str, dim: int):
+        self.gain = Parameter(f"{name}.gain", np.ones(dim))
+        self.bias = Parameter(f"{name}.bias", np.zeros(dim))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ops.layer_norm(x, self.gain.tensor, self.bias.tensor)
+        return ops.layer_norm(x, self.gain, self.bias)
 
     def parameters(self) -> list[Parameter]:
         return [self.gain, self.bias]
@@ -57,11 +56,13 @@ class BatchNorm:
     def __init__(self, name: str, dim: int):
         self.gain = Parameter(f"{name}.gain", np.ones(dim))
         self.bias = Parameter(f"{name}.bias", np.zeros(dim))
-        self.running_mean = Parameter(f"{name}.running_mean", np.zeros(dim), trainable=False)
-        self.running_var = Parameter(f"{name}.running_var", np.ones(dim), trainable=False)
+        self.running_mean = Parameter(f"{name}.running_mean", np.zeros(dim),
+                                      requires_grad=False)
+        self.running_var = Parameter(f"{name}.running_var", np.ones(dim),
+                                     requires_grad=False)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
-        return ops.batch_norm(x, self.gain.tensor, self.bias.tensor,
+        return ops.batch_norm(x, self.gain, self.bias,
                               self.running_mean.data, self.running_var.data,
                               training=training)
 
@@ -72,12 +73,11 @@ class BatchNorm:
 class CrossAttention:
     """Single-head attention with query/key/value/output projections."""
 
-    def __init__(self, name: str, dim: int, rng: np.random.Generator,
-                 trainable: bool = True):
-        self.q = Linear(f"{name}.q", dim, dim, rng, trainable=trainable)
-        self.k = Linear(f"{name}.k", dim, dim, rng, trainable=trainable)
-        self.v = Linear(f"{name}.v", dim, dim, rng, trainable=trainable)
-        self.out = Linear(f"{name}.out", dim, dim, rng, trainable=trainable)
+    def __init__(self, name: str, dim: int, rng: np.random.Generator):
+        self.q = Linear(f"{name}.q", dim, dim, rng)
+        self.k = Linear(f"{name}.k", dim, dim, rng)
+        self.v = Linear(f"{name}.v", dim, dim, rng)
+        self.out = Linear(f"{name}.out", dim, dim, rng)
 
     def __call__(self, queries: Tensor, keys_values: Tensor) -> Tensor:
         attended = ops.scaled_dot_attention(self.q(queries),
@@ -91,12 +91,11 @@ class CrossAttention:
 
 
 class FeedForward:
-    """Two-layer MLP with ReLU, hidden width `ratio * dim`."""
+    """Two-layer MLP with ReLU, hidden width `4 * dim`."""
 
-    def __init__(self, name: str, dim: int, rng: np.random.Generator,
-                 ratio: int = 4, trainable: bool = True):
-        self.fc1 = Linear(f"{name}.fc1", dim, ratio * dim, rng, trainable=trainable)
-        self.fc2 = Linear(f"{name}.fc2", ratio * dim, dim, rng, trainable=trainable)
+    def __init__(self, name: str, dim: int, rng: np.random.Generator):
+        self.fc1 = Linear(f"{name}.fc1", dim, 4 * dim, rng)
+        self.fc2 = Linear(f"{name}.fc2", 4 * dim, dim, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(self.fc1(x).relu())

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import ops
 from .errors import ConfigError, DimensionError
 from .tensor import Tensor
 
@@ -16,9 +17,7 @@ def pose_loss(pred: Tensor, gt: Tensor) -> Tensor:
     """
     if pred.shape != gt.shape:
         raise DimensionError(f"pose loss shapes disagree: {pred.shape} vs {gt.shape}")
-    diff = pred - gt
-    per_joint = (diff * diff).sum(axis=-1).sqrt()   # (..., J)
-    return per_joint.mean()
+    return ops.l2_norm(pred - gt, axis=-1).mean()     # per joint (..., J), then mean
 
 
 def action_loss(y: Tensor, labels) -> Tensor:

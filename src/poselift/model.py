@@ -98,19 +98,11 @@ class PoseLifter:
         self.params = collect_parameters(self._all_parameters())
 
     def _all_parameters(self) -> list[Parameter]:
-        params = self.encoder.parameters() + self.head.parameters()
-        if self.projector is not None:
-            params += self.projector.parameters()
-        if self.use_atp:
-            params += (self.text_bank.parameters() + self.text_encoder.parameters()
-                       + self.p2t.parameters())
-        if self.label_head is not None:
-            params += self.label_head.parameters()
-        if self.prompt_bank is not None:
-            params += self.prompt_bank.parameters()
-        if self.refiner is not None:
-            params += self.refiner.parameters()
-        return params
+        # This order is the order of a checkpoint's parameter records.
+        components = (self.encoder, self.head, self.projector, self.text_bank,
+                      self.text_encoder, self.p2t, self.label_head, self.prompt_bank,
+                      self.refiner)
+        return [p for c in components if c is not None for p in c.parameters()]
 
     # -- text embeddings ------------------------------------------------------
 

@@ -7,51 +7,51 @@ import numpy as np
 from .errors import TrainingError
 from .tensor import Parameter
 
+BETA1 = 0.9       # decay of the first-moment (mean) estimate
+BETA2 = 0.999     # decay of the second-moment (uncentred variance) estimate
+EPS = 1e-8
+
 
 class Adam:
     """Adam with bias correction; moment buffers exist only for trainable params.
 
-    Frozen parameters (trainable=False) are never touched by `step`.
+    Frozen parameters (`requires_grad` False) are never touched by `step`.
     """
 
     def __init__(self, params: dict[str, Parameter], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                  lr_decay: float = 0.98):
         self.params = params
         self.lr = float(lr)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.lr_decay = float(lr_decay)
         self.step_count = 0
         self.m = {name: np.zeros_like(p.data)
-                  for name, p in params.items() if p.trainable}
+                  for name, p in params.items() if p.requires_grad}
         self.v = {name: np.zeros_like(p.data)
-                  for name, p in params.items() if p.trainable}
+                  for name, p in params.items() if p.requires_grad}
 
     def zero_grad(self) -> None:
         for p in self.params.values():
-            p.zero_grad()
+            p.grad = None
 
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
         for name, p in self.params.items():
-            if not p.trainable:
+            if not p.requires_grad:
                 continue
             if p.grad is None:
                 raise TrainingError(f"missing gradient for trainable parameter {name!r}")
             g = p.grad
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data = p.data - self.lr * update
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
+            p.data -= self.lr * update     # in place: a 0-d value stays an array
 
     def decay_lr(self) -> None:
         """Apply one epoch of exponential learning-rate decay."""

@@ -40,7 +40,7 @@ def select_prompts(bank: PosePromptBank, labels) -> Tensor:
     if labels.min() < 0 or labels.max() >= bank.num_actions:
         raise ConfigError(
             f"action label out of range [0, {bank.num_actions}): {labels}")
-    return bank.prompts.tensor[labels]
+    return bank.prompts[labels]
 
 
 class DecoderBlock:
@@ -85,7 +85,7 @@ class PosePromptRefiner:
         h = zd
         for block in self.blocks:
             h = block(h, selected)
-        return zd + self.gamma.tensor * h
+        return zd + self.gamma * h
 
     def parameters(self) -> list[Parameter]:
         params = []

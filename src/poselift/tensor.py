@@ -12,6 +12,10 @@ something refers to its output; dropping the loss frees the whole graph at
 once, without waiting for the cycle collector. Inside `no_grad()` an op
 keeps neither parents nor closure, so an inference pass builds no graph
 and frees each intermediate array as soon as the next op has consumed it.
+
+A Parameter is a Tensor with a name: the model's weights are graph leaves
+that ops take directly. `requires_grad` tells trainable from frozen ones,
+and their values are written in place through `.data`.
 """
 
 from __future__ import annotations
@@ -242,7 +246,12 @@ class Tensor:
 
     def sqrt(self) -> "Tensor":
         data = np.sqrt(self.data)
-        return Tensor._from_op(data, (self,), lambda g: self._accumulate(g * 0.5 / data))
+
+        def backward(g):
+            # A zero root passes 0: the subgradient of a norm at the zero vector.
+            self._accumulate(g * 0.5 / np.where(data == 0, np.inf, data))
+
+        return Tensor._from_op(data, (self,), backward)
 
     def relu(self) -> "Tensor":
         return Tensor._from_op(np.maximum(self.data, 0), (self,),
@@ -367,36 +376,15 @@ def zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape, dtype=default_dtype()))
 
 
-class Parameter:
-    """Named learnable (or frozen) tensor; names are unique paths like "atp.context"."""
+class Parameter(Tensor):
+    """A named leaf tensor; names are unique paths like "atp.context". A
+    frozen one (`requires_grad=False`) gets no gradient and no update."""
 
-    def __init__(self, name: str, value, trainable: bool = True):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str, value, requires_grad: bool = True):
+        super().__init__(value, requires_grad=requires_grad)
         self.name = name
-        self.tensor = Tensor(np.asarray(value, dtype=default_dtype()),
-                             requires_grad=trainable)
-        self.trainable = trainable
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.tensor.data
-
-    @data.setter
-    def data(self, value: np.ndarray) -> None:
-        self.tensor.data = np.asarray(value, dtype=self.tensor.data.dtype)
-
-    @property
-    def grad(self) -> np.ndarray | None:
-        return self.tensor.grad
-
-    @property
-    def shape(self) -> tuple:
-        return self.tensor.shape
-
-    def zero_grad(self) -> None:
-        self.tensor.grad = None
-
-    def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, shape={self.shape}, trainable={self.trainable})"
 
 
 def collect_parameters(groups: Iterable[Parameter]) -> dict[str, Parameter]:

@@ -42,8 +42,8 @@ def assemble_prompts(bank: TextPromptBank) -> Tensor:
     """
     k = bank.num_actions
     n, c = bank.context.shape
-    ctx = bank.context.tensor.reshape(1, n, c).broadcast_to((k, n, c))
-    cls = bank.class_tokens.tensor.reshape(k, 1, c)
+    ctx = bank.context.reshape(1, n, c).broadcast_to((k, n, c))
+    cls = bank.class_tokens.reshape(k, 1, c)
     return concat([ctx, cls], axis=1)
 
 
@@ -57,33 +57,34 @@ class FrozenTextEncoder:
     def __init__(self, sequence_length: int, channels: int, rng: np.random.Generator,
                  layers: int = 2, name: str = "atp.text_encoder"):
         self.pos = Parameter(f"{name}.pos",
-                             rng.normal(scale=0.02, size=(sequence_length, channels)),
-                             trainable=False)
+                             rng.normal(scale=0.02, size=(sequence_length, channels)))
         self.layers = []
         for i in range(layers):
             self.layers.append({
-                "ln1": LayerNorm(f"{name}.layer{i}.ln1", channels, trainable=False),
-                "attn": CrossAttention(f"{name}.layer{i}.attn", channels, rng, trainable=False),
-                "ln2": LayerNorm(f"{name}.layer{i}.ln2", channels, trainable=False),
-                "ffn": FeedForward(f"{name}.layer{i}.ffn", channels, rng, trainable=False),
+                "ln1": LayerNorm(f"{name}.layer{i}.ln1", channels),
+                "attn": CrossAttention(f"{name}.layer{i}.attn", channels, rng),
+                "ln2": LayerNorm(f"{name}.layer{i}.ln2", channels),
+                "ffn": FeedForward(f"{name}.layer{i}.ffn", channels, rng),
             })
-        self.ln_final = LayerNorm(f"{name}.ln_final", channels, trainable=False)
-        # The one trainable piece: the final text projection.
+        self.ln_final = LayerNorm(f"{name}.ln_final", channels)
         self.proj = Parameter(f"{name}.proj",
                               np.eye(channels) + rng.normal(scale=0.02, size=(channels, channels)))
+        # The one trainable piece is the final text projection.
+        for p in self.parameters():
+            p.requires_grad = p is self.proj
         self.forward_calls = 0
 
     def forward(self, prompts: Tensor) -> Tensor:
         """(K, S, C) prompt sequences -> (K, C) embeddings at the last position."""
         self.forward_calls += 1
-        x = prompts + self.pos.tensor
+        x = prompts + self.pos
         for layer in self.layers:
             normed = layer["ln1"](x)
             x = x + layer["attn"](normed, normed)
             x = x + layer["ffn"](layer["ln2"](x))
         x = self.ln_final(x)
         last = x[:, -1, :]                      # class-token position
-        return last @ self.proj.tensor
+        return last @ self.proj
 
     def parameters(self) -> list[Parameter]:
         params = [self.pos]
@@ -165,7 +166,7 @@ class PoseToText:
         z_bar = concat([z0, first_order_motion(z0)], axis=1)   # (B, 2F-1, C)
         queries = t.reshape(1, k, c).broadcast_to((batch, k, c))
         enhanced = self.attn(queries, z_bar)
-        return queries + self.beta.tensor * enhanced
+        return queries + self.beta * enhanced
 
     def parameters(self) -> list[Parameter]:
         return self.attn.parameters() + [self.beta]

@@ -242,7 +242,7 @@ def restore_model(chk: Checkpoint) -> tuple[PoseLifter, Adam]:
             raise FormatError(
                 f"parameter {name!r}: checkpoint shape {values.shape} does not "
                 f"match model shape {param.shape}")
-        param.data = values.copy()    # loaded values are read-only file views
+        param.data[...] = values      # copied out of the read-only file views
     extra = set(chk.params) - set(model.params)
     if extra:
         raise FormatError(f"checkpoint has unknown parameters: {sorted(extra)[:3]}")

@@ -185,7 +185,7 @@ def test_criterion_7_invariance_suite(default_dataset, tmp_path):
 
     bank = PosePromptBank(4, 3, 8, seeded_rng(0, 6))
     refiner = PosePromptRefiner(8, seeded_rng(0, 6))
-    refiner.gamma.data = np.full(8, 0.4)
+    refiner.gamma.data[...] = np.full(8, 0.4)
     out = refiner(Tensor(rng.normal(size=(1, 1, 8))),
                   select_prompts(bank, np.array([1])))
     out.sum().backward()
@@ -200,7 +200,7 @@ def test_criterion_7_invariance_suite(default_dataset, tmp_path):
     small = T.dataset_from_config(cfg)
     model_init = PoseLifter(cfg)
     frozen = {n: p.data.copy() for n, p in model_init.params.items()
-              if n.startswith("atp.text_encoder") and not p.trainable}
+              if n.startswith("atp.text_encoder") and not p.requires_grad}
     run_a = T.train_model(cfg, small)
     for name, values in frozen.items():
         if not np.array_equal(run_a.model.params[name].data, values):

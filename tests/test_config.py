@@ -1,10 +1,15 @@
 """Config file parsing, overrides, and validation."""
 
+import math
 from dataclasses import fields
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from poselift.config import (Config, apply_overrides, dump_config, load_config,
+from poselift.cli import _build_config, build_parser
+from poselift.config import (_RANGES, Config, apply_overrides, dump_config, load_config,
                              parse_config_text)
 from poselift.errors import ConfigError
 
@@ -142,3 +147,114 @@ def test_edge_of_range_numbers_are_accepted():
     for section, keys in AT_THE_EDGE.items():
         for key, value in keys.items():
             parse_config_text(f"[{section}]\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize("dotted,value", [
+    ("train.epochs", 2.5), ("train.epochs", "2.5"), ("train.epochs", True),
+    ("atp.enabled", 0), ("atp.enabled", 1), ("atp.enabled", "maybe"),
+    ("train.lambda", float("nan")), ("train.lambda", float("inf")),
+    ("train.lambda", False), ("train.lambda", "0.1x"), ("train.lr", [0.1]),
+    ("data.hard_actions", 5), ("train.label_aux", True),
+])
+def test_override_of_the_wrong_type_is_rejected(dotted, value):
+    section, _, key = dotted.partition(".")
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: expected"):
+        apply_overrides(Config(), {dotted: value})
+
+
+@pytest.mark.parametrize("dotted,value,expected", [
+    ("train.epochs", 3, 3), ("train.epochs", " 3 ", 3), ("train.epochs", np.int64(3), 3),
+    ("atp.enabled", False, False), ("atp.enabled", " Off ", False),
+    ("atp.enabled", "yes", True), ("train.lambda", 1, 1.0), ("train.lambda", "0.25", 0.25),
+    ("train.lr", np.float32(0.5), 0.5), ("data.hard_actions", "a,b", "a,b"),
+])
+def test_override_is_coerced_to_the_field_type(dotted, value, expected):
+    section, _, key = dotted.partition(".")
+    attr = {"lambda": "loss_weight"}.get(key, key)
+    got = getattr(getattr(apply_overrides(Config(), {dotted: value}), section), attr)
+    assert got == expected and type(got) is type(expected)
+
+
+def test_a_percent_sign_is_a_plain_character():
+    cfg = parse_config_text("[data]\nhard_actions = walk%,run\n")
+    assert cfg.data.hard_actions == "walk%,run"
+    assert parse_config_text(dump_config(cfg)) == cfg
+
+
+def test_cli_overrides_keep_their_types():
+    args = build_parser().parse_args(
+        ["train", "--seed", "3", "--frames", "81", "--lambda", "0.2", "--tap-layer", "2",
+         "--disable-atp", "--disable-app", "--gt-labels-at-eval"])
+    cfg = _build_config(args)
+    assert (cfg.train.seed, cfg.data.frames, cfg.train.loss_weight, cfg.atp.tap_layer,
+            cfg.atp.enabled, cfg.app.enabled, cfg.train.gt_labels_at_eval) == (
+        3, 81, 0.2, 2, False, False, True)
+    assert parse_config_text(dump_config(cfg)) == cfg
+    manifest = SimpleNamespace(frames=9, num_actions=3, joints=5)
+    cfg = _build_config(build_parser().parse_args(["train"]),
+                        dataset=SimpleNamespace(manifest=manifest))
+    assert (cfg.data.frames, cfg.data.num_actions, cfg.data.joints) == (9, 3, 5)
+
+
+# Names for `hard_actions`, "%" included. Whitespace is left out: configparser
+# strips a value's ends and folds indented lines into it, so those do not round trip.
+_NAMES = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_%", min_size=1, max_size=6)
+_CHOICES = {("data", "hard_actions"): st.lists(_NAMES, max_size=3).map(",".join),
+            ("train", "label_aux"): st.sampled_from(["auto", "on", "off"]),
+            ("data", "frames"): st.sampled_from([9, 27, 81, 243]),
+            ("atp", "tap_layer"): st.integers(1, 5)}
+
+
+def _field_values(section: str, f):
+    """Values of one field; numbers anywhere in their range (tap layers
+    beyond the sequence length are left to `assume`)."""
+    if (section, f.name) in _CHOICES:
+        return _CHOICES[section, f.name]
+    if type(f.default) is bool:
+        return st.booleans()
+    interval = _RANGES[section, f.name]
+    high = None if math.isinf(interval.high) else interval.high
+    if type(f.default) is int:
+        low = int(interval.low) + interval.low_open
+        return st.integers(low, None if high is None else int(high) - interval.high_open)
+    return st.floats(interval.low, high, exclude_min=interval.low_open,
+                     exclude_max=interval.high_open and high is not None,
+                     allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def valid_configs(draw):
+    cfg = Config()
+    for section_field in fields(cfg):
+        section = getattr(cfg, section_field.name)
+        for f in fields(section):
+            setattr(section, f.name, draw(_field_values(section_field.name, f)))
+    try:
+        return cfg.validate()
+    except ConfigError:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=valid_configs())
+def test_dumped_config_parses_back_equal(cfg):
+    assert parse_config_text(dump_config(cfg)) == cfg
+
+
+# Every field, the two aliases and two unknown keys.
+_KEYS = ([f"{name}.{f.name}" for name, section in vars(Config()).items()
+          for f in fields(section)]
+         + ["train.lambda", "data.k", "train.nope", "model.channels"])
+_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 300), st.floats(-2.0, 300.0),
+                    st.sampled_from([math.nan, math.inf, "true", "off", "27", "2.5", "nan",
+                                     "auto", "walk,run", ""]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(overrides=st.dictionaries(st.sampled_from(_KEYS), _VALUES, max_size=6))
+def test_any_override_map_gives_a_config_that_round_trips_or_a_config_error(overrides):
+    try:
+        cfg = apply_overrides(Config(), overrides)
+    except ConfigError:
+        return
+    assert parse_config_text(dump_config(cfg)) == cfg

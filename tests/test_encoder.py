@@ -45,9 +45,9 @@ def full_extent_eval(enc: TcnEncoder, x: Tensor) -> EncoderOutput:
 def randomize_running_stats(params, rng: np.random.Generator) -> None:
     for p in params:
         if p.name.endswith(".running_mean"):
-            p.data = rng.normal(scale=0.5, size=p.shape)
+            p.data[...] = rng.normal(scale=0.5, size=p.shape)
         elif p.name.endswith(".running_var"):
-            p.data = rng.uniform(0.25, 4.0, size=p.shape)
+            p.data[...] = rng.uniform(0.25, 4.0, size=p.shape)
 
 
 def record_block_calls(monkeypatch) -> list[tuple]:
@@ -125,7 +125,7 @@ def test_gradcheck_through_encoder_and_head():
             out = enc.forward(Tensor(x2d), training=True)
             return pose_loss(head(out.zd), Tensor(target))
 
-        params = [p for p in enc.parameters() + head.parameters() if p.trainable]
+        params = [p for p in enc.parameters() + head.parameters() if p.requires_grad]
         report = grad_check(build_loss, params)
     assert report.passed, str(report)
 

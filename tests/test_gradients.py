@@ -1,6 +1,7 @@
 """Finite-difference verification of analytic gradients (float64 mode)."""
 
 import inspect
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from poselift import ops
 from poselift.errors import TrainingError
 from poselift.gradcheck import grad_check, run_op_suite
+from poselift.losses import pose_loss
 from poselift.tensor import Parameter, Tensor, precision
 
 OP_REPORTS = run_op_suite()
@@ -36,7 +38,7 @@ def test_every_public_op_is_in_the_suite():
 def test_square_at_three():
     with precision("float64"):
         x = Parameter("x", np.array(3.0))
-        report = grad_check(lambda: (x.tensor * x.tensor).sum(), [x])
+        report = grad_check(lambda: (x * x).sum(), [x])
     # analytic 6, central difference 6 + O(eps^2)
     assert report.passed and report.max_rel_err < 1e-8
 
@@ -44,7 +46,7 @@ def test_square_at_three():
 def test_constant_function_zero_gradients():
     with precision("float64"):
         x = Parameter("x", np.ones(4))
-        report = grad_check(lambda: (x.tensor * 0.0).sum() + 7.0, [x])
+        report = grad_check(lambda: (x * 0.0).sum() + 7.0, [x])
     assert report.max_rel_err == 0.0
 
 
@@ -52,7 +54,7 @@ def test_nonfinite_loss_aborts_with_diagnostic():
     with precision("float64"), np.errstate(divide="ignore"):
         x = Parameter("x", np.array([0.0]))
         with pytest.raises(TrainingError, match="not finite"):
-            grad_check(lambda: x.tensor.log().sum(), [x])
+            grad_check(lambda: x.log().sum(), [x])
 
 
 def test_gradient_accumulates_for_repeated_operand():
@@ -91,7 +93,7 @@ def test_batch_norm_training_gradient_over_drawn_shapes(lead, channels, constant
         running_mean, running_var = np.zeros(channels), np.ones(channels)
         weights = rng.normal(size=values.shape)
         report = grad_check(lambda: (ops.batch_norm(
-            x.tensor, gain.tensor, bias.tensor, running_mean, running_var,
+            x, gain, bias, running_mean, running_var,
             training=True) * weights).sum(), [x, gain, bias], tol=1e-4)
     assert report.passed, str(report)
 
@@ -109,11 +111,79 @@ def test_dilated_conv1d_gradient_over_drawn_shapes(lead, frames, width, dilation
         x = Parameter("x", rng.normal(size=lead + (frames, c_in)))
         kernel = Parameter("kernel", rng.normal(size=(width, c_in, c_out)))
         bias = Parameter("bias", rng.normal(size=c_out))
-        out_shape = ops.dilated_conv1d(x.tensor, kernel.tensor, dilation=dilation,
-                                       bias=bias.tensor, padding=padding,
+        out_shape = ops.dilated_conv1d(x, kernel, dilation=dilation,
+                                       bias=bias, padding=padding,
                                        stride=stride).shape
         weights = rng.normal(size=out_shape)
         report = grad_check(lambda: (ops.dilated_conv1d(
-            x.tensor, kernel.tensor, dilation=dilation, bias=bias.tensor,
+            x, kernel, dilation=dilation, bias=bias,
             padding=padding, stride=stride) * weights).sum(), [x, kernel, bias], tol=1e-4)
     assert report.passed, str(report)
+
+
+# -- zero vectors: the norm's subgradient there is 0, and sqrt's backward is
+# -- unchanged everywhere else --------------------------------------------------
+
+def former_sqrt(x: Tensor) -> Tensor:
+    """`Tensor.sqrt` with its former backward, g * 0.5 / sqrt(x): NaN or inf at 0."""
+    data = np.sqrt(x.data)
+    return Tensor._from_op(data, (x,), lambda g: x._accumulate(g * 0.5 / data))
+
+
+def gradients(build, leaves, sqrt=None) -> list[np.ndarray]:
+    """The leaves' gradients of `build()`, with `sqrt` in place of `Tensor.sqrt`."""
+    with mock.patch.object(Tensor, "sqrt", sqrt or Tensor.sqrt), \
+            np.errstate(divide="ignore", invalid="ignore"):
+        for leaf in leaves:
+            leaf.grad = None
+        build().backward()
+    return [leaf.grad for leaf in leaves]
+
+
+def check_zero_rows(build, leaves, live: np.ndarray) -> None:
+    """Finite gradients everywhere; on `live` rows (nonzero norms) equal to
+    the former backward's; on the others the former backward was not finite."""
+    new = gradients(build, leaves)
+    old = gradients(build, leaves, sqrt=former_sqrt)
+    for leaf, g_new, g_old in zip(leaves, new, old):
+        assert np.isfinite(g_new).all(), leaf.name
+        assert np.array_equal(g_new[live], g_old[live]), leaf.name
+    if not live.all():
+        assert not all(np.isfinite(g).all() for g in old)
+
+
+@PROPERTY_SETTINGS
+@given(rows=st.integers(1, 5), channels=st.integers(1, 4),
+       zeroed=st.lists(st.booleans(), min_size=5, max_size=5),
+       both=st.booleans(), seed=st.integers(0, 2**31 - 1))
+@example(rows=1, channels=3, zeroed=[True] * 5, both=False, seed=0)
+def test_cosine_similarity_gradient_with_zero_rows(rows, channels, zeroed, both, seed):
+    rng = np.random.default_rng(seed)
+    dead = np.array(zeroed[:rows])
+    a_values = grid_values(rng, (rows, channels))
+    a_values[dead] = 0.0
+    b_values = np.ones((rows, channels)) if seed == 0 else grid_values(rng, (rows, channels))
+    if both:
+        b_values[dead] = 0.0
+    weights = rng.normal(size=rows)
+    with precision("float64"):
+        a, b = Parameter("a", a_values), Parameter("b", b_values)
+        live = ((a_values * a_values).sum(-1) > 0) & ((b_values * b_values).sum(-1) > 0)
+        check_zero_rows(lambda: (ops.cosine_similarity(a, b) * weights).sum(), [a, b], live)
+
+
+@PROPERTY_SETTINGS
+@given(batch=st.integers(1, 3), joints=st.integers(1, 5),
+       matched=st.lists(st.booleans(), min_size=15, max_size=15),
+       seed=st.integers(0, 2**31 - 1))
+@example(batch=1, joints=2, matched=[True, False] + [False] * 13, seed=0)
+def test_pose_loss_gradient_where_prediction_equals_target(batch, joints, matched, seed):
+    rng = np.random.default_rng(seed)
+    exact = np.array(matched[:batch * joints]).reshape(batch, joints)
+    gt_values = grid_values(rng, (batch, joints, 3))
+    pred_values = grid_values(rng, (batch, joints, 3))
+    pred_values[exact] = gt_values[exact]
+    with precision("float64"):
+        pred, gt = Parameter("pred", pred_values), Parameter("gt", gt_values)
+        diff = pred_values - gt_values
+        check_zero_rows(lambda: pose_loss(pred, gt), [pred, gt], (diff * diff).sum(-1) > 0)

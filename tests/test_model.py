@@ -1,12 +1,15 @@
 """Model assembly: variants, gradient reach, graph lifetime."""
 
 import gc
+import hashlib
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from poselift import train as T
+from poselift.ablate import VARIANTS, variant_config
 from poselift.config import Config
 from poselift.errors import ConfigError
 from poselift.losses import action_loss, pose_loss, total_loss
@@ -38,6 +41,48 @@ def test_parameter_names_unique_and_pathlike():
     assert len(names) == len(set(names))
     assert all("." in n for n in names)
     assert "atp.context" in names and "app.prompts" in names
+
+
+# Per ablation variant at the default size: parameters, trainable ones and
+# their values, frozen ones and their values, the runs of leading name
+# segments in `params` order, and the first 16 hex digits of the SHA-256 of
+# the names joined by newlines. `params` order is a checkpoint's record order.
+PARAMETER_TABLE = {
+    "baseline": (40, 28, 4040, 12, 192, "encoder 38, head 2", "5ac5f4ac17f01c55"),
+    "label_only": (68, 48, 6620, 20, 320, "encoder 38, head 2, proj 26, labelhead 2",
+                   "a0394717d40ae514"),
+    "atp": (113, 58, 8217, 55, 7184, "encoder 38, head 2, proj 26, atp 38, p2t 9",
+            "e55532f56b8dcca6"),
+    "app": (96, 76, 11548, 20, 320, "encoder 38, head 2, proj 26, labelhead 2, app 28",
+            "89e7d9d477fb8e69"),
+    "full": (141, 86, 13145, 55, 7184, "encoder 38, head 2, proj 26, atp 38, p2t 9, app 28",
+             "cf9d8f9a3d6c72a9"),
+}
+
+
+def parameter_table(model: PoseLifter) -> tuple:
+    params = list(model.params.values())
+    trainable = [p for p in params if p.requires_grad]
+    frozen = [p for p in params if not p.requires_grad]
+    runs = itertools.groupby(model.params, key=lambda name: name.split(".")[0])
+    return (len(params), len(trainable), sum(p.size for p in trainable),
+            len(frozen), sum(p.size for p in frozen),
+            ", ".join(f"{segment} {len(list(names))}" for segment, names in runs),
+            hashlib.sha256("\n".join(model.params).encode()).hexdigest()[:16])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_parameter_table_is_pinned(variant):
+    model = PoseLifter(variant_config(Config(), variant))
+    assert parameter_table(model) == PARAMETER_TABLE[variant]
+    frozen = {name for name, p in model.params.items() if not p.requires_grad}
+    assert frozen == {name for name in model.params
+                      if name.startswith("atp.text_encoder.") and name != "atp.text_encoder.proj"
+                      or name.endswith((".running_mean", ".running_var"))}
+
+
+def test_the_default_model_is_the_full_variant():
+    assert parameter_table(PoseLifter(Config())) == PARAMETER_TABLE["full"]
 
 
 def test_gradients_reach_all_prompt_components(small_dataset):

@@ -40,7 +40,7 @@ def test_select_out_of_range():
 def test_gradient_sparsity_exactly_one_slice():
     bank = make_bank()
     refiner = pp.PosePromptRefiner(8, seeded_rng(0, 6))
-    refiner.gamma.data = np.full(8, 0.5)      # off zero-init so gradients flow
+    refiner.gamma.data[...] = np.full(8, 0.5)   # off zero-init so gradients flow
     zd = Tensor(np.random.default_rng(2).normal(size=(1, 1, 8)))
     out = refiner(zd, pp.select_prompts(bank, np.array([2])))
     out.sum().backward()
@@ -59,7 +59,7 @@ def test_refiner_identity_at_zero_gamma():
 
 def test_refiner_deterministic_and_shape():
     refiner = pp.PosePromptRefiner(8, seeded_rng(1, 6), blocks=2)
-    refiner.gamma.data = np.ones(8)
+    refiner.gamma.data[...] = np.ones(8)
     zd = Tensor(np.random.default_rng(5).normal(size=(3, 1, 8)))
     prompts = Tensor(np.random.default_rng(6).normal(size=(3, 1, 8)))  # L=1
     a = refiner(zd, prompts)
@@ -77,13 +77,13 @@ def test_refiner_channel_mismatch():
 def test_gradcheck_through_refiner():
     with precision("float64"):
         refiner = pp.PosePromptRefiner(6, seeded_rng(2, 6))
-        refiner.gamma.data = 0.3 * np.ones(6)
+        refiner.gamma.data[...] = 0.3 * np.ones(6)
         zd = Parameter("zd", np.random.default_rng(7).normal(size=(2, 1, 6)))
         prompts = Parameter("prompts", np.random.default_rng(8).normal(size=(2, 4, 6)))
         weights = np.random.default_rng(9).normal(size=(2, 1, 6))
         params = [zd, prompts] + refiner.parameters()
         report = grad_check(
-            lambda: (refiner(zd.tensor, prompts.tensor) * weights).sum(), params)
+            lambda: (refiner(zd, prompts) * weights).sum(), params)
     assert report.passed, str(report)
 
 
@@ -103,5 +103,5 @@ def test_gradcheck_through_output_head():
         z = Parameter("z", np.random.default_rng(10).normal(size=(2, 1, 6)))
         weights = np.random.default_rng(11).normal(size=(2, 4, 3))
         params = [z] + head.parameters()
-        report = grad_check(lambda: (head(z.tensor) * weights).sum(), params)
+        report = grad_check(lambda: (head(z) * weights).sum(), params)
     assert report.passed, str(report)

@@ -65,7 +65,7 @@ def test_frozen_weights_get_no_gradients():
     out = enc.forward(tp.assemble_prompts(bank))
     (out * out).sum().backward()
     for p in enc.parameters():
-        if p.trainable:
+        if p.requires_grad:
             assert p.grad is not None
         else:
             assert p.grad is None
@@ -111,9 +111,9 @@ def test_gradcheck_through_projector():
         proj = tp.ActionProjector(6, seeded_rng(7, 2))
         x = Parameter("x", np.random.default_rng(5).normal(size=(2, 7, 6)))
         weights = np.random.default_rng(6).normal(size=(2, 6))
-        params = [x] + [p for p in proj.parameters() if p.trainable]
+        params = [x] + [p for p in proj.parameters() if p.requires_grad]
         report = grad_check(
-            lambda: (proj(x.tensor, training=True) * weights).sum(), params)
+            lambda: (proj(x, training=True) * weights).sum(), params)
     assert report.passed, str(report)
 
 
@@ -154,12 +154,12 @@ def test_pose_to_text_identity_at_init():
 def test_gradcheck_through_pose_to_text():
     with precision("float64"):
         p2t = tp.PoseToText(6, seeded_rng(2, 5))
-        p2t.beta.data = np.array(0.35)       # off the zero-init so attention matters
+        p2t.beta.data[...] = np.array(0.35)  # off the zero-init so attention matters
         t = Parameter("t", np.random.default_rng(3).normal(size=(2, 6)))
         z0 = Parameter("z0", np.random.default_rng(4).normal(size=(2, 5, 6)))
         weights = np.random.default_rng(5).normal(size=(2, 2, 6))
         params = [t, z0] + p2t.parameters()
-        report = grad_check(lambda: (p2t(t.tensor, z0.tensor) * weights).sum(), params)
+        report = grad_check(lambda: (p2t(t, z0) * weights).sum(), params)
     assert report.passed, str(report)
 
 

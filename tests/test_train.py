@@ -147,7 +147,7 @@ def test_frozen_parameters_survive_optimizer_steps(quick_dataset):
     cfg = quick_config(epochs=1)
     model = PoseLifter(cfg)
     frozen_before = {n: p.data.copy() for n, p in model.params.items()
-                     if not p.trainable and "running" not in n}
+                     if not p.requires_grad and "running" not in n}
     T.train_model(cfg, quick_dataset)
     fresh = PoseLifter(cfg)   # same seed: frozen init must be reproducible
     for name, values in frozen_before.items():
@@ -159,7 +159,7 @@ def test_frozen_text_encoder_unchanged_across_training(quick_dataset):
     dataset = quick_dataset
     model = PoseLifter(cfg)
     frozen = {n: p.data.copy() for n, p in model.params.items()
-              if n.startswith("atp.text_encoder") and not p.trainable}
+              if n.startswith("atp.text_encoder") and not p.requires_grad}
     from poselift.optim import Adam
     from poselift.losses import action_loss, pose_loss, total_loss
     from poselift.tensor import Tensor
@@ -180,7 +180,7 @@ def test_lambda_zero_leaves_classifier_untrained(quick_dataset):
     cfg = quick_config(loss_weight=0.0, epochs=2)
     model_init = PoseLifter(cfg)
     proj_before = {n: p.data.copy() for n, p in model_init.params.items()
-                   if n.startswith(("proj.", "atp.", "p2t.")) and p.trainable
+                   if n.startswith(("proj.", "atp.", "p2t.")) and p.requires_grad
                    and "running" not in n}
     result = T.train_model(cfg, quick_dataset)
     for name, values in proj_before.items():
