@@ -156,12 +156,17 @@ _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
 def _coerce(value, target: type, where: str):
     """`value` as a field of type `target`, or a `ConfigError` naming
     `where`. A bool takes a bool or a bool word, an int an int that is not a
-    bool, a float a finite number, a str a str; a string is first parsed as
-    the field's type."""
-    if isinstance(value, str) and target is not str:
+    bool, a float a finite number, a str a str. A string is read as a config
+    file line reads it: it must fit on one line, loses the whitespace at its
+    ends and is then parsed as the field's type. So `parse_config_text`
+    reads back what `dump_config` writes."""
+    if isinstance(value, str):
+        if "".join(value.splitlines()) != value:
+            raise ConfigError(f"{where}: a value must fit on one line, got {value!r}")
         text = value.strip()
         try:
-            value = _BOOL_WORDS[text.lower()] if target is bool else target(text)
+            value = (text if target is str else
+                     _BOOL_WORDS[text.lower()] if target is bool else target(text))
         except (KeyError, ValueError):
             raise ConfigError(f"{where}: expected {target.__name__}, got {value!r}") from None
     if not isinstance(value, bool):

@@ -147,6 +147,10 @@ def run_op_suite(eps: float = 1e-5, tol: float = 1e-4) -> dict[str, GradCheckRep
         check("batch_norm", lambda: (ops.batch_norm(
             x, gain, bias, rm, rv, training=True)
             * w34).sum(), [x, gain, bias])
+        stats_mean, stats_var = np.linspace(-0.5, 0.5, 4), np.linspace(0.5, 2.0, 4)
+        check("batch_norm_eval", lambda: (ops.batch_norm(
+            x, gain, bias, stats_mean, stats_var, training=False)
+            * w34).sum(), [x, gain, bias])
 
         q = Parameter("q", rng.normal(size=(2, 3, 4)))
         kv = Parameter("kv", rng.normal(size=(2, 5, 4)))

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .errors import DimensionError, SequenceTooShortError
-from .tensor import Tensor, concat, zeros
+from .tensor import Tensor, _unbroadcast, concat, zeros
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -81,14 +81,31 @@ def dilated_conv1d(x: Tensor, kernel: Tensor, dilation: int = 1,
             f"conv needs at least {dilation * (width - 1) + 1} frames, got {frames}")
     span = (out_frames - 1) // stride * stride + 1     # first to last kept frame
     index = [slice(None)] * x.ndim
-    out = None
-    for i in range(width):
+    taps, out = [], None
+    for i, k in enumerate(kernel.data):
         index[-2] = slice(i * dilation, i * dilation + span, stride)
-        term = x[tuple(index)] @ kernel[i]
+        taps.append(x[tuple(index)])
+        term = taps[i].data @ k
         out = term if out is None else out + term
     if bias is not None:
-        out = out + bias
-    return out
+        out = out + bias.data
+
+    def backward(g):
+        # Each tap is one matmul; its gradient and the kernel slab's are
+        # those a matmul node would pass on.
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.shape))
+        grad_kernel = np.empty_like(kernel.data) if kernel.requires_grad else None
+        for i, (tap, k) in enumerate(zip(taps, kernel.data)):
+            if tap.requires_grad:
+                tap._accumulate(g @ k.swapaxes(-1, -2))
+            if grad_kernel is not None:
+                grad_kernel[i] = _unbroadcast(tap.data.swapaxes(-1, -2) @ g, k.shape)
+        if grad_kernel is not None:
+            kernel._accumulate(grad_kernel)
+
+    parents = (*taps, kernel) if bias is None else (*taps, kernel, bias)
+    return Tensor._from_op(out, parents, backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -111,18 +128,41 @@ def batch_norm(x: Tensor, gain: Tensor, bias: Tensor,
     Running statistics are plain arrays mutated in place during training
     and used verbatim in eval mode.
     """
-    if training:
-        axes = tuple(range(x.ndim - 1))
-        mu = x.mean(axis=axes, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=axes, keepdims=True)
-        n = x.size // x.shape[-1]
-        unbiased = var.data * (n / max(n - 1, 1))
-        running_mean *= 1.0 - BN_MOMENTUM
-        running_mean += BN_MOMENTUM * mu.data.reshape(-1)
-        running_var *= 1.0 - BN_MOMENTUM
-        running_var += BN_MOMENTUM * unbiased.reshape(-1)
-        normed = centered / (var + BN_EPS).sqrt()
-    else:
+    if not training:
         normed = (x - running_mean) / np.sqrt(running_var + BN_EPS)
-    return normed * gain + bias
+        return normed * gain + bias
+    axes = tuple(range(x.ndim - 1))
+    n = x.size // x.shape[-1]
+    inv_n = 1.0 / n
+    mu = x.data.sum(axis=axes, keepdims=True) * inv_n
+    centered = x.data + -mu
+    var = (centered * centered).sum(axis=axes, keepdims=True) * inv_n
+    sd = np.sqrt(var + BN_EPS)
+    running_mean *= 1.0 - BN_MOMENTUM
+    running_mean += BN_MOMENTUM * mu.reshape(-1)
+    running_var *= 1.0 - BN_MOMENTUM
+    running_var += BN_MOMENTUM * (var * (n / max(n - 1, 1))).reshape(-1)
+    out = centered / sd * gain.data + bias.data
+
+    def backward(g):
+        # The gradient of the mean / centre / variance / sqrt / divide chain,
+        # each step as that op's own backward computes it, in the same
+        # order, so every float rounds as it would node by node.
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.shape))
+        normed = centered / sd
+        if gain.requires_grad:
+            gain._accumulate(_unbroadcast(g * normed, gain.shape))
+        if not x.requires_grad:
+            return
+        g_normed = g * gain.data
+        g_centered = g_normed / sd
+        g_sd = _unbroadcast(-g_normed * normed / sd, sd.shape)
+        g_var = g_sd * 0.5 / np.where(sd == 0, np.inf, sd) * inv_n
+        g_square = g_var * centered
+        g_centered = g_centered + g_square + g_square
+        x._accumulate(g_centered)
+        g_mu = -_unbroadcast(g_centered, mu.shape) * inv_n
+        x._accumulate(np.broadcast_to(g_mu, x.shape))
+
+    return Tensor._from_op(out, (x, gain, bias), backward)

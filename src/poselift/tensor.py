@@ -7,11 +7,15 @@ for training and float64 for gradient-check mode (see `precision`).
 
 Graph lifetime: an op's output holds its parents and a backward closure
 that receives the output gradient as an argument, and nothing points back
-from a parent to its output. A graph therefore lives exactly as long as
-something refers to its output; dropping the loss frees the whole graph at
-once, without waiting for the cycle collector. Inside `no_grad()` an op
-keeps neither parents nor closure, so an inference pass builds no graph
-and frees each intermediate array as soon as the next op has consumed it.
+from a parent to its output, so reference counting alone frees a graph.
+`backward()` frees it as it goes: once an op output's closure has run, the
+output drops its gradient, closure and parents, so each intermediate array
+goes as soon as nothing later in the pass reads it, and what remains when
+`backward()` returns is the leaves' gradients and the arrays the caller
+still refers to. A second `backward()` through a freed graph raises
+`TrainingError`. Inside `no_grad()` an op keeps neither parents nor
+closure, so an inference pass builds no graph and frees each intermediate
+array as soon as the next op has consumed it.
 
 A Parameter is a Tensor with a name: the model's weights are graph leaves
 that ops take directly. `requires_grad` tells trainable from frozen ones,
@@ -67,6 +71,12 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = previous
+
+
+def _spent(grad: np.ndarray) -> None:
+    """The closure of an op output whose backward has run and freed it;
+    `backward()` calls it as soon as its graph search reaches one."""
+    raise TrainingError("backward() through a graph that an earlier backward() freed")
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -145,7 +155,8 @@ class Tensor:
             self.grad = self.grad + grad
 
     def backward(self) -> None:
-        """Reverse pass from a scalar. Fills `.grad` on requires_grad tensors."""
+        """Reverse pass from a scalar. Fills `.grad` on requires_grad leaves
+        and frees the graph behind the op outputs it passes."""
         if self.size != 1:
             raise TrainingError(f"backward() needs a scalar loss, got shape {self.shape}")
         topo: list[Tensor] = []
@@ -158,15 +169,21 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _spent:
+                _spent(node.grad)       # raises before any gradient is written
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
                 if id(parent) not in seen and parent.requires_grad:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = None
+                node._backward = _spent
+                node._parents = ()
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"

@@ -1,0 +1,175 @@
+"""The fused `batch_norm` and `dilated_conv1d` nodes against the op-by-op
+graphs they replace: equal outputs, running statistics and gradients, bit
+for bit, in float32 and float64."""
+
+import numpy as np
+from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+from poselift import ops
+from poselift.tensor import Parameter, Tensor, concat, precision, zeros
+
+
+# -- the composed oracles: each primitive op its own graph node ----------------------
+
+def composed_batch_norm(x, gain, bias, running_mean, running_var):
+    """Training-mode batch norm built from primitive ops."""
+    axes = tuple(range(x.ndim - 1))
+    mu = x.mean(axis=axes, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=axes, keepdims=True)
+    n = x.size // x.shape[-1]
+    unbiased = var.data * (n / max(n - 1, 1))
+    running_mean *= 1.0 - ops.BN_MOMENTUM
+    running_mean += ops.BN_MOMENTUM * mu.data.reshape(-1)
+    running_var *= 1.0 - ops.BN_MOMENTUM
+    running_var += ops.BN_MOMENTUM * unbiased.reshape(-1)
+    normed = centered / (var + ops.BN_EPS).sqrt()
+    return normed * gain + bias
+
+
+def composed_dilated_conv1d(x, kernel, dilation=1, bias=None, padding="valid", stride=1):
+    """The temporal conv as a chain of slice, matmul and add nodes."""
+    width = kernel.shape[0]
+    if padding == "same":
+        total = dilation * (width - 1)
+        left, right = total // 2, total - total // 2
+        pad_shape = list(x.shape)
+        if left:
+            pad_shape[-2] = left
+            x = concat([zeros(tuple(pad_shape)), x], axis=-2)
+        if right:
+            pad_shape[-2] = right
+            x = concat([x, zeros(tuple(pad_shape))], axis=-2)
+    out_frames = x.shape[-2] - dilation * (width - 1)
+    span = (out_frames - 1) // stride * stride + 1
+    index = [slice(None)] * x.ndim
+    out = None
+    for i in range(width):
+        index[-2] = slice(i * dilation, i * dilation + span, stride)
+        term = x[tuple(index)] @ kernel[i]
+        out = term if out is None else out + term
+    if bias is not None:
+        out = out + bias
+    return out
+
+
+def leaf(name, values, requires_grad):
+    return Parameter(name, values, requires_grad=requires_grad)
+
+
+def assert_same_gradients(fused_leaves, oracle_leaves):
+    for fused, oracle in zip(fused_leaves, oracle_leaves):
+        assert (fused.grad is None) == (oracle.grad is None), fused.name
+        if fused.grad is not None:
+            assert fused.grad.dtype == oracle.grad.dtype, fused.name
+            assert np.array_equal(fused.grad, oracle.grad), fused.name
+
+
+FUSED_SETTINGS = settings(max_examples=40, deadline=None)
+DTYPES = st.sampled_from(["float32", "float64"])
+
+
+# -- batch norm -------------------------------------------------------------------------
+
+def run_batch_norm(bn, values, gain_values, stats, weights, grads, shared):
+    """One backward through `bn`; `shared` also feeds the input to a second
+    consumer whose backward runs first, so batch norm's gradient is added to
+    one already there."""
+    x = leaf("x", values, grads[0])
+    gain = leaf("gain", gain_values, grads[1])
+    bias = leaf("bias", -0.5 * gain_values, grads[2])
+    running_mean, running_var = (s.astype(values.dtype) for s in stats)
+    scaled = x * 1.5
+    out = bn(scaled, gain, bias, running_mean, running_var)
+    loss = (out * weights).sum()
+    if shared:
+        loss = (scaled * weights).sum() + loss
+    loss.backward()
+    return out.data, running_mean, running_var, [x, gain, bias]
+
+
+@FUSED_SETTINGS
+@given(lead=hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=5),
+       channels=st.integers(1, 4), constant_channel=st.none() | st.integers(0, 3),
+       grads=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+       shared=st.booleans(), dtype=DTYPES, seed=st.integers(0, 2**31 - 1))
+@example(lead=(1,), channels=3, constant_channel=None, grads=(True, True, True),
+         shared=False, dtype="float32", seed=0)                        # one sample
+@example(lead=(4, 5), channels=2, constant_channel=0, grads=(True, True, True),
+         shared=True, dtype="float32", seed=1)                          # var == 0
+def test_fused_batch_norm_equals_the_composed_graph(lead, channels, constant_channel,
+                                                    grads, shared, dtype, seed):
+    assume(any(grads))
+    rng = np.random.default_rng(seed)
+    with precision(dtype):
+        values = (rng.normal(size=lead + (channels,)) * 3.0 + 0.7).astype(dtype)
+        if constant_channel is not None and constant_channel < channels:
+            values[..., constant_channel] = values.flat[0]
+        gain_values = (1.0 + 0.3 * rng.normal(size=channels)).astype(dtype)
+        stats = (rng.normal(size=channels), 0.5 + rng.uniform(size=channels))
+        weights = rng.normal(size=values.shape).astype(dtype)
+
+        fused = run_batch_norm(
+            lambda *a: ops.batch_norm(*a, training=True),
+            values, gain_values, stats, weights, grads, shared)
+        oracle = run_batch_norm(composed_batch_norm, values, gain_values, stats, weights,
+                                grads, shared)
+    for got, want in zip(fused[:3], oracle[:3]):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert_same_gradients(fused[3], oracle[3])
+
+
+# -- the temporal conv -------------------------------------------------------------------
+
+def run_conv(conv, x_values, kernel_values, bias_values, weights, grads, residual, **kw):
+    """One backward through `conv`; `residual` also reads the input's first
+    frame and, as in a TCN block, passes its gradient back before the conv."""
+    x = leaf("x", x_values, grads[0])
+    kernel = leaf("kernel", kernel_values, grads[1])
+    bias = None if bias_values is None else leaf("bias", bias_values, grads[2])
+    h = x * 1.5
+    out = conv(h, kernel, bias=bias, **kw)
+    loss = (out * weights).sum()
+    if residual:
+        loss = (h[..., :1, :] * 2.0).sum() + loss
+    loss.backward()
+    return out.data, [p for p in (x, kernel, bias) if p is not None]
+
+
+@FUSED_SETTINGS
+@given(lead=hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=3),
+       frames=st.integers(1, 20), width=st.integers(1, 3), dilation=st.integers(1, 4),
+       stride=st.integers(1, 4), padding=st.sampled_from(["valid", "same"]),
+       c_in=st.integers(1, 4), c_out=st.integers(1, 4), with_bias=st.booleans(),
+       grads=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+       residual=st.booleans(), dtype=DTYPES, seed=st.integers(0, 2**31 - 1))
+@example(lead=(2,), frames=27, width=3, dilation=3, stride=1, padding="valid", c_in=4,
+         c_out=4, with_bias=True, grads=(True, True, True), residual=True,
+         dtype="float32", seed=0)                                      # a TCN block
+@example(lead=(2,), frames=9, width=3, dilation=1, stride=3, padding="valid", c_in=2,
+         c_out=3, with_bias=True, grads=(True, True, True), residual=False,
+         dtype="float32", seed=1)                                      # eval layout
+def test_fused_dilated_conv1d_equals_the_composed_graph(lead, frames, width, dilation,
+                                                        stride, padding, c_in, c_out,
+                                                        with_bias, grads, residual, dtype,
+                                                        seed):
+    assume(padding == "same" or frames > dilation * (width - 1))
+    assume(grads[0] or grads[1] or (with_bias and grads[2]))
+    rng = np.random.default_rng(seed)
+    with precision(dtype):
+        x_values = rng.normal(size=lead + (frames, c_in)).astype(dtype)
+        kernel_values = rng.normal(size=(width, c_in, c_out)).astype(dtype)
+        bias_values = rng.normal(size=c_out).astype(dtype) if with_bias else None
+        kw = dict(dilation=dilation, padding=padding, stride=stride)
+        out_shape = composed_dilated_conv1d(Tensor(x_values), Tensor(kernel_values),
+                                            **kw).shape
+        weights = rng.normal(size=out_shape).astype(dtype)
+
+        fused = run_conv(ops.dilated_conv1d, x_values, kernel_values, bias_values, weights,
+                         grads, residual, **kw)
+        oracle = run_conv(composed_dilated_conv1d, x_values, kernel_values, bias_values,
+                          weights, grads, residual, **kw)
+    assert fused[0].dtype == oracle[0].dtype and np.array_equal(fused[0], oracle[0])
+    assert_same_gradients(fused[1], oracle[1])
+

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, strategies as st
 from poselift import train as T
 from poselift.ablate import VARIANTS, variant_config
 from poselift.config import Config
-from poselift.errors import ConfigError
+from poselift.errors import ConfigError, TrainingError
 from poselift.losses import action_loss, pose_loss, total_loss
 from poselift.model import PoseLifter
 from poselift.tensor import Tensor
@@ -166,6 +167,52 @@ def test_step_graph_is_freed_without_the_cycle_collector(small_dataset):
     finally:
         gc.enable()
     assert during > before and after == before, (before, during, after)
+
+
+def step_loss(model, split, count):
+    result = model.forward(split.input2d[:count], split.labels[:count], training=True)
+    return total_loss(pose_loss(result.pred3d, Tensor(split.target3d[:count])),
+                      action_loss(result.class_probs, split.labels[:count]), 0.1)
+
+
+def test_backward_frees_the_step_graph_before_it_returns(small_dataset):
+    model = PoseLifter(small_config())
+    gc.disable()                          # no cycle collection may help
+    try:
+        before = live_tensors()
+        loss = step_loss(model, small_dataset.train, 4)
+        during = live_tensors()
+        loss.backward()
+        after = live_tensors()
+        with pytest.raises(TrainingError, match="earlier backward"):
+            loss.backward()
+    finally:
+        gc.enable()
+    assert during > before + 300 and after == before + 1, (before, during, after)
+    trainable = [p for p in model.params.values() if p.requires_grad]
+    assert all(p.grad is not None for p in trainable)
+    assert all(p.grad is None for p in model.params.values() if not p.requires_grad)
+
+
+def test_backward_peak_memory_stays_near_what_the_forward_retained():
+    # One F=81, C=32, B=16 step. The 1.25x bound sits between the 1.06x this
+    # step peaks at when backward frees the graph as it goes and the 1.66x
+    # it peaks at when every op output keeps its gradient to the end.
+    cfg = small_config()
+    cfg.data.frames, cfg.encoder.channels = 81, 32
+    split = T.dataset_from_config(cfg).train
+    model = PoseLifter(cfg)
+    tracemalloc.start()
+    try:
+        loss = step_loss(model, split, 16)
+        retained = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * retained, (peak, retained)
+    assert after < 0.05 * retained, (after, retained)
 
 
 def test_forward_eval_equals_forward_with_a_graph(small_dataset):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from poselift import ops
-from poselift.errors import DimensionError, SequenceTooShortError
+from poselift.errors import DimensionError, SequenceTooShortError, TrainingError
 from poselift.gradcheck import grad_check
 from poselift.tensor import Parameter, Tensor, concat, no_grad, precision
 
@@ -221,6 +221,35 @@ def test_no_grad_restores_the_mode_when_nested_or_raising():
 
 def live_tensors() -> int:
     return sum(isinstance(o, Tensor) for o in gc.get_objects())
+
+
+def test_backward_frees_op_outputs_and_keeps_leaf_gradients():
+    x = Parameter("x", np.array([0.5, -1.0, 2.0]))
+    frozen = Parameter("frozen", np.array([1.0, 2.0, 3.0]), requires_grad=False)
+    h = x * frozen
+    e = h.exp()
+    loss = (e * h).sum()
+    loss.backward()
+    for node in (h, e, loss):
+        assert node.grad is None and node._parents == ()
+        assert node.data is not None                  # values stay readable
+    assert np.allclose(x.grad, np.exp(h.data) * (h.data + 1.0) * frozen.data)
+    assert frozen.grad is None
+
+
+def test_a_second_backward_through_a_freed_graph_raises():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    h = x * 3.0
+    loss = (h * h).sum()
+    loss.backward()
+    first = x.grad
+    with pytest.raises(TrainingError, match="earlier backward"):
+        loss.backward()
+    with pytest.raises(TrainingError, match="earlier backward"):
+        (h * 2.0 + x).sum().backward()           # a new graph on a spent node
+    assert x.grad is first and h.grad is None    # raised before any gradient moved
+    (x * 2.0).sum().backward()                   # leaves start new graphs freely
+    assert np.array_equal(x.grad, first + 2.0)
 
 
 def test_a_graph_is_freed_by_reference_counting():
