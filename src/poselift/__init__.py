@@ -15,8 +15,7 @@ Library layout:
 
 from .config import Config, apply_overrides, load_config
 from .data import (PoseDataset, Split, gen_synthetic, load_dataset,
-                   nearest_centroid_accuracy, normalize_2d, denormalize_2d,
-                   save_dataset)
+                   nearest_centroid_accuracy, save_dataset)
 from .errors import (ConfigError, DimensionError, FormatError, PoseLiftError,
                      SequenceTooShortError, TrainingError)
 from .gradcheck import grad_check, run_model_check, run_op_suite
@@ -33,9 +32,9 @@ __all__ = [
     "FormatError", "MetricsReport", "Parameter", "PoseDataset", "PoseLifter",
     "PoseLiftError", "SequenceTooShortError", "Split", "Tensor",
     "TrainingError", "action_loss", "apply_overrides", "build_report",
-    "concat", "dataset_from_config", "denormalize_2d", "dmpjpe", "evaluate",
+    "concat", "dataset_from_config", "dmpjpe", "evaluate",
     "gen_synthetic", "grad_check", "load_checkpoint", "load_config",
-    "load_dataset", "mpjpe", "nearest_centroid_accuracy", "normalize_2d",
+    "load_dataset", "mpjpe", "nearest_centroid_accuracy",
     "pose_loss", "precision", "restore_model", "run_model_check",
     "run_op_suite", "save_dataset", "tail_dmpjpe", "total_loss",
     "train_model", "write_checkpoint",

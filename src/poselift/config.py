@@ -123,6 +123,9 @@ class Config:
                 raise ConfigError(f"[{section_name}] {key} = {value} is outside {interval}")
         if self.train.label_aux not in ("auto", "on", "off"):
             raise ConfigError(f"unknown label_aux {self.train.label_aux!r}")
+        if self.train.label_aux == "on" and self.atp.enabled:
+            raise ConfigError("[train] label_aux = on needs [atp] enabled = false: the text "
+                              "prompts classify, so the label head would never train")
         if self.app.enabled and not (self.atp.enabled or self.use_label_aux
                                      or self.train.gt_labels_at_eval):
             raise ConfigError("pose prompts need a label source at eval: enable text "

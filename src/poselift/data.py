@@ -210,30 +210,6 @@ def gen_synthetic(num_actions: int, frames: int, joints: int,
     return PoseDataset(manifest=manifest, train=train, eval=evals, motifs=motifs)
 
 
-# -- pixel-space normalization ------------------------------------------------
-
-def normalize_2d(points: np.ndarray, width: float, height: float) -> np.ndarray:
-    """Pixel coords (..., 2) to normalized coords; width scales both axes so
-    the aspect ratio is preserved."""
-    if width <= 0 or height <= 0:
-        raise ConfigError(f"image dims must be positive, got {width}x{height}")
-    points = np.asarray(points, dtype=np.float64)
-    out = np.empty_like(points)
-    out[..., 0] = (2.0 * points[..., 0] - width) / width
-    out[..., 1] = (2.0 * points[..., 1] - height) / width
-    return out
-
-
-def denormalize_2d(points: np.ndarray, width: float, height: float) -> np.ndarray:
-    if width <= 0 or height <= 0:
-        raise ConfigError(f"image dims must be positive, got {width}x{height}")
-    points = np.asarray(points, dtype=np.float64)
-    out = np.empty_like(points)
-    out[..., 0] = (points[..., 0] * width + width) / 2.0
-    out[..., 1] = (points[..., 1] * width + height) / 2.0
-    return out
-
-
 # -- dataset directory io --------------------------------------------------------
 
 def save_dataset(dataset: PoseDataset, path: str | Path) -> None:

@@ -74,12 +74,12 @@ class TcnBlock:
             -bound, bound, size=(KERNEL_WIDTH, channels, channels)))
         self.conv_bias = Parameter(f"{name}.conv_bias",
                                    rng.uniform(-bound, bound, size=channels))
-        self.bn1 = BatchNorm(f"{name}.bn1", channels)
         bound_pw = 1.0 / np.sqrt(channels)
         self.pointwise = Parameter(f"{name}.pointwise",
                                    rng.uniform(-bound_pw, bound_pw, size=(1, channels, channels)))
         self.pointwise_bias = Parameter(f"{name}.pointwise_bias",
                                         rng.uniform(-bound_pw, bound_pw, size=channels))
+        self.bn1 = BatchNorm(f"{name}.bn1", channels)
         self.bn2 = BatchNorm(f"{name}.bn2", channels)
         self.dilation = dilation
 
@@ -100,10 +100,6 @@ class TcnBlock:
         else:
             residual = x
         return residual + h
-
-    def parameters(self) -> list[Parameter]:
-        return ([self.conv, self.conv_bias, self.pointwise, self.pointwise_bias]
-                + self.bn1.parameters() + self.bn2.parameters())
 
 
 class TcnEncoder:
@@ -142,9 +138,3 @@ class TcnEncoder:
         for block in self.blocks[layer:]:
             h = block(h, training=training, compact=not training)
         return EncoderOutput(z0=z0, tap=tap, zd=h)
-
-    def parameters(self) -> list[Parameter]:
-        params = self.input_proj.parameters()
-        for block in self.blocks:
-            params += block.parameters()
-        return params

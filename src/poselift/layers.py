@@ -1,9 +1,9 @@
 """Parameterized building blocks: linear maps, norms, attention, feed-forward.
 
-Each layer owns named Parameters (full dotted paths), which its ops take as
-tensors, and exposes `parameters()` so the model can assemble a flat,
-unique registry. Weights are built trainable; a module that freezes some
-(the text encoder) clears their `requires_grad` after building them.
+Each layer keeps its named Parameters (full dotted paths) as attributes,
+which its ops take as tensors and `tensor.named_parameters` finds. Weights
+are built trainable; a module that freezes some (the text encoder) clears
+their `requires_grad` after building them.
 """
 
 from __future__ import annotations
@@ -33,9 +33,6 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return x @ self.weight + self.bias
 
-    def parameters(self) -> list[Parameter]:
-        return [self.weight, self.bias]
-
 
 class LayerNorm:
     def __init__(self, name: str, dim: int):
@@ -44,9 +41,6 @@ class LayerNorm:
 
     def __call__(self, x: Tensor) -> Tensor:
         return ops.layer_norm(x, self.gain, self.bias)
-
-    def parameters(self) -> list[Parameter]:
-        return [self.gain, self.bias]
 
 
 class BatchNorm:
@@ -66,9 +60,6 @@ class BatchNorm:
                               self.running_mean.data, self.running_var.data,
                               training=training)
 
-    def parameters(self) -> list[Parameter]:
-        return [self.gain, self.bias, self.running_mean, self.running_var]
-
 
 class CrossAttention:
     """Single-head attention with query/key/value/output projections."""
@@ -85,10 +76,6 @@ class CrossAttention:
                                             self.v(keys_values))
         return self.out(attended)
 
-    def parameters(self) -> list[Parameter]:
-        return (self.q.parameters() + self.k.parameters()
-                + self.v.parameters() + self.out.parameters())
-
 
 class FeedForward:
     """Two-layer MLP with ReLU, hidden width `4 * dim`."""
@@ -99,6 +86,3 @@ class FeedForward:
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(self.fc1(x).relu())
-
-    def parameters(self) -> list[Parameter]:
-        return self.fc1.parameters() + self.fc2.parameters()

@@ -19,7 +19,7 @@ from .config import Config
 from .encoder import EncoderConfig, TcnEncoder
 from .errors import ConfigError
 from .layers import seeded_rng
-from .tensor import Parameter, Tensor, collect_parameters, no_grad
+from .tensor import Tensor, named_parameters, no_grad
 
 # Fixed per-component seed streams (independent of which components exist).
 _STREAM_ENCODER = 0
@@ -95,14 +95,7 @@ class PoseLifter:
             self.refiner = pose_prompts.PosePromptRefiner(
                 channels, rng, blocks=cfg.app.decoder_blocks)
 
-        self.params = collect_parameters(self._all_parameters())
-
-    def _all_parameters(self) -> list[Parameter]:
-        # This order is the order of a checkpoint's parameter records.
-        components = (self.encoder, self.head, self.projector, self.text_bank,
-                      self.text_encoder, self.p2t, self.label_head, self.prompt_bank,
-                      self.refiner)
-        return [p for c in components if c is not None for p in c.parameters()]
+        self.params = named_parameters(self)
 
     # -- text embeddings ------------------------------------------------------
 

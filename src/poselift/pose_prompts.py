@@ -26,9 +26,6 @@ class PosePromptBank:
             f"{name}.prompts",
             rng.normal(scale=0.02, size=(num_actions, prompts_per_action, channels)))
 
-    def parameters(self) -> list[Parameter]:
-        return [self.prompts]
-
 
 def select_prompts(bank: PosePromptBank, labels) -> Tensor:
     """Pick each sample's prompt slice: labels (B,) -> (B, L, C).
@@ -61,11 +58,6 @@ class DecoderBlock:
         query = query + self.cross_attn(self.ln2(query), memory)
         return query + self.ffn(self.ln3(query))
 
-    def parameters(self) -> list[Parameter]:
-        return (self.ln1.parameters() + self.self_attn.parameters()
-                + self.ln2.parameters() + self.cross_attn.parameters()
-                + self.ln3.parameters() + self.ffn.parameters())
-
 
 class PosePromptRefiner:
     """zd (B, 1, C) + selected prompts (B, L, C) -> refined (B, 1, C)."""
@@ -87,12 +79,6 @@ class PosePromptRefiner:
             h = block(h, selected)
         return zd + self.gamma * h
 
-    def parameters(self) -> list[Parameter]:
-        params = []
-        for block in self.blocks:
-            params += block.parameters()
-        return params + [self.gamma]
-
 
 class OutputHead:
     """Linear map from the refined feature to the 3D pose (B, J, 3).
@@ -111,6 +97,3 @@ class OutputHead:
         batch = z_bar_d.shape[0]
         flat = self.out(z_bar_d.reshape(batch, -1)) * self.output_scale
         return flat.reshape(batch, self.joints, 3)
-
-    def parameters(self) -> list[Parameter]:
-        return self.out.parameters()

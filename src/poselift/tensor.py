@@ -25,7 +25,7 @@ and their values are written in place through `.data`.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -404,11 +404,31 @@ class Parameter(Tensor):
         self.name = name
 
 
-def collect_parameters(groups: Iterable[Parameter]) -> dict[str, Parameter]:
-    """Index parameters by name, enforcing unique paths."""
-    by_name: dict[str, Parameter] = {}
-    for p in groups:
-        if p.name in by_name:
-            raise TrainingError(f"duplicate parameter name {p.name!r}")
-        by_name[p.name] = p
-    return by_name
+def named_parameters(obj) -> dict[str, Parameter]:
+    """Every Parameter reachable from `obj`, by name, in attribute order.
+
+    Descends into lists, dict values and objects with a `__dict__`, each
+    in the order its items were added; nothing else (a plain Tensor
+    included) holds a parameter. Attribute order is record order: a
+    checkpoint records parameters in the order found. A name reached twice,
+    a shared Parameter included, is a `TrainingError`; so is walking a built
+    `PoseLifter`, whose `params` holds this dict (read that instead).
+    """
+    found: dict[str, Parameter] = {}
+    # A stack, not a recursive closure: a closure that calls itself is a
+    # reference cycle, which would keep every Parameter it found alive
+    # until the cycle collector ran.
+    stack = [obj]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, Parameter):
+            if value.name in found:
+                raise TrainingError(f"duplicate parameter name {value.name!r}")
+            found[value.name] = value
+        elif isinstance(value, list):
+            stack.extend(reversed(value))
+        elif isinstance(value, dict):
+            stack.extend(reversed(value.values()))
+        elif hasattr(value, "__dict__"):
+            stack.extend(reversed(vars(value).values()))
+    return found

@@ -15,7 +15,7 @@ import numpy as np
 from . import ops
 from .errors import ConfigError, SequenceTooShortError
 from .layers import CrossAttention, FeedForward, LayerNorm, Linear
-from .tensor import Parameter, Tensor, concat
+from .tensor import Parameter, Tensor, concat, named_parameters
 from .encoder import TcnBlock
 
 
@@ -30,9 +30,6 @@ class TextPromptBank:
                                  rng.normal(scale=0.02, size=(context_tokens, channels)))
         self.class_tokens = Parameter(f"{name}.class_tokens",
                                       rng.normal(scale=0.02, size=(num_actions, channels)))
-
-    def parameters(self) -> list[Parameter]:
-        return [self.context, self.class_tokens]
 
 
 def assemble_prompts(bank: TextPromptBank) -> Tensor:
@@ -70,7 +67,7 @@ class FrozenTextEncoder:
         self.proj = Parameter(f"{name}.proj",
                               np.eye(channels) + rng.normal(scale=0.02, size=(channels, channels)))
         # The one trainable piece is the final text projection.
-        for p in self.parameters():
+        for p in named_parameters(self).values():
             p.requires_grad = p is self.proj
         self.forward_calls = 0
 
@@ -85,13 +82,6 @@ class FrozenTextEncoder:
         x = self.ln_final(x)
         last = x[:, -1, :]                      # class-token position
         return last @ self.proj
-
-    def parameters(self) -> list[Parameter]:
-        params = [self.pos]
-        for layer in self.layers:
-            params += layer["ln1"].parameters() + layer["attn"].parameters()
-            params += layer["ln2"].parameters() + layer["ffn"].parameters()
-        return params + self.ln_final.parameters() + [self.proj]
 
 
 class ActionProjector:
@@ -114,12 +104,6 @@ class ActionProjector:
         pooled = h.mean(axis=-2)                # (B, C)
         return self.out(pooled)
 
-    def parameters(self) -> list[Parameter]:
-        params = []
-        for block in self.blocks:
-            params += block.parameters()
-        return params + self.out.parameters()
-
 
 class LabelHead:
     """Plain multi-task classifier: action feature -> K logits."""
@@ -130,9 +114,6 @@ class LabelHead:
 
     def __call__(self, action_feature: Tensor) -> Tensor:
         return ops.softmax(self.out(action_feature), axis=-1)
-
-    def parameters(self) -> list[Parameter]:
-        return self.out.parameters()
 
 
 def first_order_motion(z0: Tensor) -> Tensor:
@@ -167,9 +148,6 @@ class PoseToText:
         queries = t.reshape(1, k, c).broadcast_to((batch, k, c))
         enhanced = self.attn(queries, z_bar)
         return queries + self.beta * enhanced
-
-    def parameters(self) -> list[Parameter]:
-        return self.attn.parameters() + [self.beta]
 
 
 def classify(t_bar: Tensor, action_feature: Tensor, tau: float) -> Tensor:

@@ -126,6 +126,18 @@ def test_error_exit_codes(quick_ini, capsys):
     assert err.startswith("error:ConfigError:")
 
 
+def test_label_aux_on_with_text_prompts_is_an_error_line(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[train]\nepochs = 1\nlabel_aux = on\n", encoding="utf-8")
+    assert main(["train", "--config", str(ini), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == (
+        "error:ConfigError:[train] label_aux = on needs [atp] enabled = false: the text "
+        "prompts classify, so the label head would never train\n")
+    ini.write_text("[atp]\nenabled = false\n\n[train]\nepochs = 1\nlabel_aux = on\n",
+                   encoding="utf-8")
+    assert main(["train", "--config", str(ini), "--out", str(tmp_path / "run")]) == 0
+
+
 def test_missing_out_is_an_error(quick_ini, capsys):
     assert main(["train", "--config", quick_ini]) == 2
     assert "out" in capsys.readouterr().err

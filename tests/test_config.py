@@ -101,6 +101,17 @@ def test_label_aux_auto_logic():
     assert cfg.use_label_aux is True
 
 
+def test_label_aux_on_with_text_prompts_is_rejected():
+    # The text prompts classify, so a label head beside them gets no gradient.
+    message = r"\[train\] label_aux = on needs \[atp\] enabled = false"
+    with pytest.raises(ConfigError, match=message):
+        apply_overrides(Config(), {"train.label_aux": "on"})
+    with pytest.raises(ConfigError, match=message):
+        parse_config_text("[train]\nlabel_aux = on\n")
+    cfg = apply_overrides(Config(), {"train.label_aux": "on", "atp.enabled": "false"})
+    assert cfg.use_label_aux is True
+
+
 # Out-of-range values of every numeric field, by section and file spelling.
 OUT_OF_RANGE = {
     "data": {"k": ["1", "0", "-4"], "frames": ["0", "10", "-27"], "joints": ["3", "0"],
@@ -261,8 +272,8 @@ def test_a_value_on_more_than_one_line_is_rejected():
 
 
 def test_a_string_value_loses_the_whitespace_at_its_ends():
-    cfg = apply_overrides(Config(), {"data.hard_actions": " walk,run\t", "train.label_aux": " on"})
-    assert (cfg.data.hard_actions, cfg.train.label_aux) == ("walk,run", "on")
+    cfg = apply_overrides(Config(), {"data.hard_actions": " walk,run\t", "train.label_aux": " off"})
+    assert (cfg.data.hard_actions, cfg.train.label_aux) == ("walk,run", "off")
     assert parse_config_text(dump_config(cfg)) == cfg
 
 

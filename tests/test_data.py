@@ -1,4 +1,4 @@
-"""Dataset generator, binary format, and pixel normalization."""
+"""Dataset generator and binary format."""
 
 import dataclasses
 
@@ -202,27 +202,3 @@ def test_tensor_blob_round_trip_shapes(tmp_path):
         assert out.shape == shape and np.array_equal(out, arr)
         # magic, version, tag, ndim, shape, data, checksum
         assert path.stat().st_size == 8 + 4 + 4 + 4 + 4 * len(shape) + arr.nbytes + 4
-
-
-# -- pixel normalization ----------------------------------------------------
-
-def test_normalize_center_pixel_is_origin():
-    out = data.normalize_2d(np.array([320.0, 240.0]), 640, 480)
-    assert np.allclose(out, [0.0, 0.0])
-
-
-def test_normalize_corner_pixel():
-    out = data.normalize_2d(np.array([0.0, 0.0]), 640, 480)
-    assert np.allclose(out, [-1.0, -480 / 640])
-
-
-def test_normalize_round_trip():
-    rng = np.random.default_rng(11)
-    pixels = rng.uniform(0, 640, size=(7, 5, 2))
-    back = data.denormalize_2d(data.normalize_2d(pixels, 640, 480), 640, 480)
-    assert np.abs(back - pixels).max() < 1e-6
-
-
-def test_normalize_rejects_zero_dims():
-    with pytest.raises(ConfigError):
-        data.normalize_2d(np.zeros(2), 0, 480)

@@ -14,7 +14,7 @@ from poselift.layers import seeded_rng
 from poselift.losses import pose_loss
 from poselift.model import PoseLifter
 from poselift.pose_prompts import OutputHead
-from poselift.tensor import Tensor, no_grad, precision
+from poselift.tensor import Tensor, named_parameters, no_grad, precision
 
 # Every sequence length with every tap layer it allows.
 FRAMES_AND_TAPS = [(f, b) for f in (9, 27, 81, 243) for b in range(1, blocks_for_frames(f) + 1)]
@@ -125,7 +125,7 @@ def test_gradcheck_through_encoder_and_head():
             out = enc.forward(Tensor(x2d), training=True)
             return pose_loss(head(out.zd), Tensor(target))
 
-        params = [p for p in enc.parameters() + head.parameters() if p.requires_grad]
+        params = [p for p in named_parameters([enc, head]).values() if p.requires_grad]
         report = grad_check(build_loss, params)
     assert report.passed, str(report)
 
@@ -137,7 +137,7 @@ def test_gradcheck_through_encoder_and_head():
 def test_eval_equals_the_full_extent_encoder(frames, tap_layer, batch, channels, seed):
     enc = make_encoder(frames=frames, channels=channels, seed=seed, tap_layer=tap_layer)
     rng = np.random.default_rng(seed)
-    randomize_running_stats(enc.parameters(), rng)
+    randomize_running_stats(named_parameters(enc).values(), rng)
     x = Tensor(rng.normal(size=(batch, frames, 8, 2)))
     with no_grad():
         out = enc.forward(x, training=False)

@@ -4,18 +4,20 @@ import gc
 import hashlib
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from poselift import train as T
 from poselift.ablate import VARIANTS, variant_config
 from poselift.config import Config
+from poselift.encoder import blocks_for_frames
 from poselift.errors import ConfigError, TrainingError
 from poselift.losses import action_loss, pose_loss, total_loss
 from poselift.model import PoseLifter
-from poselift.tensor import Tensor
+from poselift.tensor import Parameter, Tensor
 
 from test_encoder import (EQUIVALENCE_SETTINGS, FRAMES_AND_TAPS, full_extent_eval,
                           randomize_running_stats)
@@ -84,6 +86,48 @@ def test_parameter_table_is_pinned(variant):
 
 def test_the_default_model_is_the_full_variant():
     assert parameter_table(PoseLifter(Config())) == PARAMETER_TABLE["full"]
+
+
+def assert_no_orphaned_parameter(cfg: Config) -> None:
+    """Every Parameter built during `PoseLifter(cfg)` is in `model.params`, so
+    it is trained and saved."""
+    built = []
+    init = Parameter.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    with mock.patch.object(Parameter, "__init__", recording_init):
+        model = PoseLifter(cfg)
+    assert len(built) == len(model.params)
+    assert {id(p) for p in built} == {id(p) for p in model.params.values()}
+
+
+@pytest.mark.parametrize("frames", [9, 27, 81])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_built_parameter_is_registered(variant, frames):
+    cfg = Config()
+    cfg.data.frames = frames
+    assert_no_orphaned_parameter(variant_config(cfg, variant))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), variant=st.sampled_from(VARIANTS),
+       frames=st.sampled_from([9, 27, 81]), projector_blocks=st.integers(0, 2),
+       decoder_blocks=st.integers(1, 2), text_layers=st.integers(0, 2),
+       context_tokens=st.integers(0, 2))
+def test_every_built_parameter_is_registered_for_drawn_structure(
+        data, variant, frames, projector_blocks, decoder_blocks, text_layers, context_tokens):
+    cfg = variant_config(Config(), variant)
+    cfg.data.frames = frames
+    cfg.encoder.channels = 4
+    cfg.atp.projector_blocks = projector_blocks
+    cfg.app.decoder_blocks = decoder_blocks
+    cfg.atp.text_layers = text_layers
+    cfg.atp.context_tokens = context_tokens
+    cfg.atp.tap_layer = data.draw(st.integers(1, blocks_for_frames(frames)), label="tap_layer")
+    assert_no_orphaned_parameter(cfg)
 
 
 def test_gradients_reach_all_prompt_components(small_dataset):
@@ -167,6 +211,18 @@ def test_step_graph_is_freed_without_the_cycle_collector(small_dataset):
     finally:
         gc.enable()
     assert during > before and after == before, (before, during, after)
+
+
+def test_a_dropped_model_is_freed_without_the_cycle_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        before = live_tensors()
+        PoseLifter(small_config())
+        after = live_tensors()
+    finally:
+        gc.enable()
+    assert after == before, (before, after)
 
 
 def step_loss(model, split, count):

@@ -7,7 +7,7 @@ from poselift import pose_prompts as pp
 from poselift.errors import ConfigError, DimensionError
 from poselift.gradcheck import grad_check
 from poselift.layers import seeded_rng
-from poselift.tensor import Parameter, Tensor, precision
+from poselift.tensor import Parameter, Tensor, named_parameters, precision
 
 
 def make_bank(k=4, l=3, c=8, seed=0):
@@ -81,7 +81,7 @@ def test_gradcheck_through_refiner():
         zd = Parameter("zd", np.random.default_rng(7).normal(size=(2, 1, 6)))
         prompts = Parameter("prompts", np.random.default_rng(8).normal(size=(2, 4, 6)))
         weights = np.random.default_rng(9).normal(size=(2, 1, 6))
-        params = [zd, prompts] + refiner.parameters()
+        params = [zd, prompts] + list(named_parameters(refiner).values())
         report = grad_check(
             lambda: (refiner(zd, prompts) * weights).sum(), params)
     assert report.passed, str(report)
@@ -102,6 +102,6 @@ def test_gradcheck_through_output_head():
         head = pp.OutputHead(6, joints=4, rng=seeded_rng(4, 1))
         z = Parameter("z", np.random.default_rng(10).normal(size=(2, 1, 6)))
         weights = np.random.default_rng(11).normal(size=(2, 4, 3))
-        params = [z] + head.parameters()
+        params = [z] + list(named_parameters(head).values())
         report = grad_check(lambda: (head(z) * weights).sum(), params)
     assert report.passed, str(report)

@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from poselift import ops
 from poselift.errors import DimensionError, SequenceTooShortError, TrainingError
 from poselift.gradcheck import grad_check
-from poselift.tensor import Parameter, Tensor, concat, no_grad, precision
+from poselift.tensor import Parameter, Tensor, concat, named_parameters, no_grad, precision
 
 
 def test_matmul_identity():
@@ -370,3 +370,35 @@ def test_slice_gradient_matches_central_differences(index):
         w = rng.normal(size=x.data[index].shape)
         report = grad_check(lambda: (x[index] * w).sum(), [x])
     assert report.passed, report
+
+
+# -- the parameter walker ----------------------------------------------------
+
+class Module:
+    def __init__(self, **attributes):
+        for name, value in attributes.items():
+            setattr(self, name, value)
+
+
+def test_walker_follows_attribute_order_through_nested_lists_and_dicts():
+    a, b, c, d, e = (Parameter(name, np.zeros(2)) for name in "abcde")
+    inner = Module(weight=c, layers=[[Module(x=d)], []])
+    obj = Module(first=b, nested=[[a], {"k": inner, "j": [e]}])
+    assert list(named_parameters(obj)) == ["b", "a", "c", "d", "e"]
+    assert named_parameters(obj)["c"] is c
+
+
+def test_walker_skips_none_plain_tensors_and_other_values():
+    p = Parameter("p", np.ones(3))
+    obj = Module(missing=None, cache=Tensor(np.ones(3), requires_grad=True),
+                 array=np.ones(3), count=3, label="p", blocks=[None, Module(p=p)])
+    assert named_parameters(obj) == {"p": p}
+    assert named_parameters(None) == {} and named_parameters(Module()) == {}
+
+
+def test_walker_rejects_a_shared_parameter_and_a_repeated_name():
+    p = Parameter("shared", np.zeros(2))
+    with pytest.raises(TrainingError, match="duplicate parameter name 'shared'"):
+        named_parameters(Module(left=Module(w=p), right=[p]))
+    with pytest.raises(TrainingError, match="duplicate parameter name 'w'"):
+        named_parameters(Module(a=Parameter("w", np.zeros(2)), b=Parameter("w", np.zeros(2))))

@@ -10,7 +10,7 @@ from poselift import text_prompts as tp
 from poselift.errors import ConfigError, SequenceTooShortError
 from poselift.gradcheck import grad_check
 from poselift.layers import seeded_rng
-from poselift.tensor import Parameter, Tensor, precision
+from poselift.tensor import Parameter, Tensor, named_parameters, precision
 
 
 def make_bank(k=4, n=4, c=8, seed=0):
@@ -64,7 +64,7 @@ def test_frozen_weights_get_no_gradients():
     enc = tp.FrozenTextEncoder(5, 8, seeded_rng(0, 4))
     out = enc.forward(tp.assemble_prompts(bank))
     (out * out).sum().backward()
-    for p in enc.parameters():
+    for p in named_parameters(enc).values():
         if p.requires_grad:
             assert p.grad is not None
         else:
@@ -111,7 +111,7 @@ def test_gradcheck_through_projector():
         proj = tp.ActionProjector(6, seeded_rng(7, 2))
         x = Parameter("x", np.random.default_rng(5).normal(size=(2, 7, 6)))
         weights = np.random.default_rng(6).normal(size=(2, 6))
-        params = [x] + [p for p in proj.parameters() if p.requires_grad]
+        params = [x] + [p for p in named_parameters(proj).values() if p.requires_grad]
         report = grad_check(
             lambda: (proj(x, training=True) * weights).sum(), params)
     assert report.passed, str(report)
@@ -158,7 +158,7 @@ def test_gradcheck_through_pose_to_text():
         t = Parameter("t", np.random.default_rng(3).normal(size=(2, 6)))
         z0 = Parameter("z0", np.random.default_rng(4).normal(size=(2, 5, 6)))
         weights = np.random.default_rng(5).normal(size=(2, 2, 6))
-        params = [t, z0] + p2t.parameters()
+        params = [t, z0] + list(named_parameters(p2t).values())
         report = grad_check(lambda: (p2t(t, z0) * weights).sum(), params)
     assert report.passed, str(report)
 

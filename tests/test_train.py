@@ -2,9 +2,12 @@
 
 import copy
 import dataclasses
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poselift import train as T
 from poselift.config import Config
@@ -66,6 +69,51 @@ def test_evaluate_refuses_a_batch_size_below_one(quick_result, quick_dataset, ba
                    quick_dataset.manifest.action_names,
                    quick_dataset.manifest.hard_actions,
                    embeddings=quick_result.best.embeddings, batch_size=batch_size)
+
+
+@pytest.fixture(scope="module")
+def classifying_result():
+    """A default-size model after 5 epochs: its predicted labels vary (0.95
+    accuracy), so a chunking fault that reorders them shows."""
+    cfg = Config()
+    cfg.train.epochs = 5
+    dataset = T.dataset_from_config(cfg)
+    return T.train_model(cfg, dataset), dataset
+
+
+def evaluate_with_labels(result, dataset, batch_size):
+    """`evaluate`'s report and the labels its batches predicted."""
+    model, predicted = result.model, []
+    forward_eval = model.forward_eval
+
+    def recording(*args, **kwargs):
+        out = forward_eval(*args, **kwargs)
+        predicted.append(out[1])
+        return out
+
+    with mock.patch.object(model, "forward_eval", recording):
+        report = T.evaluate(model, dataset.eval, dataset.manifest.action_names,
+                            dataset.manifest.hard_actions,
+                            embeddings=result.best.embeddings, batch_size=batch_size)
+    return report, np.concatenate(predicted)
+
+
+EVAL_SAMPLES = 80      # the default eval split: 4 actions x 20
+
+
+@settings(max_examples=20, deadline=None)
+@given(batch_size=st.one_of(st.just(1), st.sampled_from([2, 3, 5, 7, 11, 13, 31, 79]),
+                            st.integers(EVAL_SAMPLES, 4 * EVAL_SAMPLES)))
+def test_chunked_evaluate_equals_one_whole_split_pass(classifying_result, batch_size):
+    result, dataset = classifying_result
+    assert len(dataset.eval) == EVAL_SAMPLES
+    whole, whole_labels = evaluate_with_labels(result, dataset, EVAL_SAMPLES)
+    assert 0.5 < whole.accuracy < 1.0
+    chunked, labels = evaluate_with_labels(result, dataset, batch_size)
+    for metric in ("p1", "p2", "p3", "accuracy"):
+        assert math.isclose(getattr(chunked, metric), getattr(whole, metric),
+                            rel_tol=1e-5), metric
+    assert np.array_equal(labels, whole_labels)
 
 
 def test_evaluate_never_touches_text_encoder(quick_result, quick_dataset):
