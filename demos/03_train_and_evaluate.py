@@ -8,12 +8,13 @@ Run: python demos/03_train_and_evaluate.py     (about a minute on CPU)
 import tempfile
 from pathlib import Path
 
-from poselift.config import Config
+from poselift.config import load_config
 from poselift.train import (dataset_from_config, evaluate, load_checkpoint,
                             restore_model, train_model)
 
-cfg = Config()                 # full model: text prompts + pose prompts
-cfg.train.epochs = 30          # the default is 60; 30 is enough to see the shape
+# full model (text prompts + pose prompts); the default is 60 epochs, and 30
+# are enough to see the shape
+cfg = load_config(overrides={"train.epochs": 30})
 dataset = dataset_from_config(cfg)
 
 print("training the full model (text prompts + pose prompts)...")

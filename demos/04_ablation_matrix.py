@@ -6,10 +6,9 @@ Run: python demos/04_ablation_matrix.py     (a few minutes on CPU)
 """
 
 from poselift.ablate import run_components
-from poselift.config import Config
+from poselift.config import load_config
 
-cfg = Config()
-cfg.train.epochs = 30          # trimmed from the default 60 to keep this brisk
+cfg = load_config(overrides={"train.epochs": 30})   # trimmed from the default 60
 
 print("training 5 variants x 1 seed on the default synthetic dataset...")
 detail, summary = run_components(cfg, seeds=[0])

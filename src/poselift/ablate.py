@@ -9,42 +9,32 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import Config
+from .config import Config, apply_overrides
 from .data import PoseDataset
 from .encoder import blocks_for_frames
 from .errors import ConfigError
 from .metrics import MetricsReport
 from .train import dataset_from_config, train_model
 
-VARIANTS = ("baseline", "label_only", "atp", "app", "full")
+# The components each ablation row turns on or off, as config overrides.
+_ROWS = {
+    "baseline": {"atp.enabled": False, "app.enabled": False, "train.label_aux": "off"},
+    "label_only": {"atp.enabled": False, "app.enabled": False, "train.label_aux": "on"},
+    "atp": {"atp.enabled": True, "app.enabled": False, "train.label_aux": "off"},
+    # the plain projector predicts the label
+    "app": {"atp.enabled": False, "app.enabled": True, "train.label_aux": "auto"},
+    "full": {"atp.enabled": True, "app.enabled": True, "train.label_aux": "off"},
+}
+VARIANTS = tuple(_ROWS)
 
 
-def variant_config(cfg: Config, variant: str) -> Config:
-    """Derive one ablation row's config; seeds and data settings are kept."""
-    c = copy.deepcopy(cfg)
-    if variant == "baseline":
-        c.atp.enabled = False
-        c.app.enabled = False
-        c.train.label_aux = "off"
-    elif variant == "label_only":
-        c.atp.enabled = False
-        c.app.enabled = False
-        c.train.label_aux = "on"
-    elif variant == "atp":
-        c.atp.enabled = True
-        c.app.enabled = False
-        c.train.label_aux = "off"
-    elif variant == "app":
-        c.atp.enabled = False
-        c.app.enabled = True
-        c.train.label_aux = "auto"   # plain projector predicts the label
-    elif variant == "full":
-        c.atp.enabled = True
-        c.app.enabled = True
-        c.train.label_aux = "off"
-    else:
+def variant_config(cfg: Config, variant: str, sweep: dict[str, object] | None = None
+                   ) -> Config:
+    """One ablation row's config: a copy of `cfg` with the row's components
+    and the sweep's own overrides laid on in one validated merge."""
+    if variant not in _ROWS:
         raise ConfigError(f"unknown ablation variant {variant!r}; know {VARIANTS}")
-    return c.validate()
+    return apply_overrides(copy.deepcopy(cfg), {**_ROWS[variant], **(sweep or {})})
 
 
 @dataclass
@@ -86,11 +76,10 @@ def run_components(cfg: Config, seeds: list[int] | None = None,
     for variant in variants:
         reports = []
         for seed in seeds:
-            run_cfg = variant_config(cfg, variant)
-            run_cfg.train.seed = seed
+            run_cfg = variant_config(cfg, variant, {"train.seed": seed})
             result = train_model(run_cfg, dataset)
-            detail.rows.append(AblationRow(
-                key={"variant": variant, "seed": seed}, report=result.best_report))
+            detail.rows.append(AblationRow(key={"variant": variant, "seed": run_cfg.train.seed},
+                                           report=result.best_report))
             reports.append(result.best_report)
         summary.rows.append(AblationRow(
             key={"variant": variant}, report=_mean_report(reports)))
@@ -102,11 +91,9 @@ def run_seq_length(cfg: Config, frames_list: tuple[int, ...] = (9, 27)
     """Sequence-length sweep: baseline vs text prompts at each length."""
     table = AblationTable(columns=["frames", "variant"])
     for frames in frames_list:
-        c = copy.deepcopy(cfg)
-        c.data.frames = frames
-        dataset = dataset_from_config(c)
-        for variant in ("baseline", "atp"):
-            run_cfg = variant_config(c, variant)
+        runs = {v: variant_config(cfg, v, {"data.frames": frames}) for v in ("baseline", "atp")}
+        dataset = dataset_from_config(runs["baseline"])
+        for variant, run_cfg in runs.items():
             result = train_model(run_cfg, dataset)
             table.rows.append(AblationRow(
                 key={"frames": frames, "variant": variant},
@@ -125,8 +112,7 @@ def run_tap_layers(cfg: Config, layers: list[int] | None = None) -> AblationTabl
     dataset = dataset_from_config(cfg)
     table = AblationTable(columns=["tap_layer"])
     for layer in layers:
-        run_cfg = variant_config(cfg, "atp")
-        run_cfg.atp.tap_layer = layer
+        run_cfg = variant_config(cfg, "atp", {"atp.tap_layer": layer})
         result = train_model(run_cfg, dataset)
         table.rows.append(AblationRow(key={"tap_layer": layer},
                                       report=result.best_report))

@@ -9,6 +9,7 @@ otherwise.
 from __future__ import annotations
 
 import argparse
+import copy
 import sys
 from pathlib import Path
 
@@ -27,55 +28,51 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_data_flags(parser: argparse.ArgumentParser) -> None:
+def _add_data_flags(parser: argparse.ArgumentParser, seed_key: str = "train.seed") -> None:
     """Config file, seed and sequence length: the flags of every command that
-    builds a config (eval takes its config from the checkpoint)."""
+    builds a config (eval takes its config from the checkpoint). A config
+    flag's dest is its dotted config key."""
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--seed", type=int, help="seed override (data seed for "
-                        "gen-data, training seed otherwise)")
-    parser.add_argument("--frames", type=int, help="sequence length override")
+    parser.add_argument("--seed", dest=seed_key, type=int, help="seed override (data seed "
+                        "for gen-data, training seed otherwise)")
+    parser.add_argument("--frames", dest="data.frames", type=int,
+                        help="sequence length override")
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     """Flags that change the model or its training (not read by gen-data)."""
-    parser.add_argument("--lambda", dest="loss_weight", type=float,
+    parser.add_argument("--lambda", dest="train.lambda", type=float,
                         help="action-loss weight override")
-    parser.add_argument("--disable-atp", action="store_true",
-                        help="turn the text-prompt module off")
-    parser.add_argument("--disable-app", action="store_true",
-                        help="turn the pose-prompt module off")
-    parser.add_argument("--tap-layer", type=int,
+    parser.add_argument("--disable-atp", dest="atp.enabled", action="store_const",
+                        const=False, help="turn the text-prompt module off")
+    parser.add_argument("--disable-app", dest="app.enabled", action="store_const",
+                        const=False, help="turn the pose-prompt module off")
+    parser.add_argument("--tap-layer", dest="atp.tap_layer", type=int,
                         help="encoder block feeding the action projector")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--gt-labels-at-eval", action="store_true", default=None,
+    parser.add_argument("--gt-labels-at-eval", dest="train.gt_labels_at_eval",
+                        action="store_const", const=True,
                         help="select pose prompts with ground-truth labels at eval")
     parser.add_argument("--out", help="output directory")
 
 
+def _flag_overrides(args) -> dict[str, object]:
+    return {k: v for k, v in vars(args).items() if "." in k}
+
+
 def _build_config(args, dataset=None):
-    cfg = load_config(args.config)
-    overrides = {
-        "train.seed": args.seed,
-        "data.frames": args.frames,
-        "train.lambda": args.loss_weight,
-        "atp.tap_layer": args.tap_layer,
-    }
+    overrides = _flag_overrides(args)
     if dataset is not None:      # a loaded dataset's shape wins over the config's
-        if args.frames is not None and args.frames != dataset.manifest.frames:
-            raise ConfigError(f"--frames {args.frames} does not match --data, which "
+        frames = overrides.get("data.frames")
+        if frames is not None and frames != dataset.manifest.frames:
+            raise ConfigError(f"--frames {frames} does not match --data, which "
                               f"holds {dataset.manifest.frames}-frame sequences")
         overrides.update({"data.frames": dataset.manifest.frames,
                           "data.num_actions": dataset.manifest.num_actions,
                           "data.joints": dataset.manifest.joints})
-    if args.gt_labels_at_eval:
-        overrides["train.gt_labels_at_eval"] = True
-    if args.disable_atp:
-        overrides["atp.enabled"] = False
-    if args.disable_app:
-        overrides["app.enabled"] = False
-    return apply_overrides(cfg, overrides)
+    return load_config(args.config, overrides)
 
 
 def _require_out(args) -> Path:
@@ -97,8 +94,7 @@ def _write_plot_data(report: MetricsReport, path: Path) -> None:
 
 
 def _cmd_gen_data(args) -> int:
-    cfg = apply_overrides(load_config(args.config),
-                          {"data.seed": args.seed, "data.frames": args.frames})
+    cfg = _build_config(args)
     out = _require_out(args)
     dataset = dataset_from_config(cfg)
     save_dataset(dataset, out)
@@ -125,9 +121,7 @@ def _cmd_eval(args) -> int:
         raise ConfigError("--checkpoint <file> is required for eval")
     out = _require_out(args)
     chk = load_checkpoint(args.checkpoint)
-    cfg = chk.cfg
-    if args.gt_labels_at_eval:
-        cfg.train.gt_labels_at_eval = True
+    cfg = apply_overrides(chk.cfg, _flag_overrides(args))
     model, _ = restore_model(chk)
     dataset = load_dataset(args.data) if args.data else dataset_from_config(cfg)
     hard = resolve_hard_actions(cfg, dataset)
@@ -142,25 +136,34 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+# ablate mode: (the key its rows set themselves, that key's flag, the run,
+# which returns its tables by file name; the last one is printed).
+_ABLATE_MODES = {
+    "components": ("train.seed", "--seed", lambda cfg, seeds: dict(zip(
+        ("ablation.csv", "ablation_summary.csv"), ablate_mod.run_components(cfg, seeds)))),
+    "seq-length": ("data.frames", "--frames",
+                   lambda cfg, seeds: {"seq_length.csv": ablate_mod.run_seq_length(cfg)}),
+    "tap-layer": ("atp.tap_layer", "--tap-layer",
+                  lambda cfg, seeds: {"tap_layer.csv": ablate_mod.run_tap_layers(cfg)}),
+}
+
+
 def _cmd_ablate(args) -> int:
+    swept, swept_flag, run = _ABLATE_MODES[args.mode]
+    for key, flag in (("atp.enabled", "--disable-atp"), ("app.enabled", "--disable-app"),
+                      (swept, swept_flag)):
+        if getattr(args, key) is not None:
+            raise ConfigError(f"ablate --mode {args.mode} sets {flag} itself")
+    if args.seeds is not None and args.mode != "components":
+        raise ConfigError(f"ablate --mode {args.mode} takes no --seeds")
     cfg = _build_config(args)
+    # Each seed is checked as a [train] seed value is, through the merge.
+    seeds = [apply_overrides(copy.deepcopy(cfg), {"train.seed": seed}).train.seed
+             for seed in ("0,1,2" if args.seeds is None else args.seeds).split(",")]
     out = _require_out(args)
-    if args.mode == "components":
-        seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [0, 1, 2]
-        detail, summary = ablate_mod.run_components(cfg, seeds=seeds)
-        detail.write(out / "ablation.csv")
-        summary.write(out / "ablation_summary.csv")
-        print((out / "ablation_summary.csv").read_text(), end="")
-    elif args.mode == "seq-length":
-        table = ablate_mod.run_seq_length(cfg)
-        table.write(out / "seq_length.csv")
-        print((out / "seq_length.csv").read_text(), end="")
-    elif args.mode == "tap-layer":
-        table = ablate_mod.run_tap_layers(cfg)
-        table.write(out / "tap_layer.csv")
-        print((out / "tap_layer.csv").read_text(), end="")
-    else:
-        raise ConfigError(f"unknown ablate mode {args.mode!r}")
+    for name, table in run(cfg, seeds).items():
+        table.write(out / name)
+    print(table.to_csv(), end="")
     return 0
 
 
@@ -192,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset directory")
-    _add_data_flags(p)
+    _add_data_flags(p, seed_key="data.seed")
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=_cmd_gen_data)
 
@@ -215,8 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     _add_model_flags(p)
     _add_common(p)
-    p.add_argument("--mode", default="components",
-                   choices=["components", "seq-length", "tap-layer"])
+    p.add_argument("--mode", default="components", choices=list(_ABLATE_MODES))
     p.add_argument("--seeds", help="comma-separated training seeds (components mode)")
     p.set_defaults(func=_cmd_ablate)
 
@@ -233,7 +235,8 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except PoseLiftError as exc:
-        print(f"error:{type(exc).__name__}:{exc}", file=sys.stderr)
+        # one line, even where a message quotes a multi-line parser error
+        print(f"error:{type(exc).__name__}:{' '.join(str(exc).splitlines())}", file=sys.stderr)
         return 2
 
 

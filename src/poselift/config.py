@@ -1,5 +1,6 @@
 """Run configuration: `key = value` files with [data] [encoder] [atp] [app]
-[train] sections. Every key has a default; CLI flags override file values.
+[train] sections. Every key has a default; CLI flags override file values,
+and `load_config` validates the merge once.
 """
 
 from __future__ import annotations
@@ -184,30 +185,39 @@ def _coerce(value, target: type, where: str):
     return value
 
 
-def load_config(path: str | Path | None = None) -> Config:
-    """Defaults, overlaid with the file at `path` when given."""
-    if path is None:
-        return Config().validate()
-    try:
-        return parse_config_text(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config: {exc}") from None
+def load_config(path: str | Path | None = None,
+                overrides: dict[str, object] | None = None) -> Config:
+    """The one way a run's config is made: defaults < the file at `path` <
+    `overrides` (dotted keys as in `apply_overrides`; None skips), merged
+    first and validated once, so a flag can complete a file that is invalid
+    on its own."""
+    merged = {}
+    if path is not None:
+        try:
+            merged = _file_overrides(Path(path).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config: {exc}") from None
+    merged.update((k, v) for k, v in (overrides or {}).items() if v is not None)
+    return apply_overrides(Config(), merged)
 
 
 def parse_config_text(text: str) -> Config:
     """Defaults overlaid with `key = value` lines from `text`."""
+    return apply_overrides(Config(), _file_overrides(text))
+
+
+def _file_overrides(text: str) -> dict[str, str]:
+    """The `key = value` lines of `text` as dotted overrides, not yet checked
+    against the fields."""
     parser = configparser.ConfigParser(interpolation=None)    # "%" is a plain character
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from None
-    overrides = {}
     for section_name in parser.sections():
         if section_name not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section_name}]")
-        for key, raw in parser.items(section_name):
-            overrides[f"{section_name}.{key}"] = raw
-    return apply_overrides(Config(), overrides)
+    return {f"{name}.{key}": raw for name in parser.sections() for key, raw in parser.items(name)}
 
 
 def apply_overrides(cfg: Config, overrides: dict[str, object]) -> Config:

@@ -6,7 +6,7 @@ meaningful in float32.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,7 +21,6 @@ class GradCheckReport:
     tol: float
     max_rel_err: float = 0.0
     worst_param: str = ""
-    per_param: dict[str, float] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -77,7 +76,6 @@ def grad_check(build_loss: Callable[[], Tensor], params: list[Parameter],
                     f"gradient check aborted: non-finite loss while perturbing {p.name!r}")
             num_flat[i] = (plus - minus) / (2.0 * eps)
         err = _rel_err(analytic[p.name], numeric)
-        report.per_param[p.name] = err
         if err > report.max_rel_err:
             report.max_rel_err = err
             report.worst_param = p.name
@@ -180,22 +178,16 @@ def run_op_suite(eps: float = 1e-5, tol: float = 1e-4) -> dict[str, GradCheckRep
 
 def micro_model_config():
     """Tiny full-model configuration for the end-to-end gradient check."""
-    from .config import Config
+    from .config import Config, apply_overrides
 
-    cfg = Config()
-    cfg.data.num_actions = 2
-    cfg.data.frames = 9
-    cfg.data.joints = 4
-    cfg.encoder.channels = 8
-    cfg.atp.context_tokens = 2
-    cfg.app.prompts_per_action = 2
-    return cfg
+    return apply_overrides(Config(), {
+        "data.num_actions": 2, "data.frames": 9, "data.joints": 4, "encoder.channels": 8,
+        "atp.context_tokens": 2, "app.prompts_per_action": 2})
 
 
 def run_model_check(eps: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
     """Finite-difference check of the combined loss through the whole model
     (float64, 2-sample micro batch)."""
-    from .config import Config  # noqa: F401  (micro_model_config builds it)
     from .data import gen_synthetic
     from .losses import action_loss, pose_loss, total_loss
     from .model import PoseLifter

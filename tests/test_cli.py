@@ -333,3 +333,76 @@ def test_bad_checkpoint_values_are_an_error_line(tmp_path, capsys, corrupt):
         write_checkpoint(tmp_path / "saved.bin", chk)
     assert err == f"error:FormatError:{refused.value}\n"
     assert not (tmp_path / "saved.bin").exists()
+
+
+@pytest.mark.parametrize("mode,flags", [
+    *[(mode, flags) for mode in ("components", "seq-length", "tap-layer")
+      for flags in (["--disable-atp"], ["--disable-app"])],
+    ("components", ["--seed", "3"]), ("seq-length", ["--frames", "81"]),
+    ("tap-layer", ["--tap-layer", "2"]), ("seq-length", ["--seeds", "1"]),
+    ("tap-layer", ["--seeds", "1"])])
+def test_ablate_rejects_a_flag_its_mode_sets(quick_ini, tmp_path, capsys, mode, flags):
+    # each row sets these itself, so the flag would be ignored without a word
+    assert main(["ablate", "--config", quick_ini, "--mode", mode, "--out", str(tmp_path / "o"),
+                 *flags]) == 2
+    assert_one_error_line(capsys, "ConfigError")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("seeds,message", [
+    ("abc", "[train] seed: expected int, got 'abc'"),
+    ("1,,2", "[train] seed: expected int, got ''"),
+    ("1e3", "[train] seed: expected int, got '1e3'"),
+    ("-1", "[train] seed = -1 is outside [0, 9007199254740992]")])
+def test_ablate_seeds_are_checked_as_train_seeds(quick_ini, tmp_path, capsys, seeds, message):
+    assert main(["ablate", "--config", quick_ini, "--seeds", seeds,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error:ConfigError:{message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_ablate_detail_prints_the_coerced_seed(quick_ini, tmp_path):
+    out = tmp_path / "ab"
+    assert main(["ablate", "--config", quick_ini, "--out", str(out), "--seeds", " 07"]) == 0
+    detail = (out / "ablation.csv").read_text().splitlines()
+    assert [line.split(",")[:2] for line in detail[1:]] == [[v, "7"] for v in
+                                                            ("baseline", "label_only", "atp",
+                                                             "app", "full")]
+
+
+NO_LABEL_SOURCE = ("error:ConfigError:pose prompts need a label source at eval: enable text "
+                   "prompts, label_aux or gt_labels_at_eval\n")
+
+
+def test_a_flag_completes_a_file_that_is_invalid_alone(tmp_path, capsys):
+    # defaults < file < flags, validated once: the file alone has no label source
+    ini = tmp_path / "f.ini"
+    ini.write_text("[data]\ntrain_per_action = 2\neval_per_action = 1\n\n[atp]\nenabled = false\n"
+                   "\n[train]\nepochs = 1\nlabel_aux = off\n", encoding="utf-8")
+    assert main(["train", "--config", str(ini), "--gt-labels-at-eval",
+                 "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(ini), "--out", str(tmp_path / "bad")]) == 2
+    assert capsys.readouterr().err == NO_LABEL_SOURCE
+    assert not (tmp_path / "bad").exists()
+
+
+def test_disable_atp_rescues_a_file_with_label_aux_on(tmp_path):
+    ini = tmp_path / "f.ini"
+    ini.write_text("[data]\ntrain_per_action = 2\neval_per_action = 1\n\n"
+                   "[train]\nepochs = 1\nlabel_aux = on\n", encoding="utf-8")
+    assert main(["train", "--config", str(ini), "--disable-atp",
+                 "--out", str(tmp_path / "run")]) == 0
+    summary = (tmp_path / "run" / "summary.csv").read_text().splitlines()[1]
+    assert not summary.endswith(",")      # the label head reports an accuracy
+
+
+def test_a_flag_wins_over_the_file_value_it_replaces(tmp_path, capsys):
+    ini = tmp_path / "f.ini"
+    ini.write_text("[data]\nframes = 10\ntrain_per_action = 2\neval_per_action = 1\n\n"
+                   "[train]\nepochs = 1\n", encoding="utf-8")
+    assert main(["gen-data", "--config", str(ini), "--out", str(tmp_path / "bad")]) == 2
+    assert_one_error_line(capsys, "ConfigError")
+    assert main(["gen-data", "--config", str(ini), "--frames", "9",
+                 "--out", str(tmp_path / "ds")]) == 0
+    assert load_dataset(tmp_path / "ds").manifest.frames == 9

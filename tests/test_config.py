@@ -1,5 +1,6 @@
 """Config file parsing, overrides, and validation."""
 
+import argparse
 import math
 from dataclasses import fields
 from types import SimpleNamespace
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from poselift.cli import _build_config, build_parser
-from poselift.config import (_RANGES, Config, apply_overrides, dump_config, load_config,
-                             parse_config_text)
+from poselift.config import (_KEY_ALIASES, _RANGES, Config, apply_overrides, dump_config,
+                             load_config, parse_config_text)
 from poselift.errors import ConfigError
 
 
@@ -205,6 +206,31 @@ def test_cli_overrides_keep_their_types():
     cfg = _build_config(build_parser().parse_args(["train"]),
                         dataset=SimpleNamespace(manifest=manifest))
     assert (cfg.data.frames, cfg.data.num_actions, cfg.data.joints) == (9, 3, 5)
+
+
+def test_every_dotted_flag_dest_is_a_config_key():
+    # A config flag's dest is the key it overrides, so a renamed key must not
+    # leave a flag that only fails when someone passes it.
+    keys = {f"{name}.{f.name}" for name, section in vars(Config()).items()
+            for f in fields(section)} | {f"{s}.{key}" for s, key in _KEY_ALIASES}
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    dests = {a.dest for sub in commands.values() for a in sub._actions if "." in a.dest}
+    assert dests == {"train.seed", "data.seed", "data.frames", "train.lambda", "atp.enabled",
+                     "app.enabled", "atp.tap_layer", "train.gt_labels_at_eval"}
+    assert dests <= keys
+
+
+def test_load_config_merges_file_and_overrides_before_validating(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("[atp]\nenabled = false\n\n[train]\nlabel_aux = off\nlambda = 0.3\n",
+                    encoding="utf-8")
+    with pytest.raises(ConfigError, match="pose prompts need a label source"):
+        load_config(path)
+    cfg = load_config(path, {"train.gt_labels_at_eval": True, "train.lambda": None,
+                             "train.seed": "5"})
+    assert (cfg.train.gt_labels_at_eval, cfg.train.loss_weight, cfg.train.seed) == (True, 0.3, 5)
+    assert load_config(None, {"data.frames": 81}).data.frames == 81
 
 
 # Names for `hard_actions`, with "%", whitespace and line breaks among their
