@@ -27,10 +27,11 @@ print("dloss/dw col 0:", w.grad[:, 0])
 # --- the ops the pose model is built from -----------------------------------
 seq = Tensor(rng.normal(size=(2, 9, 4)))          # (batch, frames, channels)
 kernel = Tensor(rng.normal(size=(3, 4, 4)))       # width-3 temporal conv
-conv = ops.dilated_conv1d(seq, kernel, dilation=2)
+bias = Tensor(np.zeros(4))                        # one per output channel
+conv = ops.dilated_conv1d(seq, kernel, bias, dilation=2)
 print("\ndilated conv: (2, 9, 4) -> ", conv.shape, " (valid, dilation 2)")
 
-probs = ops.softmax(Tensor([[2.0, 1.0, 0.1]]), axis=-1)
+probs = ops.softmax(Tensor([[2.0, 1.0, 0.1]]))   # over the last axis
 print("softmax row:", probs.data[0], "sums to", probs.data.sum())
 
 q = Tensor(rng.normal(size=(2, 3, 4)))

@@ -1,5 +1,6 @@
 """Ablation harness: the component on/off matrix plus the sequence-length
-and projector-position sweeps, each emitted as a CSV table."""
+and projector-position sweeps, each emitted as a CSV table. A mode is a
+list of runs, each config built and validated before any run trains."""
 
 from __future__ import annotations
 
@@ -30,8 +31,9 @@ VARIANTS = tuple(_ROWS)
 
 def variant_config(cfg: Config, variant: str, sweep: dict[str, object] | None = None
                    ) -> Config:
-    """One ablation row's config: a copy of `cfg` with the row's components
-    and the sweep's own overrides laid on in one validated merge."""
+    """One ablation run's config: a copy of `cfg` with the row's components
+    and then the sweep's own overrides laid on, validated once on the merge.
+    So `cfg` need not be valid alone (see `config.merge_config`)."""
     if variant not in _ROWS:
         raise ConfigError(f"unknown ablation variant {variant!r}; know {VARIANTS}")
     return apply_overrides(copy.deepcopy(cfg), {**_ROWS[variant], **(sweep or {})})
@@ -62,61 +64,74 @@ class AblationTable:
         Path(path).write_text(self.to_csv(), encoding="utf-8")
 
 
-def run_components(cfg: Config, seeds: list[int] | None = None,
-                   dataset: PoseDataset | None = None,
-                   variants: tuple[str, ...] = VARIANTS) -> tuple[AblationTable, AblationTable]:
+# A run: its key columns in the table, and its validated config. A mode's
+# runs are all built before any trains, so a bad one stops it before work.
+Run = tuple[dict, Config]
+
+
+def component_runs(cfg: Config, seeds: list | None = None) -> list[Run]:
+    """Every variant at each seed (`cfg`'s own when none are given); a seed
+    is checked as a `[train] seed` override is."""
+    runs = []
+    for variant in VARIANTS:
+        for seed in seeds or [cfg.train.seed]:
+            run_cfg = variant_config(cfg, variant, {"train.seed": seed})
+            runs.append(({"variant": variant, "seed": run_cfg.train.seed}, run_cfg))
+    return runs
+
+
+def seq_length_runs(cfg: Config, frames_list: tuple[int, ...] = (9, 27)) -> list[Run]:
+    """Baseline vs text prompts at each sequence length."""
+    return [({"frames": frames, "variant": variant},
+             variant_config(cfg, variant, {"data.frames": frames}))
+            for frames in frames_list for variant in ("baseline", "atp")]
+
+
+def tap_layer_runs(cfg: Config) -> list[Run]:
+    """Text prompts with the action projector on each encoder block. Tap 1
+    is z0 (all F frames); a deeper tap b is block b's valid output,
+    F - (3**b - 1) frames. Eval computes the blocks up to the tap over all
+    their valid frames and later blocks only over the frames the centre
+    output reads, so a deeper tap costs more eval time."""
+    return [({"tap_layer": layer}, variant_config(cfg, "atp", {"atp.tap_layer": layer}))
+            for layer in range(1, blocks_for_frames(cfg.data.frames) + 1)]
+
+
+def train_runs(runs: list[Run], dataset: PoseDataset | None = None) -> AblationTable:
+    """Train each run in order, on `dataset` or else on the dataset its data
+    section generates (once for consecutive runs that share one)."""
+    table = AblationTable(columns=list(runs[0][0]))
+    data_cfg = None
+    for key, run_cfg in runs:
+        if run_cfg.data != data_cfg:
+            data_cfg, data = run_cfg.data, dataset or dataset_from_config(run_cfg)
+        table.rows.append(AblationRow(key=key, report=train_model(run_cfg, data).best_report))
+    return table
+
+
+def summarize(detail: AblationTable) -> AblationTable:
+    """Per-variant means over the seeds of a component table."""
+    summary = AblationTable(columns=["variant"])
+    for variant in dict.fromkeys(row.key["variant"] for row in detail.rows):
+        reports = [row.report for row in detail.rows if row.key["variant"] == variant]
+        summary.rows.append(AblationRow(key={"variant": variant},
+                                        report=_mean_report(reports)))
+    return summary
+
+
+def run_components(cfg: Config, seeds: list | None = None,
+                   dataset: PoseDataset | None = None) -> tuple[AblationTable, AblationTable]:
     """Train every variant on identical data with identical seeds.
 
     Returns (per-run table, per-variant mean table).
     """
-    seeds = list(seeds) if seeds else [cfg.train.seed]
-    dataset = dataset or dataset_from_config(cfg)
-    detail = AblationTable(columns=["variant", "seed"])
-    summary = AblationTable(columns=["variant"])
-    for variant in variants:
-        reports = []
-        for seed in seeds:
-            run_cfg = variant_config(cfg, variant, {"train.seed": seed})
-            result = train_model(run_cfg, dataset)
-            detail.rows.append(AblationRow(key={"variant": variant, "seed": run_cfg.train.seed},
-                                           report=result.best_report))
-            reports.append(result.best_report)
-        summary.rows.append(AblationRow(
-            key={"variant": variant}, report=_mean_report(reports)))
-    return detail, summary
+    detail = train_runs(component_runs(cfg, seeds), dataset)
+    return detail, summarize(detail)
 
 
-def run_seq_length(cfg: Config, frames_list: tuple[int, ...] = (9, 27)
-                   ) -> AblationTable:
+def run_seq_length(cfg: Config, frames_list: tuple[int, ...] = (9, 27)) -> AblationTable:
     """Sequence-length sweep: baseline vs text prompts at each length."""
-    table = AblationTable(columns=["frames", "variant"])
-    for frames in frames_list:
-        runs = {v: variant_config(cfg, v, {"data.frames": frames}) for v in ("baseline", "atp")}
-        dataset = dataset_from_config(runs["baseline"])
-        for variant, run_cfg in runs.items():
-            result = train_model(run_cfg, dataset)
-            table.rows.append(AblationRow(
-                key={"frames": frames, "variant": variant},
-                report=result.best_report))
-    return table
-
-
-def run_tap_layers(cfg: Config, layers: list[int] | None = None) -> AblationTable:
-    """Projector-position sweep: connect the action projector to each encoder
-    block. Tap 1 is z0 (all F frames); a deeper tap b is block b's valid
-    output, F - (3**b - 1) frames. Eval computes the blocks up to the tap
-    over all their valid frames and later blocks only over the frames the
-    centre output reads, so a deeper tap costs more eval time."""
-    blocks = blocks_for_frames(cfg.data.frames)
-    layers = layers or list(range(1, blocks + 1))
-    dataset = dataset_from_config(cfg)
-    table = AblationTable(columns=["tap_layer"])
-    for layer in layers:
-        run_cfg = variant_config(cfg, "atp", {"atp.tap_layer": layer})
-        result = train_model(run_cfg, dataset)
-        table.rows.append(AblationRow(key={"tap_layer": layer},
-                                      report=result.best_report))
-    return table
+    return train_runs(seq_length_runs(cfg, frames_list))
 
 
 def _mean_report(reports: list[MetricsReport]) -> MetricsReport:

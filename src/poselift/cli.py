@@ -9,12 +9,11 @@ otherwise.
 from __future__ import annotations
 
 import argparse
-import copy
 import sys
 from pathlib import Path
 
 from . import ablate as ablate_mod
-from .config import apply_overrides, load_config
+from .config import apply_overrides, load_config, merge_config
 from .data import load_dataset, save_dataset
 from .errors import ConfigError, PoseLiftError
 from .metrics import MetricsReport, write_metrics_csv, write_summary_csv
@@ -119,7 +118,6 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     if not args.checkpoint:
         raise ConfigError("--checkpoint <file> is required for eval")
-    out = _require_out(args)
     chk = load_checkpoint(args.checkpoint)
     cfg = apply_overrides(chk.cfg, _flag_overrides(args))
     model, _ = restore_model(chk)
@@ -128,6 +126,7 @@ def _cmd_eval(args) -> int:
     report = evaluate(model, dataset.eval, dataset.manifest.action_names, hard,
                       embeddings=chk.embeddings,
                       use_gt_labels=cfg.train.gt_labels_at_eval)
+    out = _require_out(args)      # only once there is something to write
     write_metrics_csv(report, out / "metrics.csv")
     write_summary_csv(report, out / "summary.csv")
     if args.plot:
@@ -136,32 +135,34 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-# ablate mode: (the key its rows set themselves, that key's flag, the run,
-# which returns its tables by file name; the last one is printed).
+# ablate mode: (the key its runs set themselves, that key's flag, its runs
+# from the base config and the seeds, and its tables by file name from the
+# trained runs' table; the last one is printed).
 _ABLATE_MODES = {
-    "components": ("train.seed", "--seed", lambda cfg, seeds: dict(zip(
-        ("ablation.csv", "ablation_summary.csv"), ablate_mod.run_components(cfg, seeds)))),
-    "seq-length": ("data.frames", "--frames",
-                   lambda cfg, seeds: {"seq_length.csv": ablate_mod.run_seq_length(cfg)}),
-    "tap-layer": ("atp.tap_layer", "--tap-layer",
-                  lambda cfg, seeds: {"tap_layer.csv": ablate_mod.run_tap_layers(cfg)}),
+    "components": ("train.seed", "--seed", ablate_mod.component_runs, lambda detail: {
+        "ablation.csv": detail, "ablation_summary.csv": ablate_mod.summarize(detail)}),
+    "seq-length": ("data.frames", "--frames", lambda cfg, _: ablate_mod.seq_length_runs(cfg),
+                   lambda table: {"seq_length.csv": table}),
+    "tap-layer": ("atp.tap_layer", "--tap-layer", lambda cfg, _: ablate_mod.tap_layer_runs(cfg),
+                  lambda table: {"tap_layer.csv": table}),
 }
 
 
 def _cmd_ablate(args) -> int:
-    swept, swept_flag, run = _ABLATE_MODES[args.mode]
+    swept, swept_flag, plan, tables = _ABLATE_MODES[args.mode]
     for key, flag in (("atp.enabled", "--disable-atp"), ("app.enabled", "--disable-app"),
                       (swept, swept_flag)):
         if getattr(args, key) is not None:
             raise ConfigError(f"ablate --mode {args.mode} sets {flag} itself")
     if args.seeds is not None and args.mode != "components":
         raise ConfigError(f"ablate --mode {args.mode} takes no --seeds")
-    cfg = _build_config(args)
-    # Each seed is checked as a [train] seed value is, through the merge.
-    seeds = [apply_overrides(copy.deepcopy(cfg), {"train.seed": seed}).train.seed
-             for seed in ("0,1,2" if args.seeds is None else args.seeds).split(",")]
+    # Each run's config is one validated merge, defaults < file < flags <
+    # row < sweep, so the file and flags need not be valid alone; every run
+    # is checked (each seed as a [train] seed value) before --out exists.
+    base = merge_config(args.config, _flag_overrides(args))
+    runs = plan(base, ("0,1,2" if args.seeds is None else args.seeds).split(","))
     out = _require_out(args)
-    for name, table in run(cfg, seeds).items():
+    for name, table in tables(ablate_mod.train_runs(runs)).items():
         table.write(out / name)
     print(table.to_csv(), end="")
     return 0

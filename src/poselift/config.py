@@ -191,6 +191,13 @@ def load_config(path: str | Path | None = None,
     `overrides` (dotted keys as in `apply_overrides`; None skips), merged
     first and validated once, so a flag can complete a file that is invalid
     on its own."""
+    return merge_config(path, overrides).validate()
+
+
+def merge_config(path: str | Path | None = None,
+                 overrides: dict[str, object] | None = None) -> Config:
+    """`load_config`'s merge, not yet validated: the base an ablation lays
+    each run's own keys on, validating every run's merge instead."""
     merged = {}
     if path is not None:
         try:
@@ -198,7 +205,7 @@ def load_config(path: str | Path | None = None,
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
     merged.update((k, v) for k, v in (overrides or {}).items() if v is not None)
-    return apply_overrides(Config(), merged)
+    return _assign(Config(), merged)
 
 
 def parse_config_text(text: str) -> Config:
@@ -221,8 +228,14 @@ def _file_overrides(text: str) -> dict[str, str]:
 
 
 def apply_overrides(cfg: Config, overrides: dict[str, object]) -> Config:
-    """Apply CLI-style dotted overrides, e.g. {"train.lambda": 0.2}; each
-    value is coerced to its field's type (see `_coerce`), and None skips."""
+    """Apply CLI-style dotted overrides, e.g. {"train.lambda": 0.2}, and
+    validate the result; each value is coerced to its field's type (see
+    `_coerce`), and None skips."""
+    return _assign(cfg, overrides).validate()
+
+
+def _assign(cfg: Config, overrides: dict[str, object]) -> Config:
+    """`apply_overrides` without the validation."""
     for dotted, value in overrides.items():
         if value is None:
             continue
@@ -235,7 +248,7 @@ def apply_overrides(cfg: Config, overrides: dict[str, object]) -> Config:
         if attr not in types:
             raise ConfigError(f"unknown key {key!r} in section [{section_name}]")
         setattr(section, attr, _coerce(value, types[attr], f"[{section_name}] {key}"))
-    return cfg.validate()
+    return cfg
 
 
 def dump_config(cfg: Config) -> str:

@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .container import Reader, write_container
+from .encoder import blocks_for_frames
 from .errors import ConfigError, FormatError
 
-SUPPORTED_FRAMES = (9, 27, 81, 243)
 FORMAT_VERSION = 2
 DATASET_MAGIC = b"PLDATA\x00\x00"
 
@@ -196,9 +196,7 @@ def gen_synthetic(num_actions: int, frames: int, joints: int,
         raise ConfigError(f"need at least 2 actions, got {num_actions}")
     if joints < 4:
         raise ConfigError(f"need at least 4 joints, got {joints}")
-    if frames not in SUPPORTED_FRAMES:
-        raise ConfigError(
-            f"unsupported sequence length {frames}; supported: {list(SUPPORTED_FRAMES)}")
+    blocks_for_frames(frames)       # raises for an unsupported length
     motifs = default_motifs(num_actions)
     train = _generate_split(motifs, frames, joints, train_per_action, seed, split_id=0)
     evals = _generate_split(motifs, frames, joints, eval_per_action, seed, split_id=1)

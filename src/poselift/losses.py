@@ -17,7 +17,7 @@ def pose_loss(pred: Tensor, gt: Tensor) -> Tensor:
     """
     if pred.shape != gt.shape:
         raise DimensionError(f"pose loss shapes disagree: {pred.shape} vs {gt.shape}")
-    return ops.l2_norm(pred - gt, axis=-1).mean()     # per joint (..., J), then mean
+    return ops.l2_norm(pred - gt).mean()     # per joint (..., J), then mean
 
 
 def action_loss(y: Tensor, labels) -> Tensor:

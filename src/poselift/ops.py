@@ -1,7 +1,9 @@
 """Neural-net operations composed from the autodiff primitives.
 
 Everything here is differentiable end to end; shapes follow the
-channel-last convention (..., frames, channels).
+channel-last convention (..., frames, channels). Softmax, the norms and
+cosine similarity reduce over the last axis only; batch norm over all the
+others.
 """
 
 from __future__ import annotations
@@ -14,21 +16,28 @@ from .errors import DimensionError, SequenceTooShortError
 from .tensor import Tensor, _unbroadcast, concat, zeros
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along `axis` (max is subtracted as a constant)."""
-    shift = np.max(x.data, axis=axis, keepdims=True)
+LN_EPS = 1e-5        # added to the layer-norm variance
+COS_EPS = 1e-8       # added to the cosine-similarity denominator
+BN_MOMENTUM = 0.1    # weight of the newest batch in the running statistics
+BN_EPS = 1e-5
+
+
+def softmax(x: Tensor) -> Tensor:
+    """Numerically stable softmax over the last axis (max is subtracted as a constant)."""
+    shift = np.max(x.data, axis=-1, keepdims=True)
     e = (x - shift).exp()
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def l2_norm(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
-    return (x * x).sum(axis=axis, keepdims=keepdims).sqrt()
+def l2_norm(x: Tensor) -> Tensor:
+    """Euclidean norm over the last axis, which it drops."""
+    return (x * x).sum(axis=-1).sqrt()
 
 
-def cosine_similarity(a: Tensor, b: Tensor, axis: int = -1, eps: float = 1e-8) -> Tensor:
-    """cos(a, b) with an epsilon guard in the denominator."""
-    dot = (a * b).sum(axis=axis)
-    return dot / (l2_norm(a, axis=axis) * l2_norm(b, axis=axis) + eps)
+def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
+    """cos(a, b) over the last axis, with `COS_EPS` guarding the denominator."""
+    dot = (a * b).sum(axis=-1)
+    return dot / (l2_norm(a) * l2_norm(b) + COS_EPS)
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
@@ -43,12 +52,11 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         raise DimensionError(
             f"attention key/value counts disagree: k {k.shape}, v {v.shape}")
     scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
-    return softmax(scores, axis=-1) @ v
+    return softmax(scores) @ v
 
 
-def dilated_conv1d(x: Tensor, kernel: Tensor, dilation: int = 1,
-                   bias: Tensor | None = None, padding: str = "valid",
-                   stride: int = 1) -> Tensor:
+def dilated_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, dilation: int = 1,
+                   padding: str = "valid", stride: int = 1) -> Tensor:
     """Temporal convolution along axis -2.
 
     x: (..., F, Cin), kernel: (w, Cin, Cout), bias: (Cout,).
@@ -87,13 +95,12 @@ def dilated_conv1d(x: Tensor, kernel: Tensor, dilation: int = 1,
         taps.append(x[tuple(index)])
         term = taps[i].data @ k
         out = term if out is None else out + term
-    if bias is not None:
-        out = out + bias.data
+    out = out + bias.data
 
     def backward(g):
         # Each tap is one matmul; its gradient and the kernel slab's are
         # those a matmul node would pass on.
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias._accumulate(_unbroadcast(g, bias.shape))
         grad_kernel = np.empty_like(kernel.data) if kernel.requires_grad else None
         for i, (tap, k) in enumerate(zip(taps, kernel.data)):
@@ -104,20 +111,15 @@ def dilated_conv1d(x: Tensor, kernel: Tensor, dilation: int = 1,
         if grad_kernel is not None:
             kernel._accumulate(grad_kernel)
 
-    parents = (*taps, kernel) if bias is None else (*taps, kernel, bias)
-    return Tensor._from_op(out, parents, backward)
+    return Tensor._from_op(out, (*taps, kernel, bias), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift."""
     mu = x.mean(axis=-1, keepdims=True)
     centered = x - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / (var + eps).sqrt() * gain + bias
-
-
-BN_MOMENTUM = 0.1     # weight of the newest batch in the running statistics
-BN_EPS = 1e-5
+    return centered / (var + LN_EPS).sqrt() * gain + bias
 
 
 def batch_norm(x: Tensor, gain: Tensor, bias: Tensor,

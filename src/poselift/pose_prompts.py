@@ -20,10 +20,10 @@ class PosePromptBank:
     """Learnable prompts, shape (K, L, C)."""
 
     def __init__(self, num_actions: int, prompts_per_action: int, channels: int,
-                 rng: np.random.Generator, name: str = "app"):
+                 rng: np.random.Generator):
         self.num_actions = num_actions
         self.prompts = Parameter(
-            f"{name}.prompts",
+            "app.prompts",
             rng.normal(scale=0.02, size=(num_actions, prompts_per_action, channels)))
 
 
@@ -62,12 +62,11 @@ class DecoderBlock:
 class PosePromptRefiner:
     """zd (B, 1, C) + selected prompts (B, L, C) -> refined (B, 1, C)."""
 
-    def __init__(self, channels: int, rng: np.random.Generator, blocks: int = 1,
-                 name: str = "app"):
+    def __init__(self, channels: int, rng: np.random.Generator, blocks: int = 1):
         self.channels = channels
-        self.blocks = [DecoderBlock(f"{name}.decoder{b}", channels, rng)
+        self.blocks = [DecoderBlock(f"app.decoder{b}", channels, rng)
                        for b in range(1, blocks + 1)]
-        self.gamma = Parameter(f"{name}.gamma", np.zeros(channels))
+        self.gamma = Parameter("app.gamma", np.zeros(channels))
 
     def __call__(self, zd: Tensor, selected: Tensor) -> Tensor:
         if zd.shape[-1] != self.channels or selected.shape[-1] != self.channels:
@@ -88,10 +87,10 @@ class OutputHead:
     """
 
     def __init__(self, channels: int, joints: int, rng: np.random.Generator,
-                 output_scale: float = 100.0, name: str = "head"):
+                 output_scale: float = 100.0):
         self.joints = joints
         self.output_scale = output_scale
-        self.out = Linear(f"{name}.out", channels, joints * 3, rng)
+        self.out = Linear("head.out", channels, joints * 3, rng)
 
     def __call__(self, z_bar_d: Tensor) -> Tensor:
         batch = z_bar_d.shape[0]

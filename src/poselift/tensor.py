@@ -39,24 +39,19 @@ def default_dtype() -> np.dtype:
     return np.dtype(_DEFAULT_DTYPE)
 
 
-def set_default_dtype(dtype) -> None:
-    """Set the float width used for newly created tensors ("float32"/"float64")."""
+@contextlib.contextmanager
+def precision(dtype):
+    """Switch the float width of newly created tensors ("float32" or
+    "float64") inside the block, e.g. `with precision("float64"):`."""
     global _DEFAULT_DTYPE
     dt = np.dtype(dtype)
     if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise TrainingError(f"unsupported tensor dtype {dt}; use float32 or float64")
-    _DEFAULT_DTYPE = dt.type
-
-
-@contextlib.contextmanager
-def precision(dtype):
-    """Temporarily switch the default dtype, e.g. `with precision("float64"):`."""
-    previous = _DEFAULT_DTYPE
-    set_default_dtype(dtype)
+    previous, _DEFAULT_DTYPE = _DEFAULT_DTYPE, dt.type
     try:
         yield
     finally:
-        set_default_dtype(previous)
+        _DEFAULT_DTYPE = previous
 
 
 @contextlib.contextmanager
@@ -244,13 +239,6 @@ class Tensor:
     def __rtruediv__(self, other) -> "Tensor":
         return _ensure_tensor(other) / self
 
-    def __pow__(self, exponent) -> "Tensor":
-        if not isinstance(exponent, (int, float)):
-            raise TrainingError("only scalar exponents are supported")
-        return Tensor._from_op(
-            self.data ** exponent, (self,),
-            lambda g: self._accumulate(g * exponent * self.data ** (exponent - 1)))
-
     # -- unary ops ---------------------------------------------------------
 
     def exp(self) -> "Tensor":
@@ -276,25 +264,13 @@ class Tensor:
 
     # -- shape ops ----------------------------------------------------------
 
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
+    def reshape(self, *shape: int) -> "Tensor":
         return Tensor._from_op(self.data.reshape(shape), (self,),
                                lambda g: self._accumulate(g.reshape(self.shape)))
 
-    def transpose(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        if not axes:
-            axes = tuple(reversed(range(self.ndim)))
-        inverse = np.argsort(axes)
-        return Tensor._from_op(self.data.transpose(axes), (self,),
-                               lambda g: self._accumulate(g.transpose(inverse)))
-
     def swapaxes(self, a: int, b: int) -> "Tensor":
-        axes = list(range(self.ndim))
-        axes[a], axes[b] = axes[b], axes[a]
-        return self.transpose(tuple(axes))
+        return Tensor._from_op(self.data.swapaxes(a, b), (self,),
+                               lambda g: self._accumulate(g.swapaxes(a, b)))
 
     def broadcast_to(self, shape) -> "Tensor":
         return Tensor._from_op(np.broadcast_to(self.data, tuple(shape)), (self,),

@@ -23,12 +23,12 @@ class TextPromptBank:
     """Shared learnable context vectors plus one class token per action."""
 
     def __init__(self, num_actions: int, context_tokens: int, channels: int,
-                 rng: np.random.Generator, name: str = "atp"):
+                 rng: np.random.Generator):
         self.num_actions = num_actions
         self.context_tokens = context_tokens
-        self.context = Parameter(f"{name}.context",
+        self.context = Parameter("atp.context",
                                  rng.normal(scale=0.02, size=(context_tokens, channels)))
-        self.class_tokens = Parameter(f"{name}.class_tokens",
+        self.class_tokens = Parameter("atp.class_tokens",
                                       rng.normal(scale=0.02, size=(num_actions, channels)))
 
 
@@ -52,19 +52,19 @@ class FrozenTextEncoder:
     """
 
     def __init__(self, sequence_length: int, channels: int, rng: np.random.Generator,
-                 layers: int = 2, name: str = "atp.text_encoder"):
-        self.pos = Parameter(f"{name}.pos",
+                 layers: int = 2):
+        self.pos = Parameter("atp.text_encoder.pos",
                              rng.normal(scale=0.02, size=(sequence_length, channels)))
         self.layers = []
         for i in range(layers):
             self.layers.append({
-                "ln1": LayerNorm(f"{name}.layer{i}.ln1", channels),
-                "attn": CrossAttention(f"{name}.layer{i}.attn", channels, rng),
-                "ln2": LayerNorm(f"{name}.layer{i}.ln2", channels),
-                "ffn": FeedForward(f"{name}.layer{i}.ffn", channels, rng),
+                "ln1": LayerNorm(f"atp.text_encoder.layer{i}.ln1", channels),
+                "attn": CrossAttention(f"atp.text_encoder.layer{i}.attn", channels, rng),
+                "ln2": LayerNorm(f"atp.text_encoder.layer{i}.ln2", channels),
+                "ffn": FeedForward(f"atp.text_encoder.layer{i}.ffn", channels, rng),
             })
-        self.ln_final = LayerNorm(f"{name}.ln_final", channels)
-        self.proj = Parameter(f"{name}.proj",
+        self.ln_final = LayerNorm("atp.text_encoder.ln_final", channels)
+        self.proj = Parameter("atp.text_encoder.proj",
                               np.eye(channels) + rng.normal(scale=0.02, size=(channels, channels)))
         # The one trainable piece is the final text projection.
         for p in named_parameters(self).values():
@@ -89,13 +89,12 @@ class ActionProjector:
     `blocks` dilation-1 TCN blocks with "same" padding, so any length down to
     a single frame works, then temporal mean pooling."""
 
-    def __init__(self, channels: int, rng: np.random.Generator, blocks: int = 2,
-                 name: str = "proj"):
+    def __init__(self, channels: int, rng: np.random.Generator, blocks: int = 2):
         self.blocks = [
-            TcnBlock(f"{name}.block{b}", channels, dilation=1, rng=rng)
+            TcnBlock(f"proj.block{b}", channels, dilation=1, rng=rng)
             for b in range(1, blocks + 1)
         ]
-        self.out = Linear(f"{name}.out", channels, channels, rng)
+        self.out = Linear("proj.out", channels, channels, rng)
 
     def __call__(self, z: Tensor, training: bool) -> Tensor:
         h = z
@@ -108,12 +107,11 @@ class ActionProjector:
 class LabelHead:
     """Plain multi-task classifier: action feature -> K logits."""
 
-    def __init__(self, channels: int, num_actions: int, rng: np.random.Generator,
-                 name: str = "labelhead"):
-        self.out = Linear(f"{name}.out", channels, num_actions, rng)
+    def __init__(self, channels: int, num_actions: int, rng: np.random.Generator):
+        self.out = Linear("labelhead.out", channels, num_actions, rng)
 
     def __call__(self, action_feature: Tensor) -> Tensor:
-        return ops.softmax(self.out(action_feature), axis=-1)
+        return ops.softmax(self.out(action_feature))
 
 
 def first_order_motion(z0: Tensor) -> Tensor:
@@ -136,9 +134,9 @@ class PoseToText:
     initialization the output equals the input exactly.
     """
 
-    def __init__(self, channels: int, rng: np.random.Generator, name: str = "p2t"):
-        self.attn = CrossAttention(f"{name}.attn", channels, rng)
-        self.beta = Parameter(f"{name}.beta", np.zeros(()))
+    def __init__(self, channels: int, rng: np.random.Generator):
+        self.attn = CrossAttention("p2t.attn", channels, rng)
+        self.beta = Parameter("p2t.beta", np.zeros(()))
 
     def __call__(self, t: Tensor, z0: Tensor) -> Tensor:
         """t: (K, C) text embeddings, z0: (B, F, C) -> (B, K, C)."""
@@ -161,6 +159,6 @@ def classify(t_bar: Tensor, action_feature: Tensor, tau: float) -> Tensor:
     a = action_feature.reshape(1, -1) if squeeze else action_feature
     t3 = t_bar.reshape(1, *t_bar.shape) if t_bar.ndim == 2 else t_bar
     batch, channels = a.shape
-    cos = ops.cosine_similarity(t3, a.reshape(batch, 1, channels), axis=-1)  # (B, K)
-    y = ops.softmax(cos * (1.0 / tau), axis=-1)
+    cos = ops.cosine_similarity(t3, a.reshape(batch, 1, channels))  # (B, K)
+    y = ops.softmax(cos * (1.0 / tau))
     return y.reshape(-1) if squeeze else y

@@ -406,3 +406,49 @@ def test_a_flag_wins_over_the_file_value_it_replaces(tmp_path, capsys):
     assert main(["gen-data", "--config", str(ini), "--frames", "9",
                  "--out", str(tmp_path / "ds")]) == 0
     assert load_dataset(tmp_path / "ds").manifest.frames == 9
+
+
+def test_ablate_merges_each_run_once(tmp_path):
+    # label_aux = on is invalid with the default text prompts, but every row
+    # sets atp.enabled, app.enabled and label_aux itself
+    ini = tmp_path / "g.ini"
+    ini.write_text("[data]\ntrain_per_action = 2\neval_per_action = 1\n\n"
+                   "[train]\nepochs = 1\nlabel_aux = on\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["ablate", "--config", str(ini), "--seeds", "0", "--out", str(out)]) == 0
+    detail = (out / "ablation.csv").read_text().splitlines()
+    assert [line.split(",")[:2] for line in detail[1:]] == [[v, "0"] for v in
+                                                            ("baseline", "label_only", "atp",
+                                                             "app", "full")]
+
+
+def test_ablate_checks_every_run_before_creating_out(tmp_path, capsys):
+    # tap layer 3 fits the file's 27 frames but not the sweep's first length, 9
+    ini = tmp_path / "tiny.ini"
+    ini.write_text("[data]\ntrain_per_action = 2\neval_per_action = 1\n\n"
+                   "[train]\nepochs = 1\n", encoding="utf-8")
+    assert main(["ablate", "--config", str(ini), "--mode", "seq-length", "--tap-layer", "3",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error:ConfigError:tap_layer 3 out of range 1..2\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_gen_data_refuses_an_unsupported_length_before_creating_out(tmp_path, capsys):
+    assert main(["gen-data", "--frames", "729", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == ("error:ConfigError:unsupported sequence length 729; "
+                                       "supported: [9, 27, 81, 243]\n")
+    assert not (tmp_path / "o").exists()
+
+
+def _truncated(path):
+    write_checkpoint(path, default_checkpoint())
+    path.write_bytes(path.read_bytes()[:10])
+
+
+@pytest.mark.parametrize("make", [lambda path: None, _truncated], ids=["missing", "truncated"])
+def test_eval_creates_out_only_after_restoring(tmp_path, capsys, make):
+    path = tmp_path / "checkpoint.bin"
+    make(path)
+    assert main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert_one_error_line(capsys, "FormatError")
+    assert not (tmp_path / "o").exists()

@@ -63,6 +63,16 @@ def test_tap_layer_range_follows_frames():
         parse_config_text("[atp]\ntap_layer = 0\n")
 
 
+def test_only_the_supported_sequence_lengths_are_accepted():
+    # 729 = 3**6 and 3 are powers of three too, but not supported lengths
+    for frames in (9, 27, 81, 243):
+        assert apply_overrides(Config(), {"data.frames": frames}).data.frames == frames
+    for frames in (729, 3, 1):
+        with pytest.raises(ConfigError, match=rf"unsupported sequence length {frames}; "
+                                              r"supported: \[9, 27, 81, 243\]"):
+            apply_overrides(Config(), {"data.frames": frames})
+
+
 def test_overrides():
     cfg = apply_overrides(Config(), {"train.lambda": 0.3, "data.frames": 81,
                                      "atp.enabled": False, "train.seed": None})

@@ -141,7 +141,7 @@ def run_conv(conv, x_values, kernel_values, bias_values, weights, grads, residua
 @given(lead=hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=3),
        frames=st.integers(1, 20), width=st.integers(1, 3), dilation=st.integers(1, 4),
        stride=st.integers(1, 4), padding=st.sampled_from(["valid", "same"]),
-       c_in=st.integers(1, 4), c_out=st.integers(1, 4), with_bias=st.booleans(),
+       c_in=st.integers(1, 4), c_out=st.integers(1, 4), with_bias=st.just(True),
        grads=st.tuples(st.booleans(), st.booleans(), st.booleans()),
        residual=st.booleans(), dtype=DTYPES, seed=st.integers(0, 2**31 - 1))
 @example(lead=(2,), frames=27, width=3, dilation=3, stride=1, padding="valid", c_in=4,

@@ -12,7 +12,7 @@ from poselift import ops
 from poselift.errors import TrainingError
 from poselift.gradcheck import grad_check, run_op_suite
 from poselift.losses import pose_loss
-from poselift.tensor import Parameter, Tensor, precision
+from poselift.tensor import Parameter, Tensor, concat, precision
 
 OP_REPORTS = run_op_suite()
 
@@ -23,16 +23,45 @@ def test_op_gradient(op_name):
     assert report.passed, f"{op_name}: {report}"
 
 
+# Suite entries by op where they differ from its name: the conv once per
+# padding, dilation and stride case, batch norm once per mode, indexing once
+# basic and once advanced, and the Tensor operators by what they compute.
+SUITE_NAMES = {
+    "dilated_conv1d": ("conv_valid", "conv_dilated", "conv_same", "conv_strided"),
+    "batch_norm": ("batch_norm", "batch_norm_eval"),
+    "Tensor.__add__": ("add",), "Tensor.__sub__": ("sub",), "Tensor.__mul__": ("mul",),
+    "Tensor.__truediv__": ("div",), "Tensor.__neg__": ("neg",),
+    "Tensor.__matmul__": ("matmul", "matmul_batched"),
+    "Tensor.__getitem__": ("slice", "gather"),
+}
+
+
+def differentiable_ops() -> dict[str, object]:
+    """The public functions of `poselift.ops`, `concat`, every Tensor method
+    that builds a graph node itself, and the two composite methods the
+    suite checks on their own (`__sub__` and `mean`)."""
+    found = {name: fn for name, fn in inspect.getmembers(ops, inspect.isfunction)
+             if fn.__module__ == ops.__name__ and not name.startswith("_")}
+    found["concat"] = concat
+    found.update((f"Tensor.{name}", fn) for name, fn in vars(Tensor).items()
+                 if inspect.isfunction(fn) and name != "_from_op"
+                 and "_from_op(" in inspect.getsource(fn))
+    found.update({"Tensor.__sub__": Tensor.__sub__, "Tensor.mean": Tensor.mean})
+    return found
+
+
+def suite_entries(op: str) -> tuple[str, ...]:
+    return SUITE_NAMES.get(op, (op.removeprefix("Tensor."),))
+
+
 def test_every_public_op_is_in_the_suite():
-    # The suite checks dilated_conv1d once per padding, dilation and stride case.
-    suite_names = {"dilated_conv1d": ("conv_valid", "conv_dilated", "conv_same",
-                                      "conv_strided")}
-    public = [name for name, fn in inspect.getmembers(ops, inspect.isfunction)
-              if fn.__module__ == ops.__name__ and not name.startswith("_")]
-    assert "dilated_conv1d" in public
-    unchecked = [name for name in public
-                 if not any(entry in OP_REPORTS for entry in suite_names.get(name, (name,)))]
+    found = differentiable_ops()
+    assert {"dilated_conv1d", "concat", "Tensor.__add__", "Tensor.swapaxes",
+            "Tensor.__getitem__"} <= set(found)
+    unchecked = [op for op in found if not all(e in OP_REPORTS for e in suite_entries(op))]
     assert unchecked == []
+    # and no entry checks an op that is gone
+    assert set(OP_REPORTS) - {e for op in found for e in suite_entries(op)} == set()
 
 
 def test_square_at_three():

@@ -32,24 +32,24 @@ def test_matmul_shape_error_names_both_shapes():
 
 def test_softmax_uniform_rows():
     for k in (2, 5, 17):
-        out = ops.softmax(Tensor(np.full((3, k), 1.25)), axis=-1)
+        out = ops.softmax(Tensor(np.full((3, k), 1.25)))
         assert np.allclose(out.data, 1.0 / k)
 
 
 def test_softmax_analytic():
-    out = ops.softmax(Tensor([np.log(2.0), 0.0]), axis=-1)
+    out = ops.softmax(Tensor([np.log(2.0), 0.0]))
     assert np.allclose(out.data, [2 / 3, 1 / 3], atol=1e-6)
 
 
 def test_softmax_large_values_stay_finite():
-    out = ops.softmax(Tensor([1e4, 0.0]), axis=-1)
+    out = ops.softmax(Tensor([1e4, 0.0]))
     assert np.isfinite(out.data).all()
     assert abs(out.data.sum() - 1.0) < 1e-6
 
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(0)
-    out = ops.softmax(Tensor(rng.normal(size=(50, 9)) * 10), axis=-1)
+    out = ops.softmax(Tensor(rng.normal(size=(50, 9)) * 10))
     assert np.abs(out.data.sum(axis=-1) - 1.0).max() < 1e-6
 
 
@@ -58,7 +58,7 @@ def test_softmax_entries_strictly_inside_unit_interval():
     # legitimately round to 0/1 in float32
     with precision("float64"):
         rng = np.random.default_rng(0)
-        out = ops.softmax(Tensor(rng.normal(size=(50, 9)) * 2.5), axis=-1)
+        out = ops.softmax(Tensor(rng.normal(size=(50, 9)) * 2.5))
     assert (out.data > 0).all() and (out.data < 1).all()
 
 
@@ -106,7 +106,7 @@ def test_conv_width_one_identity_kernel():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(5, 3)).astype(np.float32)
     kernel = np.eye(3, dtype=np.float32)[None]     # (1, 3, 3) identity per channel
-    out = ops.dilated_conv1d(Tensor(x), Tensor(kernel))
+    out = ops.dilated_conv1d(Tensor(x), Tensor(kernel), bias=Tensor(np.zeros(3)))
     assert np.allclose(out.data, x, atol=1e-7)
 
 
@@ -135,20 +135,21 @@ def test_conv_matches_triple_loop_oracle(dilation):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(11, 3))
         kernel = rng.normal(size=(3, 3, 2))
-        out = ops.dilated_conv1d(Tensor(x), Tensor(kernel), dilation=dilation)
+        out = ops.dilated_conv1d(Tensor(x), Tensor(kernel), dilation=dilation,
+                                 bias=Tensor(np.zeros(2)))
         assert np.allclose(out.data, _conv_oracle(x, kernel, dilation), atol=1e-12)
 
 
 def test_conv_sequence_too_short():
     with pytest.raises(SequenceTooShortError):
         ops.dilated_conv1d(Tensor(np.ones((2, 1))), Tensor(np.ones((3, 1, 1))),
-                           dilation=1)
+                           dilation=1, bias=Tensor(np.zeros(1)))
 
 
 def test_conv_same_padding_keeps_extent():
     x = Tensor(np.ones((7, 2)))
     out = ops.dilated_conv1d(x, Tensor(np.ones((3, 2, 2))), dilation=2,
-                             padding="same")
+                             bias=Tensor(np.zeros(2)), padding="same")
     assert out.shape == (7, 2)
 
 
