@@ -42,8 +42,9 @@ print(f"\nnearest-centroid accuracy on 3D targets: {acc:.3f} "
 # Round-trip through the on-disk format: one container file, dataset.bin
 # (magic, version, the seed, the action names and the hard-action names,
 # then whole-array input2d, target3d and labels records for the train and
-# eval splits, then a CRC32; see poselift.container). On load, K, frames,
-# joints and the split sizes are read off the names and the array shapes.
+# eval splits, then a CRC32; see poselift.container). The manifest holds
+# only the seed and the names: K is the number of names, and frames, joints
+# and the split sizes are the array shapes.
 with tempfile.TemporaryDirectory() as tmp:
     save_dataset(dataset, tmp)
     print("\non disk:")

@@ -26,8 +26,8 @@ print("".join(lines[:4]) + "...\n" + "".join(lines[-3:]))
 report = result.best_report
 print("best-epoch eval:", report.summary_line())
 print("per-action P1/P2:")
-for name in report.action_names:
-    print(f"  {name:8s} P1={report.per_action_p1[name]:7.3f}  "
+for name, p1 in report.per_action_p1.items():
+    print(f"  {name:8s} P1={p1:7.3f}  "
           f"P2={report.per_action_p2[name]:7.3f}  n={report.counts[name]}")
 print(f"aggregate: P1={report.p1:.3f}  P2(depth)={report.p2:.3f}  "
       f"P3(hard-action depth)={report.p3:.3f}  accuracy={report.accuracy:.3f}")

@@ -138,7 +138,6 @@ def _mean_report(reports: list[MetricsReport]) -> MetricsReport:
     first = reports[0]
     accs = [r.accuracy for r in reports]
     return MetricsReport(
-        action_names=first.action_names,
         per_action_p1={a: float(np.mean([r.per_action_p1[a] for r in reports]))
                        for a in first.per_action_p1},
         per_action_p2={a: float(np.mean([r.per_action_p2[a] for r in reports]))
@@ -147,5 +146,4 @@ def _mean_report(reports: list[MetricsReport]) -> MetricsReport:
         p1=float(np.mean([r.p1 for r in reports])),
         p2=float(np.mean([r.p2 for r in reports])),
         p3=float(np.mean([r.p3 for r in reports])),
-        accuracy=None if accs[0] is None else float(np.mean(accs)),
-        n=first.n)
+        accuracy=None if accs[0] is None else float(np.mean(accs)))

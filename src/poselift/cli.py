@@ -16,6 +16,7 @@ from . import ablate as ablate_mod
 from .config import apply_overrides, load_config, merge_config
 from .data import load_dataset, save_dataset
 from .errors import ConfigError, PoseLiftError
+from .gradcheck import TOL, run_model_check, run_op_suite
 from .metrics import MetricsReport, write_metrics_csv, write_summary_csv
 from .train import (dataset_from_config, evaluate, load_checkpoint,
                     resolve_hard_actions, restore_model, train_model)
@@ -64,13 +65,12 @@ def _flag_overrides(args) -> dict[str, object]:
 def _build_config(args, dataset=None):
     overrides = _flag_overrides(args)
     if dataset is not None:      # a loaded dataset's shape wins over the config's
-        frames = overrides.get("data.frames")
-        if frames is not None and frames != dataset.manifest.frames:
-            raise ConfigError(f"--frames {frames} does not match --data, which "
-                              f"holds {dataset.manifest.frames}-frame sequences")
-        overrides.update({"data.frames": dataset.manifest.frames,
-                          "data.num_actions": dataset.manifest.num_actions,
-                          "data.joints": dataset.manifest.joints})
+        _, frames, joints, _ = dataset.train.input2d.shape
+        if overrides.get("data.frames") not in (None, frames):
+            raise ConfigError(f"--frames {overrides['data.frames']} does not match --data, "
+                              f"which holds {frames}-frame sequences")
+        overrides.update({"data.frames": frames, "data.joints": joints,
+                          "data.num_actions": len(dataset.manifest.action_names)})
     return load_config(args.config, overrides)
 
 
@@ -87,8 +87,7 @@ def _require_out(args) -> Path:
 
 def _write_plot_data(report: MetricsReport, path: Path) -> None:
     # Per-action value pairs for external bar plotting: "<action> <P1>".
-    lines = [f"{name} {report.per_action_p1[name]:.6f}"
-             for name in report.action_names if name in report.per_action_p1]
+    lines = [f"{name} {p1:.6f}" for name, p1 in report.per_action_p1.items()]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -97,8 +96,7 @@ def _cmd_gen_data(args) -> int:
     out = _require_out(args)
     dataset = dataset_from_config(cfg)
     save_dataset(dataset, out)
-    print(f"wrote {dataset.manifest.train_count} train / "
-          f"{dataset.manifest.eval_count} eval samples to {out}")
+    print(f"wrote {len(dataset.train)} train / {len(dataset.eval)} eval samples to {out}")
     return 0
 
 
@@ -169,8 +167,6 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    from .gradcheck import run_model_check, run_op_suite
-
     failures = []
     for name, report in run_op_suite(tol=args.tol).items():
         print(f"{name}: {'PASS' if report.passed else 'FAIL'} "
@@ -224,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=float, default=TOL)
     p.add_argument("--ops-only", action="store_true",
                    help="skip the (slower) full-model check")
     p.set_defaults(func=_cmd_gradcheck)

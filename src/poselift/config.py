@@ -82,9 +82,10 @@ class _Interval:
 
 
 _SEED = _Interval(0, 2 ** 53, high_open=False)   # what dataset.bin stores exactly
-_POSITIVE = _Interval(0, low_open=True)
+POSITIVE = _Interval(0, low_open=True)
 # The range of every numeric field except data.frames and atp.tap_layer,
-# which `validate` checks against the supported sequence lengths.
+# which `validate` checks against the supported sequence lengths. Library
+# functions that take a field's value as an argument check it here too.
 _RANGES = {
     ("data", "num_actions"): _Interval(2),        # the generator needs 2 actions and 4 joints
     ("data", "joints"): _Interval(4),
@@ -92,16 +93,16 @@ _RANGES = {
     ("data", "eval_per_action"): _Interval(1),
     ("data", "seed"): _SEED,
     ("encoder", "channels"): _Interval(2),        # one channel layer-norms to NaN
-    ("encoder", "output_scale"): _POSITIVE,
+    ("encoder", "output_scale"): POSITIVE,
     ("atp", "context_tokens"): _Interval(0),
-    ("atp", "tau"): _POSITIVE,
+    ("atp", "tau"): POSITIVE,
     ("atp", "text_layers"): _Interval(0),
     ("atp", "projector_blocks"): _Interval(0),
     ("app", "prompts_per_action"): _Interval(1),
     ("app", "decoder_blocks"): _Interval(1),      # none leaves app.prompts without a gradient
     ("train", "epochs"): _Interval(1),
     ("train", "batch_size"): _Interval(1),
-    ("train", "lr"): _POSITIVE,
+    ("train", "lr"): POSITIVE,
     ("train", "lr_decay"): _Interval(0, 1, low_open=True, high_open=False),
     ("train", "loss_weight"): _Interval(0),
     ("train", "seed"): _SEED,
@@ -117,11 +118,8 @@ class Config:
     train: TrainSection = field(default_factory=TrainSection)
 
     def validate(self) -> "Config":
-        for (section_name, attr), interval in _RANGES.items():
-            value = getattr(getattr(self, section_name), attr)
-            if value not in interval:
-                key = _FILE_KEYS.get((section_name, attr), attr)
-                raise ConfigError(f"[{section_name}] {key} = {value} is outside {interval}")
+        for section_name, attr in _RANGES:
+            check_range(f"{section_name}.{attr}", getattr(getattr(self, section_name), attr))
         if self.train.label_aux not in ("auto", "on", "off"):
             raise ConfigError(f"unknown label_aux {self.train.label_aux!r}")
         if self.train.label_aux == "on" and self.atp.enabled:
@@ -145,6 +143,17 @@ class Config:
         # auto: a plain classifier is needed whenever prompts are refined by
         # predicted labels but no text-prompt classifier exists.
         return self.app.enabled and not self.atp.enabled
+
+
+def check_range(key: str, value, interval: _Interval | None = None) -> None:
+    """Raise `ConfigError` unless `value` lies in `interval`, by default the
+    `_RANGES` entry of the dotted field `key` (e.g. "train.lr"). The message
+    names the field as a config file does."""
+    section, _, attr = key.partition(".")
+    interval = interval or _RANGES[section, attr]
+    if value not in interval:
+        raise ConfigError(f"[{section}] {_FILE_KEYS.get((section, attr), attr)} = {value} "
+                          f"is outside {interval}")
 
 
 _SECTIONS = tuple(f.name for f in fields(Config))
@@ -194,8 +203,7 @@ def load_config(path: str | Path | None = None,
     return merge_config(path, overrides).validate()
 
 
-def merge_config(path: str | Path | None = None,
-                 overrides: dict[str, object] | None = None) -> Config:
+def merge_config(path: str | Path | None, overrides: dict[str, object] | None) -> Config:
     """`load_config`'s merge, not yet validated: the base an ablation lays
     each run's own keys on, validating every run's merge instead."""
     merged = {}

@@ -18,9 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import check_range
 from .container import Reader, write_container
 from .encoder import blocks_for_frames
-from .errors import ConfigError, FormatError
+from .errors import FormatError
 
 FORMAT_VERSION = 2
 DATASET_MAGIC = b"PLDATA\x00\x00"
@@ -113,16 +114,13 @@ def _skeleton_template(joints: int) -> np.ndarray:
 
 @dataclass
 class DatasetManifest:
-    """Dataset metadata; on load everything but the names and the seed is
-    read off the array shapes."""
-    num_actions: int
-    frames: int
-    joints: int
+    """What a dataset's arrays do not hold: the generation seed and the
+    action names. Its sizes are the arrays' shapes: K is the number of
+    names, frames and joints are each split's `input2d.shape[1:3]`, and a
+    split's sample count is its `len`."""
     seed: int
     action_names: list[str]
     hard_actions: list[str]
-    train_count: int
-    eval_count: int
 
 
 @dataclass
@@ -191,20 +189,18 @@ def _generate_split(motifs: list[ActionMotif], frames: int, joints: int,
 def gen_synthetic(num_actions: int, frames: int, joints: int,
                   train_per_action: int, eval_per_action: int,
                   seed: int) -> PoseDataset:
-    """Generate disjoint train/eval splits, deterministic in every argument."""
-    if num_actions < 2:
-        raise ConfigError(f"need at least 2 actions, got {num_actions}")
-    if joints < 4:
-        raise ConfigError(f"need at least 4 joints, got {joints}")
+    """Generate disjoint train/eval splits, deterministic in every argument;
+    each argument must lie in the range of its `[data]` config field."""
+    for attr, value in (("num_actions", num_actions), ("joints", joints),
+                        ("train_per_action", train_per_action),
+                        ("eval_per_action", eval_per_action), ("seed", seed)):
+        check_range(f"data.{attr}", value)
     blocks_for_frames(frames)       # raises for an unsupported length
     motifs = default_motifs(num_actions)
     train = _generate_split(motifs, frames, joints, train_per_action, seed, split_id=0)
     evals = _generate_split(motifs, frames, joints, eval_per_action, seed, split_id=1)
-    manifest = DatasetManifest(
-        num_actions=num_actions, frames=frames, joints=joints, seed=seed,
-        action_names=[m.name for m in motifs],
-        hard_actions=hard_action_names(motifs),
-        train_count=len(train), eval_count=len(evals))
+    manifest = DatasetManifest(seed=seed, action_names=[m.name for m in motifs],
+                               hard_actions=hard_action_names(motifs))
     return PoseDataset(manifest=manifest, train=train, eval=evals, motifs=motifs)
 
 
@@ -288,12 +284,7 @@ def load_dataset(path: str | Path) -> PoseDataset:
     train, evals = (Split(input2d, target3d, labels.astype(np.int64))
                     for input2d, target3d, labels in arrays)
     _check_dataset(seed, names, train, evals)
-    _, frames, joints, _ = train.input2d.shape
-    manifest = DatasetManifest(
-        num_actions=len(names), frames=frames, joints=joints, seed=seed,
-        action_names=names, hard_actions=hard,
-        train_count=len(train), eval_count=len(evals))
-    return PoseDataset(manifest=manifest, train=train, eval=evals,
+    return PoseDataset(manifest=DatasetManifest(seed, names, hard), train=train, eval=evals,
                        motifs=default_motifs(len(names)))
 
 

@@ -47,18 +47,6 @@ def blocks_for_frames(frames: int) -> int:
 
 
 @dataclass
-class EncoderConfig:
-    frames: int
-    joints: int
-    channels: int = 16
-    tap_layer: int = 1      # the block whose full-extent output `tap` holds
-
-    @property
-    def blocks(self) -> int:
-        return blocks_for_frames(self.frames)
-
-
-@dataclass
 class EncoderOutput:
     z0: Tensor              # (B, F, C) shallow features, full time extent
     tap: Tensor             # (B, F', C) block `tap_layer`'s features: z0 at 1, else valid
@@ -108,30 +96,32 @@ class TcnEncoder:
     """Stacked dilated-convolution encoder exposing one tap.
 
     Tap 1 is the full-length shallow feature z0 (B, F, C); a deeper tap b is
-    block b's valid output, F - (3**b - 1) frames.
+    block b's valid output, F - (3**b - 1) frames. The input length is read
+    off the block count and the joints off the input projection's width.
     """
 
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
-        self.cfg = cfg
-        blocks = cfg.blocks
-        if not 1 <= cfg.tap_layer <= blocks:
-            raise ConfigError(f"tap layer {cfg.tap_layer} out of range 1..{blocks}")
-        self.input_proj = Linear("encoder.input_proj", 2 * cfg.joints, cfg.channels, rng)
+    def __init__(self, frames: int, joints: int, channels: int, tap_layer: int,
+                 rng: np.random.Generator):
+        blocks = blocks_for_frames(frames)
+        if not 1 <= tap_layer <= blocks:
+            raise ConfigError(f"tap layer {tap_layer} out of range 1..{blocks}")
+        self.tap_layer = tap_layer      # the block whose full-extent output `tap` holds
+        self.input_proj = Linear("encoder.input_proj", 2 * joints, channels, rng)
         self.blocks = [
-            TcnBlock(f"encoder.block{b}", cfg.channels, KERNEL_WIDTH ** (b - 1), rng)
+            TcnBlock(f"encoder.block{b}", channels, KERNEL_WIDTH ** (b - 1), rng)
             for b in range(1, blocks + 1)
         ]
 
     def forward(self, x: Tensor, training: bool) -> EncoderOutput:
         """x: (B, F, J, 2) -> EncoderOutput."""
         batch, frames, joints, _ = x.shape
-        if frames != self.cfg.frames or joints != self.cfg.joints:
-            raise ConfigError(
-                f"input ({frames} frames, {joints} joints) does not match encoder "
-                f"config ({self.cfg.frames} frames, {self.cfg.joints} joints)")
+        want = (SUPPORTED_FRAMES[len(self.blocks) - 2], self.input_proj.weight.shape[0] // 2)
+        if (frames, joints) != want:
+            raise ConfigError(f"input ({frames} frames, {joints} joints) does not match "
+                              f"encoder ({want[0]} frames, {want[1]} joints)")
         h = self.input_proj(x.reshape(batch, frames, 2 * joints))  # (B, F, C)
         z0 = self.blocks[0](h, training=training, padding="same")
-        layer = self.cfg.tap_layer
+        layer = self.tap_layer
         tap, h = z0, z0[:, 1:-1, :]     # block 1's valid frames
         for block in self.blocks[1:layer]:
             h = tap = block(h, training=training)

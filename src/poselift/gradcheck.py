@@ -1,6 +1,6 @@
 """Central finite-difference verification of analytic gradients.
 
-Run in float64 (see `tensor.precision`); the 1e-4 tolerance is not
+Run in float64 (see `tensor.precision`); the `TOL` tolerance is not
 meaningful in float32.
 """
 
@@ -11,10 +11,12 @@ from typing import Callable
 
 import numpy as np
 
+from .config import POSITIVE, Config, apply_overrides, check_range
 from .errors import TrainingError
 from .tensor import Parameter, Tensor
 
 EPS = 1e-5       # the central-difference step
+TOL = 1e-4       # the default largest relative error that passes
 
 
 @dataclass
@@ -40,13 +42,14 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 
 def grad_check(build_loss: Callable[[], Tensor], params: list[Parameter],
-               tol: float = 1e-4) -> GradCheckReport:
+               tol: float = TOL) -> GradCheckReport:
     """Compare backward() gradients with central differences for every element.
 
     `build_loss` must rebuild the forward pass from the current parameter
     values and return a scalar Tensor; it is re-evaluated 2 * n_elements
-    times, so keep the model small.
+    times, so keep the model small. `tol` must be positive and finite.
     """
+    check_range("gradcheck.tol", tol, POSITIVE)
     loss = build_loss()
     if not np.isfinite(loss.data).all():
         raise TrainingError(f"gradient check aborted: loss is not finite ({loss.data})")
@@ -83,7 +86,7 @@ def grad_check(build_loss: Callable[[], Tensor], params: list[Parameter],
     return report
 
 
-def run_op_suite(tol: float = 1e-4) -> dict[str, GradCheckReport]:
+def run_op_suite(tol: float = TOL) -> dict[str, GradCheckReport]:
     """Finite-difference check of every differentiable operation (float64)."""
     from . import ops
     from .tensor import concat, precision
@@ -173,14 +176,12 @@ def run_op_suite(tol: float = 1e-4) -> dict[str, GradCheckReport]:
 
 def micro_model_config():
     """Tiny full-model configuration for the end-to-end gradient check."""
-    from .config import Config, apply_overrides
-
     return apply_overrides(Config(), {
         "data.num_actions": 2, "data.frames": 9, "data.joints": 4, "encoder.channels": 8,
         "atp.context_tokens": 2, "app.prompts_per_action": 2})
 
 
-def run_model_check(tol: float = 1e-4) -> GradCheckReport:
+def run_model_check(tol: float = TOL) -> GradCheckReport:
     """Finite-difference check of the combined loss through the whole model
     (float64, 2-sample micro batch)."""
     from .data import gen_synthetic

@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
+from .config import check_range
 from .errors import ConfigError, DimensionError
 from .tensor import Tensor
 
@@ -45,6 +46,5 @@ def action_loss(y: Tensor, labels) -> Tensor:
 
 def total_loss(lp: Tensor, la: Tensor | float, weight: float) -> Tensor:
     """lp + weight * la."""
-    if weight < 0:
-        raise ConfigError(f"loss weight must be >= 0, got {weight}")
+    check_range("train.loss_weight", weight)
     return lp + weight * la

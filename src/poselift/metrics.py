@@ -13,15 +13,13 @@ from .errors import ConfigError, DimensionError
 
 @dataclass
 class MetricsReport:
-    action_names: list[str]
-    per_action_p1: dict[str, float]
+    per_action_p1: dict[str, float]    # the actions present, in label order
     per_action_p2: dict[str, float]
     counts: dict[str, int]
     p1: float
     p2: float
     p3: float
     accuracy: float | None
-    n: int
 
     def summary_line(self) -> str:
         acc = "" if self.accuracy is None else f"{self.accuracy:.4f}"
@@ -70,19 +68,15 @@ def build_report(pred: np.ndarray, gt: np.ndarray, labels: np.ndarray,
         accuracy = float((np.asarray(predicted_labels) == labels).mean())
     present_hard = [a for a in hard_actions if a in per_p2]
     return MetricsReport(
-        action_names=list(action_names),
         per_action_p1=per_p1, per_action_p2=per_p2, counts=counts,
         p1=mpjpe(pred, gt), p2=dmpjpe(pred, gt),
-        p3=tail_dmpjpe(per_p2, present_hard or hard_actions),
-        accuracy=accuracy, n=len(labels))
+        p3=tail_dmpjpe(per_p2, present_hard or hard_actions), accuracy=accuracy)
 
 
 def write_metrics_csv(report: MetricsReport, path: str | Path) -> None:
     lines = ["action,P1,P2,n"]
-    for name in report.action_names:
-        if name in report.per_action_p1:
-            lines.append(f"{name},{report.per_action_p1[name]:.6f},"
-                         f"{report.per_action_p2[name]:.6f},{report.counts[name]}")
+    for name, p1 in report.per_action_p1.items():
+        lines.append(f"{name},{p1:.6f},{report.per_action_p2[name]:.6f},{report.counts[name]}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

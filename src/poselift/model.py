@@ -16,8 +16,8 @@ import numpy as np
 
 from . import pose_prompts, text_prompts
 from .config import Config
-from .encoder import EncoderConfig, TcnEncoder
-from .errors import ConfigError
+from .encoder import TcnEncoder
+from .errors import ConfigError, PoseLiftError
 from .layers import seeded_rng
 from .tensor import Tensor, named_parameters, no_grad
 
@@ -31,6 +31,24 @@ _STREAM_P2T = 5
 _STREAM_APP = 6
 _STREAM_LABEL_HEAD = 7
 STREAM_SHUFFLE = 9
+
+
+def check_embeddings(cfg: Config, embeddings: np.ndarray | None,
+                     error: type[PoseLiftError]) -> None:
+    """Raise `error` unless `embeddings` are what eval reads for a model of
+    `cfg`: finite values, and for a text-prompt model present and (actions,
+    channels). A checkpoint's fail with `FormatError`, an argument's with
+    `ConfigError`."""
+    if cfg.atp.enabled:
+        if embeddings is None:
+            raise error("a text-prompt model needs its saved text embeddings at eval, "
+                        "where its text encoder does not run")
+        want = (cfg.data.num_actions, cfg.encoder.channels)
+        if np.shape(embeddings) != want:
+            raise error(f"text embeddings have shape {np.shape(embeddings)}, "
+                        f"want {want} (actions, channels)")
+    if embeddings is not None and not np.isfinite(embeddings).all():
+        raise error("text embeddings hold non-finite values")
 
 
 @dataclass
@@ -48,16 +66,12 @@ class PoseLifter:
         seed = cfg.train.seed
         k = cfg.data.num_actions
         channels = cfg.encoder.channels
-        self.use_atp = cfg.atp.enabled
-        self.use_app = cfg.app.enabled
-        self.use_label_aux = cfg.use_label_aux
 
-        has_projector = self.use_atp or self.use_label_aux
+        has_projector = cfg.atp.enabled or cfg.use_label_aux
         # Only the action projector reads a deeper tap.
-        tap_layer = cfg.atp.tap_layer if has_projector else 1
-        enc_cfg = EncoderConfig(frames=cfg.data.frames, joints=cfg.data.joints,
-                                channels=channels, tap_layer=tap_layer)
-        self.encoder = TcnEncoder(enc_cfg, seeded_rng(seed, _STREAM_ENCODER))
+        self.encoder = TcnEncoder(cfg.data.frames, cfg.data.joints, channels,
+                                  cfg.atp.tap_layer if has_projector else 1,
+                                  seeded_rng(seed, _STREAM_ENCODER))
         self.head = pose_prompts.OutputHead(channels, cfg.data.joints,
                                             seeded_rng(seed, _STREAM_HEAD),
                                             output_scale=cfg.encoder.output_scale)
@@ -71,7 +85,7 @@ class PoseLifter:
         self.text_bank = None
         self.text_encoder = None
         self.p2t = None
-        if self.use_atp:
+        if cfg.atp.enabled:
             self.text_bank = text_prompts.TextPromptBank(
                 k, cfg.atp.context_tokens, channels,
                 seeded_rng(seed, _STREAM_TEXT_BANK))
@@ -82,13 +96,13 @@ class PoseLifter:
             self.p2t = text_prompts.PoseToText(channels, seeded_rng(seed, _STREAM_P2T))
 
         self.label_head = None
-        if self.use_label_aux:
+        if cfg.use_label_aux:
             self.label_head = text_prompts.LabelHead(
                 channels, k, seeded_rng(seed, _STREAM_LABEL_HEAD))
 
         self.prompt_bank = None
         self.refiner = None
-        if self.use_app:
+        if cfg.app.enabled:
             rng = seeded_rng(seed, _STREAM_APP)
             self.prompt_bank = pose_prompts.PosePromptBank(
                 k, cfg.app.prompts_per_action, channels, rng)
@@ -101,7 +115,7 @@ class PoseLifter:
 
     def text_embeddings(self) -> Tensor:
         """Current per-action embeddings (K, C), with gradients attached."""
-        if not self.use_atp:
+        if self.text_encoder is None:
             raise ConfigError("text prompts are disabled in this model")
         return self.text_encoder.forward(text_prompts.assemble_prompts(self.text_bank))
 
@@ -128,14 +142,14 @@ class PoseLifter:
         probs = None
         if self.projector is not None:
             action_feature = self.projector(enc_out.tap, training=training)
-            if self.use_atp:
+            if self.text_encoder is not None:
                 t = self.text_embeddings() if embeddings is None else Tensor(embeddings)
                 t_bar = self.p2t(t, enc_out.z0)                   # (B, K, C)
                 probs = text_prompts.classify(t_bar, action_feature, self.cfg.atp.tau)
             else:
                 probs = self.label_head(action_feature)
         zd = enc_out.zd
-        if self.use_app:
+        if self.refiner is not None:
             if labels is None:
                 if probs is None:
                     raise ConfigError(
@@ -153,10 +167,7 @@ class PoseLifter:
 
         Returns (pred3d (B, J, 3), predicted_labels (B,) or None, probs or None).
         """
-        if self.use_atp and embeddings is None:
-            raise ConfigError(
-                "inference needs saved text embeddings (text encoder is "
-                "not used at eval time)")
+        check_embeddings(self.cfg, embeddings, ConfigError)
         with no_grad():
             result = self.forward(x2d, labels, training=False, embeddings=embeddings)
         probs = None if result.class_probs is None else result.class_probs.data

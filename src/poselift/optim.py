@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import check_range
 from .errors import TrainingError
 from .tensor import Parameter
 
@@ -20,6 +21,8 @@ class Adam:
 
     def __init__(self, params: dict[str, Parameter], lr: float = 1e-3,
                  lr_decay: float = 0.98):
+        check_range("train.lr", lr)
+        check_range("train.lr_decay", lr_decay)
         self.params = params
         self.lr = float(lr)
         self.lr_decay = float(lr_decay)

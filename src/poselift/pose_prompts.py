@@ -21,7 +21,6 @@ class PosePromptBank:
 
     def __init__(self, num_actions: int, prompts_per_action: int, channels: int,
                  rng: np.random.Generator):
-        self.num_actions = num_actions
         self.prompts = Parameter(
             "app.prompts",
             rng.normal(scale=0.02, size=(num_actions, prompts_per_action, channels)))
@@ -34,9 +33,9 @@ def select_prompts(bank: PosePromptBank, labels) -> Tensor:
     selected slices.
     """
     labels = np.asarray(labels)
-    if labels.min() < 0 or labels.max() >= bank.num_actions:
-        raise ConfigError(
-            f"action label out of range [0, {bank.num_actions}): {labels}")
+    k = bank.prompts.shape[0]
+    if labels.min() < 0 or labels.max() >= k:
+        raise ConfigError(f"action label out of range [0, {k}): {labels}")
     return bank.prompts[labels]
 
 
@@ -63,16 +62,16 @@ class PosePromptRefiner:
     """zd (B, 1, C) + selected prompts (B, L, C) -> refined (B, 1, C)."""
 
     def __init__(self, channels: int, rng: np.random.Generator, blocks: int = 1):
-        self.channels = channels
         self.blocks = [DecoderBlock(f"app.decoder{b}", channels, rng)
                        for b in range(1, blocks + 1)]
         self.gamma = Parameter("app.gamma", np.zeros(channels))
 
     def __call__(self, zd: Tensor, selected: Tensor) -> Tensor:
-        if zd.shape[-1] != self.channels or selected.shape[-1] != self.channels:
+        channels = self.gamma.shape[0]
+        if zd.shape[-1] != channels or selected.shape[-1] != channels:
             raise DimensionError(
                 f"channel mismatch: zd {zd.shape}, prompts {selected.shape}, "
-                f"refiner expects C={self.channels}")
+                f"refiner expects C={channels}")
         h = zd
         for block in self.blocks:
             h = block(h, selected)
@@ -88,11 +87,10 @@ class OutputHead:
 
     def __init__(self, channels: int, joints: int, rng: np.random.Generator,
                  output_scale: float = 100.0):
-        self.joints = joints
         self.output_scale = output_scale
         self.out = Linear("head.out", channels, joints * 3, rng)
 
     def __call__(self, z_bar_d: Tensor) -> Tensor:
         batch = z_bar_d.shape[0]
         flat = self.out(z_bar_d.reshape(batch, -1)) * self.output_scale
-        return flat.reshape(batch, self.joints, 3)
+        return flat.reshape(batch, -1, 3)

@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, SequenceTooShortError
+from .config import check_range
+from .errors import SequenceTooShortError
 from .layers import CrossAttention, FeedForward, LayerNorm, Linear
 from .tensor import Parameter, Tensor, concat, named_parameters
 from .encoder import TcnBlock
@@ -24,8 +25,6 @@ class TextPromptBank:
 
     def __init__(self, num_actions: int, context_tokens: int, channels: int,
                  rng: np.random.Generator):
-        self.num_actions = num_actions
-        self.context_tokens = context_tokens
         self.context = Parameter("atp.context",
                                  rng.normal(scale=0.02, size=(context_tokens, channels)))
         self.class_tokens = Parameter("atp.class_tokens",
@@ -37,7 +36,7 @@ def assemble_prompts(bank: TextPromptBank) -> Tensor:
 
     -> (K, N+1, C)
     """
-    k = bank.num_actions
+    k = bank.class_tokens.shape[0]
     n, c = bank.context.shape
     ctx = bank.context.reshape(1, n, c).broadcast_to((k, n, c))
     cls = bank.class_tokens.reshape(k, 1, c)
@@ -153,8 +152,7 @@ def classify(t_bar: Tensor, action_feature: Tensor, tau: float) -> Tensor:
 
     t_bar: (B, K, C) or (K, C); action_feature: (B, C) or (C,) -> (B, K) or (K,).
     """
-    if tau <= 0:
-        raise ConfigError(f"temperature must be positive, got {tau}")
+    check_range("atp.tau", tau)
     squeeze = action_feature.ndim == 1
     a = action_feature.reshape(1, -1) if squeeze else action_feature
     t3 = t_bar.reshape(1, *t_bar.shape) if t_bar.ndim == 2 else t_bar

@@ -23,7 +23,7 @@ from .errors import ConfigError, FormatError, TrainingError
 from .layers import seeded_rng
 from .losses import action_loss, pose_loss, total_loss
 from .metrics import MetricsReport, build_report
-from .model import PoseLifter, STREAM_SHUFFLE
+from .model import PoseLifter, STREAM_SHUFFLE, check_embeddings
 from .optim import Adam
 from .tensor import Tensor
 
@@ -118,15 +118,14 @@ def train_model(cfg: Config, dataset: PoseDataset,
     """Minibatch training on the combined loss; logs one line per epoch and
     keeps the best-eval-P1 checkpoint (including the text embeddings)."""
     cfg.validate()
-    if dataset.manifest.num_actions != cfg.data.num_actions:
+    names = dataset.manifest.action_names
+    if len(names) != cfg.data.num_actions:
         raise ConfigError(
-            f"config k={cfg.data.num_actions} but dataset has "
-            f"{dataset.manifest.num_actions} actions")
+            f"config k={cfg.data.num_actions} but dataset has {len(names)} actions")
     model = PoseLifter(cfg)
     optimizer = Adam(model.params, lr=cfg.train.lr, lr_decay=cfg.train.lr_decay)
     shuffle_rng = seeded_rng(cfg.train.seed, STREAM_SHUFFLE)
     hard = resolve_hard_actions(cfg, dataset)
-    names = dataset.manifest.action_names
     n_epochs = cfg.train.epochs if epochs is None else epochs
     weight = cfg.train.loss_weight
     train, evals = dataset.train, dataset.eval
@@ -138,7 +137,7 @@ def train_model(cfg: Config, dataset: PoseDataset,
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
 
-    classifies = model.use_atp or model.use_label_aux
+    classifies = model.projector is not None
     for epoch in range(1, n_epochs + 1):
         order = shuffle_rng.permutation(len(train))
         sum_lp, sum_la, seen = 0.0, 0.0, 0
@@ -163,7 +162,7 @@ def train_model(cfg: Config, dataset: PoseDataset,
             if not np.isfinite(param.data).all():
                 _abort(f"non-finite parameter {name!r} after epoch {epoch}", best, out_path)
 
-        embeddings = model.export_embeddings() if model.use_atp else None
+        embeddings = model.export_embeddings() if cfg.atp.enabled else None
         report = evaluate(model, evals, names, hard, embeddings=embeddings,
                           use_gt_labels=cfg.train.gt_labels_at_eval)
         if not np.isfinite(report.p1):      # finite weights can still overflow
@@ -251,20 +250,10 @@ def restore_model(chk: Checkpoint) -> tuple[PoseLifter, Adam]:
 
 
 def _check_checkpoint_values(chk: Checkpoint) -> None:
-    """Raise `FormatError` unless every parameter and embedding value is
-    finite and a text-prompt model's embeddings are (actions, channels) as
-    its config reads. The name and shape checks need a model and stay in
-    `restore_model`."""
+    """Raise `FormatError` unless every parameter value is finite and the
+    embeddings pass `check_embeddings` for the checkpoint's config. The name
+    and shape checks need a model and stay in `restore_model`."""
     for name, values in chk.params.items():
         if not np.isfinite(values).all():
             raise FormatError(f"checkpoint parameter {name!r} holds non-finite values")
-    emb = chk.embeddings
-    if chk.cfg.atp.enabled:
-        want = (chk.cfg.data.num_actions, chk.cfg.encoder.channels)
-        if emb is None:
-            raise FormatError("checkpoint of a text-prompt model holds no text embeddings")
-        if emb.shape != want:
-            raise FormatError(f"checkpoint text embeddings have shape {emb.shape}, "
-                              f"want {want} (actions, channels)")
-    if emb is not None and not np.isfinite(emb).all():
-        raise FormatError("checkpoint text embeddings hold non-finite values")
+    check_embeddings(chk.cfg, chk.embeddings, FormatError)

@@ -116,6 +116,15 @@ def test_gradcheck_ops_only(capsys):
     assert "matmul: PASS" in out and "conv_valid: PASS" in out
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_gradcheck_refuses_a_tolerance_that_is_not_positive_and_finite(capsys, tol):
+    assert main(["gradcheck", "--ops-only", f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""           # no op ran
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error:ConfigError:[gradcheck] tol = "), captured.err
+
+
 def test_error_exit_codes(quick_ini, capsys):
     assert main(["eval", "--out", "/tmp/nope"]) == 2
     err = capsys.readouterr().err.strip()
@@ -405,7 +414,7 @@ def test_a_flag_wins_over_the_file_value_it_replaces(tmp_path, capsys):
     assert_one_error_line(capsys, "ConfigError")
     assert main(["gen-data", "--config", str(ini), "--frames", "9",
                  "--out", str(tmp_path / "ds")]) == 0
-    assert load_dataset(tmp_path / "ds").manifest.frames == 9
+    assert load_dataset(tmp_path / "ds").train.input2d.shape[1] == 9
 
 
 def test_ablate_merges_each_run_once(tmp_path):

@@ -212,9 +212,9 @@ def test_cli_overrides_keep_their_types():
             cfg.atp.enabled, cfg.app.enabled, cfg.train.gt_labels_at_eval) == (
         3, 81, 0.2, 2, False, False, True)
     assert parse_config_text(dump_config(cfg)) == cfg
-    manifest = SimpleNamespace(frames=9, num_actions=3, joints=5)
-    cfg = _build_config(build_parser().parse_args(["train"]),
-                        dataset=SimpleNamespace(manifest=manifest))
+    dataset = SimpleNamespace(manifest=SimpleNamespace(action_names=["a", "b", "c"]),
+                              train=SimpleNamespace(input2d=np.zeros((1, 9, 5, 2))))
+    cfg = _build_config(build_parser().parse_args(["train"]), dataset=dataset)
     assert (cfg.data.frames, cfg.data.num_actions, cfg.data.joints) == (9, 3, 5)
 
 

@@ -6,8 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from poselift import ops
 from poselift.config import Config
-from poselift.encoder import (EncoderConfig, EncoderOutput, TcnBlock, TcnEncoder,
-                              blocks_for_frames)
+from poselift.encoder import EncoderOutput, TcnBlock, TcnEncoder, blocks_for_frames
 from poselift.errors import ConfigError
 from poselift.gradcheck import grad_check
 from poselift.layers import seeded_rng
@@ -22,9 +21,7 @@ EQUIVALENCE_SETTINGS = settings(max_examples=10, deadline=None)
 
 
 def make_encoder(frames=27, joints=8, channels=16, seed=0, tap_layer=1):
-    cfg = EncoderConfig(frames=frames, joints=joints, channels=channels,
-                        tap_layer=tap_layer)
-    return TcnEncoder(cfg, seeded_rng(seed, 0))
+    return TcnEncoder(frames, joints, channels, tap_layer, seeded_rng(seed, 0))
 
 
 def full_extent_eval(enc: TcnEncoder, x: Tensor) -> EncoderOutput:
@@ -39,7 +36,7 @@ def full_extent_eval(enc: TcnEncoder, x: Tensor) -> EncoderOutput:
     for block in enc.blocks[1:]:
         h = block(h, training=False)
         taps.append(h)
-    return EncoderOutput(z0=taps[0], tap=taps[enc.cfg.tap_layer - 1], zd=taps[-1])
+    return EncoderOutput(z0=taps[0], tap=taps[enc.tap_layer - 1], zd=taps[-1])
 
 
 def randomize_running_stats(params, rng: np.random.Generator) -> None:

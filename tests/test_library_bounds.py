@@ -1,0 +1,104 @@
+"""Library entry points that take a config value as an argument check it
+against the config's range table: each call returns, or raises
+`ConfigError` exactly when an argument lies outside its field's range."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from poselift.data import gen_synthetic
+from poselift.errors import ConfigError
+from poselift.gradcheck import grad_check
+from poselift.losses import total_loss
+from poselift.optim import Adam
+from poselift.tensor import Parameter, Tensor, precision
+from poselift.text_prompts import classify
+
+SETTINGS = settings(max_examples=40, deadline=None)
+SPECIAL = st.sampled_from([0.0, -0.0, -1.0, math.inf, -math.inf, math.nan])
+
+
+def floats(low, high):
+    """Finite floats in [low, high], or a value that is never in a range."""
+    return st.one_of(st.floats(low, high, allow_subnormal=False), SPECIAL)
+
+
+def check(call, valid: bool):
+    """`call()` if `valid`, else the `ConfigError` it must raise."""
+    if valid:
+        return call()
+    with pytest.raises(ConfigError, match="is outside"):
+        call()
+
+
+@SETTINGS
+@given(num_actions=st.integers(-1, 5), frames=st.sampled_from([0, 3, 8, 9]),
+       joints=st.integers(-1, 6), train_per_action=st.integers(-1, 3),
+       eval_per_action=st.integers(-1, 3),
+       seed=st.one_of(st.integers(-3, 2 ** 32), st.integers(2 ** 53 - 1, 2 ** 53 + 1)))
+@example(4, 27, 8, 0, 20, 1234).via("train_per_action = 0")
+@example(4, 9, 8, 1, 1, -1).via("seed = -1")
+def test_gen_synthetic_checks_every_size_and_the_seed(
+        num_actions, frames, joints, train_per_action, eval_per_action, seed):
+    in_range = (num_actions >= 2 and joints >= 4 and train_per_action >= 1
+                and eval_per_action >= 1 and 0 <= seed <= 2 ** 53)
+    if in_range and frames != 9:       # the one supported length drawn
+        with pytest.raises(ConfigError, match="unsupported sequence length"):
+            gen_synthetic(num_actions, frames, joints, train_per_action,
+                          eval_per_action, seed)
+        return
+    dataset = check(lambda: gen_synthetic(num_actions, frames, joints, train_per_action,
+                                          eval_per_action, seed), in_range)
+    if in_range:
+        assert dataset.train.input2d.shape == (num_actions * train_per_action, 9, joints, 2)
+        assert dataset.eval.target3d.shape == (num_actions * eval_per_action, joints, 3)
+        assert len(dataset.manifest.action_names) == num_actions
+
+
+@SETTINGS
+@given(lr=floats(-1.0, 1.0), lr_decay=floats(-1.0, 2.0))
+@example(-1.0, 0.98).via("lr = -1")
+def test_adam_checks_lr_and_lr_decay(lr, lr_decay):
+    p = Parameter("w", np.array([1.0, -2.0]))
+    opt = check(lambda: Adam({"w": p}, lr=lr, lr_decay=lr_decay),
+                0 < lr < math.inf and 0 < lr_decay <= 1)
+    if opt is not None:
+        p.grad = np.array([0.5, 0.5])
+        opt.step()
+        assert np.isfinite(p.data).all()
+
+
+@SETTINGS
+@given(tau=floats(1e-3, 10.0))
+@example(0.0).via("tau = 0")
+def test_classify_checks_the_temperature(tau):
+    rng = np.random.default_rng(0)
+    t_bar, a = Tensor(rng.normal(size=(2, 3))), Tensor(rng.normal(size=3))
+    y = check(lambda: classify(t_bar, a, tau), 0 < tau < math.inf)
+    if y is not None:
+        assert y.shape == (2,) and abs(float(y.data.sum()) - 1.0) < 1e-5
+
+
+@SETTINGS
+@given(weight=floats(0.0, 10.0))
+@example(-0.1).via("a negative weight")
+def test_total_loss_checks_its_weight(weight):
+    lp, la = Tensor(np.array(2.0)), Tensor(np.array(3.0))
+    loss = check(lambda: total_loss(lp, la, weight), 0 <= weight < math.inf)
+    if loss is not None:
+        assert loss.item() == pytest.approx(2.0 + 3.0 * weight, rel=1e-6)
+
+
+@SETTINGS
+@given(tol=floats(1e-12, 1.0))
+@example(math.nan).via("tol = nan")
+@example(math.inf).via("tol = inf")
+def test_grad_check_checks_its_tolerance(tol):
+    with precision("float64"):
+        x = Parameter("x", np.array([0.5, -1.5]))
+        report = check(lambda: grad_check(lambda: (x * x).sum(), [x], tol=tol),
+                       0 < tol < math.inf)
+    if report is not None:
+        assert report.tol == tol and report.passed == (report.max_rel_err <= tol)

@@ -62,6 +62,16 @@ def test_evaluate_refuses_an_empty_split(quick_result, quick_dataset):
                    embeddings=quick_result.best.embeddings)
 
 
+@pytest.mark.parametrize("bad", ["three_actions", "nan"])
+def test_evaluate_refuses_embeddings_no_checkpoint_could_hold(quick_dataset, bad):
+    model = PoseLifter(quick_config())
+    emb = model.export_embeddings()
+    emb = emb[:3] if bad == "three_actions" else np.full_like(emb, np.nan)
+    with pytest.raises(ConfigError, match="text embeddings"):
+        T.evaluate(model, quick_dataset.eval, quick_dataset.manifest.action_names,
+                   quick_dataset.manifest.hard_actions, embeddings=emb)
+
+
 @pytest.mark.parametrize("batch_size", [0, -1, -256])
 def test_evaluate_refuses_a_batch_size_below_one(quick_result, quick_dataset, batch_size):
     with pytest.raises(ConfigError, match=rf"batch_size must be positive, got {batch_size}"):
