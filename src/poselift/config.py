@@ -146,17 +146,26 @@ class Config:
 
 
 def check_range(key: str, value, interval: _Interval | None = None) -> None:
-    """Raise `ConfigError` unless `value` lies in `interval`, by default the
-    `_RANGES` entry of the dotted field `key` (e.g. "train.lr"). The message
-    names the field as a config file does."""
+    """Raise `ConfigError` unless `value` has the type of the dotted field
+    `key` (e.g. "train.lr") and lies in `interval`, by default the field's
+    `_RANGES` entry. An int field takes an integer, a float field (and a key
+    that is no field, such as "gradcheck.tol") any real number; neither
+    takes a bool. The message names the field as a config file does."""
     section, _, attr = key.partition(".")
     interval = interval or _RANGES[section, attr]
+    field_name = f"[{section}] {_FILE_KEYS.get((section, attr), attr)}"
+    kind = _FIELD_TYPES.get((section, attr), float)
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if kind is int else numbers.Real):
+        raise ConfigError(f"{field_name} = {value!r} is not "
+                          f"{'an int' if kind is int else 'a number'}")
     if value not in interval:
-        raise ConfigError(f"[{section}] {_FILE_KEYS.get((section, attr), attr)} = {value} "
-                          f"is outside {interval}")
+        raise ConfigError(f"{field_name} = {value} is outside {interval}")
 
 
 _SECTIONS = tuple(f.name for f in fields(Config))
+_FIELD_TYPES = {(section.name, f.name): type(f.default)
+                for section in fields(Config) for f in fields(section.default_factory)}
 # "lambda" is the file/CLI spelling of TrainSection.loss_weight.
 _KEY_ALIASES = {("train", "lambda"): "loss_weight", ("data", "k"): "num_actions"}
 _FILE_KEYS = {(s, attr): key for (s, key), attr in _KEY_ALIASES.items()}
@@ -250,12 +259,11 @@ def _assign(cfg: Config, overrides: dict[str, object]) -> Config:
         section_name, _, key = dotted.partition(".")
         if section_name not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section_name}]")
-        section = getattr(cfg, section_name)
         attr = _KEY_ALIASES.get((section_name, key), key)
-        types = {f.name: type(f.default) for f in fields(section)}
-        if attr not in types:
+        if (section_name, attr) not in _FIELD_TYPES:
             raise ConfigError(f"unknown key {key!r} in section [{section_name}]")
-        setattr(section, attr, _coerce(value, types[attr], f"[{section_name}] {key}"))
+        setattr(getattr(cfg, section_name), attr,
+                _coerce(value, _FIELD_TYPES[section_name, attr], f"[{section_name}] {key}"))
     return cfg
 
 

@@ -5,6 +5,11 @@ F to exactly 1, so the sequence length must be a power of three (9, 27, 81,
 243). Block 1 zero-padded keeps all F frames: z0, the full-length shallow
 feature that downstream consumers difference over time.
 
+A block is two TCN units, `ops.conv_bn_relu` (temporal conv, batch norm,
+ReLU), the first dilated and the second pointwise, plus a residual. In
+training each unit is one graph node that keeps neither its conv nor its
+batch-norm output; eval runs the same units with running statistics.
+
 Block 1 runs once in both modes, and block 2 reads its valid frames,
 z0[:, 1:-1]; in training, block 1's batch statistics thus cover all F
 frames. Training runs every later block over all its valid frames, because
@@ -79,17 +84,21 @@ class TcnBlock:
         valid input, so the dilated conv is an undilated stride-3 one and the
         output holds every (3 * dilation)-th frame of the valid output."""
         dilation, stride = (1, KERNEL_WIDTH) if compact else (self.dilation, 1)
-        h = ops.dilated_conv1d(x, self.conv, dilation=dilation,
-                               bias=self.conv_bias, padding=padding, stride=stride)
-        h = self.bn1(h, training=training).relu()
-        h = ops.dilated_conv1d(h, self.pointwise, dilation=1, bias=self.pointwise_bias)
-        h = self.bn2(h, training=training).relu()
+        h = _unit(x, self.conv, self.conv_bias, self.bn1, training,
+                  dilation=dilation, padding=padding, stride=stride)
+        h = _unit(h, self.pointwise, self.pointwise_bias, self.bn2, training)
         if padding == "valid":
             crop = dilation * (KERNEL_WIDTH - 1) // 2
             residual = x[:, crop:x.shape[1] - crop:stride, :]
         else:
             residual = x
         return residual + h
+
+
+def _unit(x: Tensor, kernel: Parameter, conv_bias: Parameter, bn: BatchNorm, training: bool,
+          **conv) -> Tensor:
+    return ops.conv_bn_relu(x, kernel, conv_bias, bn.gain, bn.bias, bn.running_mean.data,
+                            bn.running_var.data, training, **conv)
 
 
 class TcnEncoder:

@@ -171,6 +171,15 @@ def run_op_suite(tol: float = TOL) -> dict[str, GradCheckReport]:
         check("conv_same", lambda: (ops.dilated_conv1d(
             seq, kern, dilation=1, bias=cbias, padding="same")
             * w_same).sum(), [seq, kern, cbias])
+
+        # Drawn after every other entry's values, so those stay as they were.
+        lin_bias = Parameter("lin_bias", rng.normal(size=3))
+        check("linear", lambda: (ops.linear(bat, b, lin_bias) * w_bat).sum(),
+              [bat, b, lin_bias])
+        unit_mean, unit_var = np.zeros(4), np.ones(4)
+        check("conv_bn_relu", lambda: (ops.conv_bn_relu(
+            seq, kern, cbias, gain, bias, unit_mean, unit_var, training=True,
+            dilation=2, padding="same") * w_same).sum(), [seq, kern, cbias, gain, bias])
     return reports
 
 

@@ -31,7 +31,7 @@ class Linear:
         self.bias = Parameter(f"{name}.bias", rng.uniform(-bound, bound, size=fan_out))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return x @ self.weight + self.bias
+        return ops.linear(x, self.weight, self.bias)
 
 
 class LayerNorm:
@@ -44,8 +44,9 @@ class LayerNorm:
 
 
 class BatchNorm:
-    """Per-channel batch norm; running stats ride along as frozen parameters
-    so checkpoints capture them."""
+    """Per-channel batch norm parameters, applied by `ops.conv_bn_relu`;
+    running stats ride along as frozen parameters so checkpoints capture
+    them."""
 
     def __init__(self, name: str, dim: int):
         self.gain = Parameter(f"{name}.gain", np.ones(dim))
@@ -54,11 +55,6 @@ class BatchNorm:
                                       requires_grad=False)
         self.running_var = Parameter(f"{name}.running_var", np.ones(dim),
                                      requires_grad=False)
-
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
-        return ops.batch_norm(x, self.gain, self.bias,
-                              self.running_mean.data, self.running_var.data,
-                              training=training)
 
 
 class CrossAttention:

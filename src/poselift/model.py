@@ -17,7 +17,7 @@ import numpy as np
 from . import pose_prompts, text_prompts
 from .config import Config
 from .encoder import TcnEncoder
-from .errors import ConfigError, PoseLiftError
+from .errors import ConfigError, DimensionError, PoseLiftError
 from .layers import seeded_rng
 from .tensor import Tensor, named_parameters, no_grad
 
@@ -136,8 +136,15 @@ class PoseLifter:
         them the predicted labels do. `embeddings` are saved per-action text
         embeddings (K, C); without them a text-prompt model runs its text
         encoder. Training mode normalizes with batch statistics; eval mode
-        uses the running ones.
+        uses the running ones. An input that is not (B, F, J, 2) with B >= 1
+        is a `DimensionError`, non-finite input a `ConfigError`; the encoder
+        checks F and J.
         """
+        x2d = np.asarray(x2d)
+        if x2d.ndim != 4 or x2d.shape[0] == 0 or x2d.shape[-1] != 2:
+            raise DimensionError(f"input has shape {x2d.shape}, want (B, F, J, 2) with B >= 1")
+        if not np.isfinite(x2d).all():
+            raise ConfigError(f"input of shape {x2d.shape} holds non-finite values")
         enc_out = self.encoder.forward(Tensor(x2d), training=training)
         probs = None
         if self.projector is not None:

@@ -1,9 +1,18 @@
-"""Neural-net operations composed from the autodiff primitives.
+"""Neural-net operations composed from the autodiff primitives, and fused
+nodes.
 
 Everything here is differentiable end to end; shapes follow the
 channel-last convention (..., frames, channels). Softmax, the norms and
 cosine similarity reduce over the last axis only; batch norm over all the
 others.
+
+A fused op is one graph node in place of a chain of primitive ones:
+`dilated_conv1d` (besides its tap slices), training-mode `batch_norm`,
+the TCN unit `conv_bn_relu` (conv, batch norm and ReLU) and `linear`
+(`x @ W + b`). Its backward runs the replaced nodes' own expressions in
+their order, so its output and gradients are bitwise those of the chain,
+and it keeps only the arrays that backward reads: a training forward keeps
+no conv, batch-norm or matmul output that no backward needs.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import DimensionError, SequenceTooShortError
-from .tensor import Tensor, _unbroadcast, concat, zeros
+from .tensor import Tensor, _check_matmul, _matmul_backward, _unbroadcast, concat, zeros
 
 
 LN_EPS = 1e-5        # added to the layer-norm variance
@@ -64,6 +73,15 @@ def dilated_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, dilation: int = 1,
     `stride` keeps every stride-th of those output frames, starting at the
     first: ceil(F' / stride) frames, each computed as at stride 1.
     """
+    taps, out = _conv_forward(x, kernel, bias, dilation, padding, stride)
+    return Tensor._from_op(out, (*taps, kernel, bias),
+                           lambda g: _conv_backward(g, taps, kernel, bias))
+
+
+def _conv_forward(x: Tensor, kernel: Tensor, bias: Tensor, dilation: int, padding: str,
+                  stride: int) -> tuple[list[Tensor], np.ndarray]:
+    """The taps, one slice node of the (padded) input per kernel slab, and
+    the conv output: a new array."""
     if kernel.ndim != 3:
         raise DimensionError(f"conv kernel must be (w, Cin, Cout), got {kernel.shape}")
     width, c_in, _ = kernel.shape
@@ -95,23 +113,36 @@ def dilated_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, dilation: int = 1,
         taps.append(x[tuple(index)])
         term = taps[i].data @ k
         out = term if out is None else out + term
-    out = out + bias.data
+    return taps, out + bias.data
+
+
+def _conv_backward(g: np.ndarray, taps: list[Tensor], kernel: Tensor, bias: Tensor) -> None:
+    # Each tap is one matmul; its gradient and the kernel slab's are those a
+    # matmul node would pass on.
+    if bias.requires_grad:
+        bias._accumulate(_unbroadcast(g, bias.shape))
+    grad_kernel = np.empty_like(kernel.data) if kernel.requires_grad else None
+    for i, (tap, k) in enumerate(zip(taps, kernel.data)):
+        if tap.requires_grad:
+            tap._accumulate(g @ k.swapaxes(-1, -2))
+        if grad_kernel is not None:
+            grad_kernel[i] = _unbroadcast(tap.data.swapaxes(-1, -2) @ g, k.shape)
+    if grad_kernel is not None:
+        kernel._accumulate(grad_kernel)
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """x @ weight + bias as one node, which keeps no matmul output; its
+    gradients are those of the matmul and add nodes it replaces."""
+    _check_matmul(x, weight)
+    data = x.data @ weight.data + bias.data
 
     def backward(g):
-        # Each tap is one matmul; its gradient and the kernel slab's are
-        # those a matmul node would pass on.
         if bias.requires_grad:
             bias._accumulate(_unbroadcast(g, bias.shape))
-        grad_kernel = np.empty_like(kernel.data) if kernel.requires_grad else None
-        for i, (tap, k) in enumerate(zip(taps, kernel.data)):
-            if tap.requires_grad:
-                tap._accumulate(g @ k.swapaxes(-1, -2))
-            if grad_kernel is not None:
-                grad_kernel[i] = _unbroadcast(tap.data.swapaxes(-1, -2) @ g, k.shape)
-        if grad_kernel is not None:
-            kernel._accumulate(grad_kernel)
+        _matmul_backward(g, x, weight)
 
-    return Tensor._from_op(out, (*taps, kernel, bias), backward)
+    return Tensor._from_op(data, (x, weight, bias), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -133,38 +164,90 @@ def batch_norm(x: Tensor, gain: Tensor, bias: Tensor,
     if not training:
         normed = (x - running_mean) / np.sqrt(running_var + BN_EPS)
         return normed * gain + bias
-    axes = tuple(range(x.ndim - 1))
-    n = x.size // x.shape[-1]
+    out, centered, sd = _bn_forward(x.data, gain, bias, running_mean, running_var,
+                                    overwrite=False)
+
+    def backward(g):
+        g_centered, g_mu = _bn_backward(g, gain, bias, centered, sd, x.requires_grad)
+        if g_centered is not None:
+            x._accumulate(g_centered)
+            x._accumulate(np.broadcast_to(g_mu, x.shape))
+
+    return Tensor._from_op(out, (x, gain, bias), backward)
+
+
+def conv_bn_relu(x: Tensor, kernel: Tensor, conv_bias: Tensor, gain: Tensor, bias: Tensor,
+                 running_mean: np.ndarray, running_var: np.ndarray, training: bool,
+                 dilation: int = 1, padding: str = "valid", stride: int = 1) -> Tensor:
+    """relu(batch_norm(dilated_conv1d(x, ...))), the TCN unit, bitwise.
+
+    In training it is one node besides the conv's tap slices. That node
+    keeps the taps, the centred conv output, written over the conv output
+    it allocated, the per-channel sd and its own output, whose `> 0` mask is
+    the ReLU's; neither the conv output nor the batch-norm output outlives
+    the forward. Eval mode is the three ops in a row.
+    """
+    if not training:
+        h = dilated_conv1d(x, kernel, conv_bias, dilation, padding, stride)
+        return batch_norm(h, gain, bias, running_mean, running_var, training=False).relu()
+    taps, h = _conv_forward(x, kernel, conv_bias, dilation, padding, stride)
+    out, centered, sd = _bn_forward(h, gain, bias, running_mean, running_var, overwrite=True)
+    np.maximum(out, 0, out=out)
+    conv_parents = (*taps, kernel, conv_bias)
+    need_conv = any(p.requires_grad for p in conv_parents)
+
+    def backward(g):
+        g_centered, g_mu = _bn_backward(g * (out > 0), gain, bias, centered, sd, need_conv)
+        if g_centered is not None:
+            g_centered += g_mu      # the conv output's two gradient terms, summed as they arrive
+            _conv_backward(g_centered, taps, kernel, conv_bias)
+
+    return Tensor._from_op(out, (*conv_parents, gain, bias), backward)
+
+
+def _bn_forward(h: np.ndarray, gain: Tensor, bias: Tensor, running_mean: np.ndarray,
+                running_var: np.ndarray, overwrite: bool
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Training-mode batch norm of `h`; updates the running statistics.
+    Returns the output, the centred input and the per-channel sd. With
+    `overwrite` the centred input is written over `h`, which the caller
+    must own."""
+    axes = tuple(range(h.ndim - 1))
+    n = h.size // h.shape[-1]
     inv_n = 1.0 / n
-    mu = x.data.sum(axis=axes, keepdims=True) * inv_n
-    centered = x.data + -mu
+    mu = h.sum(axis=axes, keepdims=True) * inv_n
+    centered = np.add(h, -mu, out=h if overwrite else None)
     var = (centered * centered).sum(axis=axes, keepdims=True) * inv_n
     sd = np.sqrt(var + BN_EPS)
     running_mean *= 1.0 - BN_MOMENTUM
     running_mean += BN_MOMENTUM * mu.reshape(-1)
     running_var *= 1.0 - BN_MOMENTUM
     running_var += BN_MOMENTUM * (var * (n / max(n - 1, 1))).reshape(-1)
-    out = centered / sd * gain.data + bias.data
+    return centered / sd * gain.data + bias.data, centered, sd
 
-    def backward(g):
-        # The gradient of the mean / centre / variance / sqrt / divide chain,
-        # each step as that op's own backward computes it, in the same
-        # order, so every float rounds as it would node by node.
-        if bias.requires_grad:
-            bias._accumulate(_unbroadcast(g, bias.shape))
-        normed = centered / sd
-        if gain.requires_grad:
-            gain._accumulate(_unbroadcast(g * normed, gain.shape))
-        if not x.requires_grad:
-            return
-        g_normed = g * gain.data
-        g_centered = g_normed / sd
-        g_sd = _unbroadcast(-g_normed * normed / sd, sd.shape)
-        g_var = g_sd * 0.5 / np.where(sd == 0, np.inf, sd) * inv_n
-        g_square = g_var * centered
-        g_centered = g_centered + g_square + g_square
-        x._accumulate(g_centered)
-        g_mu = -_unbroadcast(g_centered, mu.shape) * inv_n
-        x._accumulate(np.broadcast_to(g_mu, x.shape))
 
-    return Tensor._from_op(out, (x, gain, bias), backward)
+def _bn_backward(g: np.ndarray, gain: Tensor, bias: Tensor, centered: np.ndarray,
+                 sd: np.ndarray, need_input: bool) -> tuple:
+    """Pass the output gradient `g` on to `bias` and `gain`, and return the
+    input's two gradient terms: a new full-size array and the per-channel
+    term of the mean, to be added to it. (None, None) unless `need_input`.
+
+    The gradient of the mean / centre / variance / sqrt / divide chain,
+    each step as that op's own backward computes it, in the same order, so
+    every float rounds as it would node by node."""
+    if bias.requires_grad:
+        bias._accumulate(_unbroadcast(g, bias.shape))
+    normed = centered / sd
+    if gain.requires_grad:
+        gain._accumulate(_unbroadcast(g * normed, gain.shape))
+    if not need_input:
+        return None, None
+    inv_n = 1.0 / (centered.size // centered.shape[-1])
+    g_normed = g * gain.data
+    g_centered = g_normed / sd
+    g_sd = _unbroadcast(-g_normed * normed / sd, sd.shape)
+    g_var = g_sd * 0.5 / np.where(sd == 0, np.inf, sd) * inv_n
+    g_square = g_var * centered
+    g_centered = g_centered + g_square + g_square
+    g_mu = -_unbroadcast(g_centered, sd.shape) * inv_n
+    return g_centered, g_mu

@@ -187,7 +187,10 @@ class Tensor:
 
     def __add__(self, other) -> "Tensor":
         other = _ensure_tensor(other)
-        data = self.data + other.data
+        try:
+            data = self.data + other.data
+        except ValueError:
+            raise _not_broadcastable("+", self, other) from None
 
         def backward(g):
             if self.requires_grad:
@@ -199,7 +202,10 @@ class Tensor:
 
     def __mul__(self, other) -> "Tensor":
         other = _ensure_tensor(other)
-        data = self.data * other.data
+        try:
+            data = self.data * other.data
+        except ValueError:
+            raise _not_broadcastable("*", self, other) from None
 
         def backward(g):
             if self.requires_grad:
@@ -211,7 +217,10 @@ class Tensor:
 
     def __truediv__(self, other) -> "Tensor":
         other = _ensure_tensor(other)
-        data = self.data / other.data
+        try:
+            data = self.data / other.data
+        except ValueError:
+            raise _not_broadcastable("/", self, other) from None
 
         def backward(g):
             if self.requires_grad:
@@ -225,7 +234,21 @@ class Tensor:
         return Tensor._from_op(-self.data, (self,), lambda g: self._accumulate(-g))
 
     def __sub__(self, other) -> "Tensor":
-        return self + (-_ensure_tensor(other))
+        # One node: IEEE a - b rounds exactly as a + (-b), and the gradient
+        # `other` receives is the negation a separate neg node would pass on.
+        other = _ensure_tensor(other)
+        try:
+            data = self.data - other.data
+        except ValueError:
+            raise _not_broadcastable("-", self, other) from None
+
+        def backward(g):
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(g, self.shape))
+            if other.requires_grad:
+                other._accumulate(-_unbroadcast(g, other.shape))
+
+        return Tensor._from_op(data, (self, other), backward)
 
     def __radd__(self, other) -> "Tensor":
         return _ensure_tensor(other) + self
@@ -315,27 +338,32 @@ class Tensor:
 
     def __matmul__(self, other) -> "Tensor":
         other = _ensure_tensor(other)
-        if self.ndim < 2 or other.ndim < 2:
-            raise DimensionError(
-                f"matmul needs 2D+ operands, got {self.shape} x {other.shape}")
-        if self.shape[-1] != other.shape[-2]:
-            raise DimensionError(
-                f"matmul inner extents disagree: {self.shape} x {other.shape}")
+        _check_matmul(self, other)
         data = self.data @ other.data
-
-        def backward(g):
-            if self.requires_grad:
-                grad = g @ other.data.swapaxes(-1, -2)
-                self._accumulate(_unbroadcast(grad, self.shape))
-            if other.requires_grad:
-                grad = self.data.swapaxes(-1, -2) @ g
-                other._accumulate(_unbroadcast(grad, other.shape))
-
-        return Tensor._from_op(data, (self, other), backward)
+        return Tensor._from_op(data, (self, other), lambda g: _matmul_backward(g, self, other))
 
 
 def _ensure_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
+
+
+def _not_broadcastable(symbol: str, a: Tensor, b: Tensor) -> DimensionError:
+    return DimensionError(f"{symbol} operands do not broadcast: {a.shape} {symbol} {b.shape}")
+
+
+def _check_matmul(a: Tensor, b: Tensor) -> None:
+    if a.ndim < 2 or b.ndim < 2:
+        raise DimensionError(f"matmul needs 2D+ operands, got {a.shape} x {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise DimensionError(f"matmul inner extents disagree: {a.shape} x {b.shape}")
+
+
+def _matmul_backward(g: np.ndarray, a: Tensor, b: Tensor) -> None:
+    """Pass the gradient `g` of `a @ b` on to `a`, then to `b`."""
+    if a.requires_grad:
+        a._accumulate(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
+    if b.requires_grad:
+        b._accumulate(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
 
 
 def _is_basic_index(index) -> bool:

@@ -1,17 +1,23 @@
 """Library entry points that take a config value as an argument check it
 against the config's range table: each call returns, or raises
-`ConfigError` exactly when an argument lies outside its field's range."""
+`ConfigError` exactly when an argument lies outside its field's range or
+has another type than its field. `PoseLifter.forward_eval` refuses an input
+it cannot lift with a `PoseLiftError`."""
 
 import math
+import numbers
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from poselift.ablate import variant_config
+from poselift.config import Config
 from poselift.data import gen_synthetic
-from poselift.errors import ConfigError
+from poselift.errors import ConfigError, DimensionError
 from poselift.gradcheck import grad_check
 from poselift.losses import total_loss
+from poselift.model import PoseLifter
 from poselift.optim import Adam
 from poselift.tensor import Parameter, Tensor, precision
 from poselift.text_prompts import classify
@@ -29,21 +35,37 @@ def check(call, valid: bool):
     """`call()` if `valid`, else the `ConfigError` it must raise."""
     if valid:
         return call()
-    with pytest.raises(ConfigError, match="is outside"):
+    with pytest.raises(ConfigError, match="is outside|is not an int|is not a number"):
         call()
 
 
+def is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# A value of another type than the field's, drawn beside the numbers.
+WRONG_TYPES = st.sampled_from([2.5, 4.0, True, False, "2", None])
+
+
 @SETTINGS
-@given(num_actions=st.integers(-1, 5), frames=st.sampled_from([0, 3, 8, 9]),
-       joints=st.integers(-1, 6), train_per_action=st.integers(-1, 3),
+@given(num_actions=st.integers(-1, 5) | WRONG_TYPES, frames=st.sampled_from([0, 3, 8, 9]),
+       joints=st.integers(-1, 6), train_per_action=st.integers(-1, 3) | WRONG_TYPES,
        eval_per_action=st.integers(-1, 3),
-       seed=st.one_of(st.integers(-3, 2 ** 32), st.integers(2 ** 53 - 1, 2 ** 53 + 1)))
+       seed=st.one_of(st.integers(-3, 2 ** 32), st.integers(2 ** 53 - 1, 2 ** 53 + 1),
+                      WRONG_TYPES))
 @example(4, 27, 8, 0, 20, 1234).via("train_per_action = 0")
 @example(4, 9, 8, 1, 1, -1).via("seed = -1")
+@example(2.5, 9, 4, 1, 1, 0).via("num_actions = 2.5")
+@example(4, 9, 8, 1, 1, True).via("seed = True")
 def test_gen_synthetic_checks_every_size_and_the_seed(
         num_actions, frames, joints, train_per_action, eval_per_action, seed):
-    in_range = (num_actions >= 2 and joints >= 4 and train_per_action >= 1
-                and eval_per_action >= 1 and 0 <= seed <= 2 ** 53)
+    sizes = (num_actions, joints, train_per_action, eval_per_action, seed)
+    in_range = (all(map(is_int, sizes)) and num_actions >= 2 and joints >= 4
+                and train_per_action >= 1 and eval_per_action >= 1 and 0 <= seed <= 2 ** 53)
     if in_range and frames != 9:       # the one supported length drawn
         with pytest.raises(ConfigError, match="unsupported sequence length"):
             gen_synthetic(num_actions, frames, joints, train_per_action,
@@ -58,12 +80,14 @@ def test_gen_synthetic_checks_every_size_and_the_seed(
 
 
 @SETTINGS
-@given(lr=floats(-1.0, 1.0), lr_decay=floats(-1.0, 2.0))
+@given(lr=floats(-1.0, 1.0) | WRONG_TYPES | st.integers(-1, 2), lr_decay=floats(-1.0, 2.0))
 @example(-1.0, 0.98).via("lr = -1")
+@example("0.1", 0.98).via("lr = '0.1'")
+@example(True, 0.98).via("lr = True")
 def test_adam_checks_lr_and_lr_decay(lr, lr_decay):
     p = Parameter("w", np.array([1.0, -2.0]))
     opt = check(lambda: Adam({"w": p}, lr=lr, lr_decay=lr_decay),
-                0 < lr < math.inf and 0 < lr_decay <= 1)
+                is_real(lr) and 0 < lr < math.inf and 0 < lr_decay <= 1)
     if opt is not None:
         p.grad = np.array([0.5, 0.5])
         opt.step()
@@ -102,3 +126,35 @@ def test_grad_check_checks_its_tolerance(tol):
                        0 < tol < math.inf)
     if report is not None:
         assert report.tol == tol and report.passed == (report.max_rel_err <= tol)
+
+
+# One model of each kind: the baseline reaches the head with no prompts,
+# the full model selects pose prompts by predicted label first.
+MODELS = {variant: PoseLifter(variant_config(Config(), variant))
+          for variant in ("baseline", "full")}
+EMBEDDINGS = {"baseline": None, "full": MODELS["full"].export_embeddings()}
+
+
+@SETTINGS
+@given(variant=st.sampled_from(sorted(MODELS)),
+       shape=st.one_of(st.just((2, 27, 8, 2)),
+                       st.tuples(st.integers(0, 2), st.sampled_from([9, 27]),
+                                 st.sampled_from([4, 8]), st.integers(1, 3)),
+                       st.lists(st.integers(0, 3), max_size=5).map(tuple)),
+       bad_value=st.sampled_from([None, math.nan, math.inf, -math.inf]),
+       seed=st.integers(0, 2**31 - 1))
+@example("full", (0, 27, 8, 2), None, 0).via("a zero-sample batch")
+@example("baseline", (0, 27, 8, 2), None, 0).via("a zero-sample batch, baseline")
+@example("full", (27, 8, 2), None, 0).via("a 3-D input")
+@example("full", (2, 27, 8, 2), math.nan, 0).via("a NaN input")
+def test_forward_eval_lifts_or_refuses_its_input(variant, shape, bad_value, seed):
+    x = np.random.default_rng(seed).normal(size=shape)
+    if bad_value is not None and x.size:
+        x.flat[x.size // 2] = bad_value
+    valid = shape[:1] != (0,) and shape[1:] == (27, 8, 2) and bad_value is None
+    if valid:
+        pred, _, _ = MODELS[variant].forward_eval(x, embeddings=EMBEDDINGS[variant])
+        assert pred.shape == (shape[0], 8, 3) and np.isfinite(pred).all()
+        return
+    with pytest.raises((DimensionError, ConfigError), match=r"input"):
+        MODELS[variant].forward_eval(x, embeddings=EMBEDDINGS[variant])

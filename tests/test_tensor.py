@@ -30,6 +30,21 @@ def test_matmul_shape_error_names_both_shapes():
     assert "(2, 3)" in str(exc.value) and "(4, 2)" in str(exc.value)
 
 
+@pytest.mark.parametrize("symbol", ["+", "-", "*", "/"])
+def test_elementwise_shape_error_names_both_shapes(symbol):
+    a, b = Tensor(np.ones((2, 3))), Tensor(np.ones((4,)))
+    op = {"+": lambda: a + b, "-": lambda: a - b, "*": lambda: a * b, "/": lambda: a / b}
+    with pytest.raises(DimensionError, match=rf"\{symbol} operands do not broadcast") as exc:
+        op[symbol]()
+    assert "(2, 3)" in str(exc.value) and "(4,)" in str(exc.value)
+
+
+def test_layer_norm_with_a_wrong_width_gain_is_a_dimension_error():
+    x = Tensor(np.ones((2, 3)))
+    with pytest.raises(DimensionError, match=r"\(2, 3\).*\(4,\)"):
+        ops.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(3)))
+
+
 def test_softmax_uniform_rows():
     for k in (2, 5, 17):
         out = ops.softmax(Tensor(np.full((3, k), 1.25)))
