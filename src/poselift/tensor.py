@@ -25,6 +25,7 @@ and their values are written in place through `.data`.
 from __future__ import annotations
 
 import contextlib
+import operator
 from typing import Callable, Sequence
 
 import numpy as np
@@ -187,10 +188,7 @@ class Tensor:
 
     def __add__(self, other) -> "Tensor":
         other = _ensure_tensor(other)
-        try:
-            data = self.data + other.data
-        except ValueError:
-            raise _not_broadcastable("+", self, other) from None
+        data = _elementwise("+", operator.add, self, other)
 
         def backward(g):
             if self.requires_grad:
@@ -202,10 +200,7 @@ class Tensor:
 
     def __mul__(self, other) -> "Tensor":
         other = _ensure_tensor(other)
-        try:
-            data = self.data * other.data
-        except ValueError:
-            raise _not_broadcastable("*", self, other) from None
+        data = _elementwise("*", operator.mul, self, other)
 
         def backward(g):
             if self.requires_grad:
@@ -217,10 +212,7 @@ class Tensor:
 
     def __truediv__(self, other) -> "Tensor":
         other = _ensure_tensor(other)
-        try:
-            data = self.data / other.data
-        except ValueError:
-            raise _not_broadcastable("/", self, other) from None
+        data = _elementwise("/", operator.truediv, self, other)
 
         def backward(g):
             if self.requires_grad:
@@ -237,10 +229,7 @@ class Tensor:
         # One node: IEEE a - b rounds exactly as a + (-b), and the gradient
         # `other` receives is the negation a separate neg node would pass on.
         other = _ensure_tensor(other)
-        try:
-            data = self.data - other.data
-        except ValueError:
-            raise _not_broadcastable("-", self, other) from None
+        data = _elementwise("-", operator.sub, self, other)
 
         def backward(g):
             if self.requires_grad:
@@ -347,8 +336,13 @@ def _ensure_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _not_broadcastable(symbol: str, a: Tensor, b: Tensor) -> DimensionError:
-    return DimensionError(f"{symbol} operands do not broadcast: {a.shape} {symbol} {b.shape}")
+def _elementwise(symbol: str, fn: Callable, a: Tensor, b: Tensor) -> np.ndarray:
+    """`fn(a.data, b.data)`, with numpy's broadcast error as a DimensionError."""
+    try:
+        return fn(a.data, b.data)
+    except ValueError:
+        raise DimensionError(
+            f"{symbol} operands do not broadcast: {a.shape} {symbol} {b.shape}") from None
 
 
 def _check_matmul(a: Tensor, b: Tensor) -> None:

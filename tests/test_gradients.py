@@ -38,15 +38,15 @@ SUITE_NAMES = {
 
 def differentiable_ops() -> dict[str, object]:
     """The public functions of `poselift.ops`, `concat`, every Tensor method
-    that builds a graph node itself, and the two composite methods the
-    suite checks on their own (`__sub__` and `mean`)."""
+    that builds a graph node itself, and the composite method the suite
+    checks on its own (`mean`)."""
     found = {name: fn for name, fn in inspect.getmembers(ops, inspect.isfunction)
              if fn.__module__ == ops.__name__ and not name.startswith("_")}
     found["concat"] = concat
     found.update((f"Tensor.{name}", fn) for name, fn in vars(Tensor).items()
                  if inspect.isfunction(fn) and name != "_from_op"
                  and "_from_op(" in inspect.getsource(fn))
-    found.update({"Tensor.__sub__": Tensor.__sub__, "Tensor.mean": Tensor.mean})
+    found["Tensor.mean"] = Tensor.mean
     return found
 
 

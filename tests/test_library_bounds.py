@@ -31,11 +31,13 @@ def floats(low, high):
     return st.one_of(st.floats(low, high, allow_subnormal=False), SPECIAL)
 
 
-def check(call, valid: bool):
-    """`call()` if `valid`, else the `ConfigError` it must raise."""
+def check(call, valid: bool, expected: str = "is outside"):
+    """`call()` if `valid`, else the `ConfigError` it must raise, whose
+    message says `expected`: a value of the field's type that lies outside
+    its range unless the test names the type message."""
     if valid:
         return call()
-    with pytest.raises(ConfigError, match="is outside|is not an int|is not a number"):
+    with pytest.raises(ConfigError, match=expected):
         call()
 
 
@@ -63,16 +65,20 @@ WRONG_TYPES = st.sampled_from([2.5, 4.0, True, False, "2", None])
 @example(4, 9, 8, 1, 1, True).via("seed = True")
 def test_gen_synthetic_checks_every_size_and_the_seed(
         num_actions, frames, joints, train_per_action, eval_per_action, seed):
-    sizes = (num_actions, joints, train_per_action, eval_per_action, seed)
-    in_range = (all(map(is_int, sizes)) and num_actions >= 2 and joints >= 4
-                and train_per_action >= 1 and eval_per_action >= 1 and 0 <= seed <= 2 ** 53)
+    # In the order gen_synthetic checks them: the first bad one names the fault.
+    faults = ["is outside" if is_int(value) else "is not an int"
+              for value, low, high in ((num_actions, 2, math.inf), (joints, 4, math.inf),
+                                       (train_per_action, 1, math.inf),
+                                       (eval_per_action, 1, math.inf), (seed, 0, 2 ** 53))
+              if not (is_int(value) and low <= value <= high)]
+    in_range = not faults
     if in_range and frames != 9:       # the one supported length drawn
         with pytest.raises(ConfigError, match="unsupported sequence length"):
             gen_synthetic(num_actions, frames, joints, train_per_action,
                           eval_per_action, seed)
         return
     dataset = check(lambda: gen_synthetic(num_actions, frames, joints, train_per_action,
-                                          eval_per_action, seed), in_range)
+                                          eval_per_action, seed), in_range, *faults[:1])
     if in_range:
         assert dataset.train.input2d.shape == (num_actions * train_per_action, 9, joints, 2)
         assert dataset.eval.target3d.shape == (num_actions * eval_per_action, joints, 3)
@@ -87,7 +93,8 @@ def test_gen_synthetic_checks_every_size_and_the_seed(
 def test_adam_checks_lr_and_lr_decay(lr, lr_decay):
     p = Parameter("w", np.array([1.0, -2.0]))
     opt = check(lambda: Adam({"w": p}, lr=lr, lr_decay=lr_decay),
-                is_real(lr) and 0 < lr < math.inf and 0 < lr_decay <= 1)
+                is_real(lr) and 0 < lr < math.inf and 0 < lr_decay <= 1,
+                "is outside" if is_real(lr) else "is not a number")
     if opt is not None:
         p.grad = np.array([0.5, 0.5])
         opt.step()
