@@ -180,6 +180,9 @@ def run_op_suite(tol: float = TOL) -> dict[str, GradCheckReport]:
         check("conv_bn_relu", lambda: (ops.conv_bn_relu(
             seq, kern, cbias, gain, bias, unit_mean, unit_var, training=True,
             dilation=2, padding="same") * w_same).sum(), [seq, kern, cbias, gain, bias])
+        check("conv_bn_relu_eval", lambda: (ops.conv_bn_relu(
+            seq, kern, cbias, gain, bias, stats_mean, stats_var, training=False,
+            dilation=2, padding="same") * w_same).sum(), [seq, kern, cbias, gain, bias])
     return reports
 
 

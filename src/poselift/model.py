@@ -138,13 +138,22 @@ class PoseLifter:
         encoder. Training mode normalizes with batch statistics; eval mode
         uses the running ones. An input that is not (B, F, J, 2) with B >= 1
         is a `DimensionError`, non-finite input a `ConfigError`; the encoder
-        checks F and J.
+        checks F and J. Labels that are not (B,) are a `DimensionError`,
+        labels that are not integers a `ConfigError`.
         """
         x2d = np.asarray(x2d)
         if x2d.ndim != 4 or x2d.shape[0] == 0 or x2d.shape[-1] != 2:
             raise DimensionError(f"input has shape {x2d.shape}, want (B, F, J, 2) with B >= 1")
         if not np.isfinite(x2d).all():
             raise ConfigError(f"input of shape {x2d.shape} holds non-finite values")
+        if labels is not None:
+            labels = np.asarray(labels)
+            if labels.shape != x2d.shape[:1]:
+                raise DimensionError(f"labels have shape {labels.shape}, want "
+                                     f"({x2d.shape[0]},): one per input sample")
+            if labels.dtype.kind not in "iu":
+                raise ConfigError(f"labels of shape {labels.shape} have dtype "
+                                  f"{labels.dtype}, want integers")
         enc_out = self.encoder.forward(Tensor(x2d), training=training)
         probs = None
         if self.projector is not None:

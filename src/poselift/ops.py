@@ -8,11 +8,16 @@ others.
 
 A fused op is one graph node in place of a chain of primitive ones:
 `dilated_conv1d` (besides its tap slices), training-mode `batch_norm`,
-the TCN unit `conv_bn_relu` (conv, batch norm and ReLU) and `linear`
-(`x @ W + b`). Its backward runs the replaced nodes' own expressions in
-their order, so its output and gradients are bitwise those of the chain,
-and it keeps only the arrays that backward reads: a training forward keeps
-no conv, batch-norm or matmul output that no backward needs.
+the TCN unit `conv_bn_relu` (conv, batch norm and ReLU) in both modes and
+`linear` (`x @ W + b`). Its forward and backward run the replaced nodes'
+own expressions in their order, so its output and gradients are bitwise
+those of the chain, and it keeps only the arrays that backward reads: a
+training forward keeps no conv, batch-norm or matmul output that no
+backward needs. A fused forward writes a step over an array it allocated
+itself only where the step's result has that array's dtype and shape, so
+it rounds as the chain's new array would: the conv sums its tap products
+in place, `linear` adds its bias in place, and an eval unit that keeps no
+graph writes its whole output over its conv output.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ import math
 import numpy as np
 
 from .errors import DimensionError, SequenceTooShortError
-from .tensor import Tensor, _check_matmul, _matmul_backward, _unbroadcast, concat, zeros
+from .tensor import (Tensor, _check_matmul, _matmul_backward, _unbroadcast, concat,
+                     default_dtype, keeps_graph, zeros)
 
 
 LN_EPS = 1e-5        # added to the layer-norm variance
@@ -81,7 +87,7 @@ def dilated_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, dilation: int = 1,
 def _conv_forward(x: Tensor, kernel: Tensor, bias: Tensor, dilation: int, padding: str,
                   stride: int) -> tuple[list[Tensor], np.ndarray]:
     """The taps, one slice node of the (padded) input per kernel slab, and
-    the conv output: a new array."""
+    the conv output: a new array. The taps' products are summed in place."""
     if kernel.ndim != 3:
         raise DimensionError(f"conv kernel must be (w, Cin, Cout), got {kernel.shape}")
     width, c_in, _ = kernel.shape
@@ -111,9 +117,32 @@ def _conv_forward(x: Tensor, kernel: Tensor, bias: Tensor, dilation: int, paddin
     for i, k in enumerate(kernel.data):
         index[-2] = slice(i * dilation, i * dilation + span, stride)
         taps.append(x[tuple(index)])
-        term = taps[i].data @ k
-        out = term if out is None else out + term
-    return taps, out + bias.data
+        # no name holds a tap product, so each is freed once it is summed
+        out = taps[i].data @ k if out is None else _apply(np.add, out, taps[i].data @ k)
+    # A new array, not the tap sum itself: in training it outlives the
+    # forward, and an array allocated after the tap products gave F=243
+    # training a lower peak RSS than keeping the first product.
+    return taps, out + _over_frames(bias.data, out)
+
+
+def _over_frames(v: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Per-channel `v` repeated over the frames of `h` (..., F, C). In an
+    elementwise op with `h` it gives the values that broadcasting `v` does,
+    with numpy's inner loop run once per sample instead of once per frame."""
+    return np.tile(v, (h.shape[-2], 1))
+
+
+def _apply(ufunc: np.ufunc, acc: np.ndarray, operand: np.ndarray,
+           overwrite: bool = True) -> np.ndarray:
+    """`ufunc(acc, operand)`, written over `acc`, an array the caller owns,
+    when `overwrite` and the result has `acc`'s dtype and shape: there it
+    rounds as the new array would. A new array otherwise."""
+    if overwrite and np.result_type(acc, operand) == acc.dtype:
+        try:
+            return ufunc(acc, operand, out=acc)
+        except ValueError:      # the result has more elements: numpy wrote nothing
+            pass
+    return ufunc(acc, operand)
 
 
 def _conv_backward(g: np.ndarray, taps: list[Tensor], kernel: Tensor, bias: Tensor) -> None:
@@ -135,7 +164,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """x @ weight + bias as one node, which keeps no matmul output; its
     gradients are those of the matmul and add nodes it replaces."""
     _check_matmul(x, weight)
-    data = x.data @ weight.data + bias.data
+    data = _apply(np.add, x.data @ weight.data, bias.data)
 
     def backward(g):
         if bias.requires_grad:
@@ -181,15 +210,25 @@ def conv_bn_relu(x: Tensor, kernel: Tensor, conv_bias: Tensor, gain: Tensor, bia
                  dilation: int = 1, padding: str = "valid", stride: int = 1) -> Tensor:
     """relu(batch_norm(dilated_conv1d(x, ...))), the TCN unit, bitwise.
 
-    In training it is one node besides the conv's tap slices. That node
-    keeps the taps, the centred conv output, written over the conv output
-    it allocated, the per-channel sd and its own output, whose `> 0` mask is
-    the ReLU's; neither the conv output nor the batch-norm output outlives
-    the forward. Eval mode is the three ops in a row.
+    One node besides the conv's tap slices, in both modes. Each mode
+    writes the batch norm's first steps over the conv output it allocated
+    and keeps no separate conv or batch-norm output; the `> 0` mask of its
+    own output is the ReLU's.
+    - Training keeps the taps, the centred conv output, the per-channel sd
+      and its output.
+    - Eval normalizes with the running statistics. When its output keeps a
+      graph, it keeps the taps and the normalized conv output, and writes
+      its output into one new array; otherwise it writes the whole unit
+      over the conv output.
     """
+    for name, values in (("gain", gain.data), ("bias", bias.data),
+                         ("running mean", running_mean), ("running var", running_var)):
+        if np.shape(values) != kernel.shape[-1:]:
+            raise DimensionError(f"batch-norm {name} has shape {np.shape(values)}, "
+                                 f"want one value per conv output channel {kernel.shape[-1:]}")
     if not training:
-        h = dilated_conv1d(x, kernel, conv_bias, dilation, padding, stride)
-        return batch_norm(h, gain, bias, running_mean, running_var, training=False).relu()
+        return _conv_bn_relu_eval(x, kernel, conv_bias, gain, bias, running_mean, running_var,
+                                  dilation, padding, stride)
     taps, h = _conv_forward(x, kernel, conv_bias, dilation, padding, stride)
     out, centered, sd = _bn_forward(h, gain, bias, running_mean, running_var, overwrite=True)
     np.maximum(out, 0, out=out)
@@ -203,6 +242,37 @@ def conv_bn_relu(x: Tensor, kernel: Tensor, conv_bias: Tensor, gain: Tensor, bia
             _conv_backward(g_centered, taps, kernel, conv_bias)
 
     return Tensor._from_op(out, (*conv_parents, gain, bias), backward)
+
+
+def _conv_bn_relu_eval(x, kernel, conv_bias, gain, bias, running_mean, running_var,
+                       dilation, padding, stride) -> Tensor:
+    """Eval-mode `conv_bn_relu`: the expressions of `batch_norm(training=
+    False)` and `relu`, in their order and dtypes (the running statistics
+    enter as tensors of the default dtype, as `x - running_mean` makes
+    them), each step written over the conv output where `_apply` can."""
+    taps, h = _conv_forward(x, kernel, conv_bias, dilation, padding, stride)
+    mean = np.asarray(running_mean, dtype=default_dtype())
+    sd = np.asarray(np.sqrt(running_var + BN_EPS), dtype=default_dtype())
+    mean_f, sd_f, gain_f, bias_f = (_over_frames(v, h)
+                                    for v in (mean, sd, gain.data, bias.data))
+    normed = _apply(np.true_divide, _apply(np.subtract, h, mean_f), sd_f)
+    conv_parents = (*taps, kernel, conv_bias)
+    parents = (*conv_parents, gain, bias)
+    out = _apply(np.add, _apply(np.multiply, normed, gain_f,
+                                overwrite=not keeps_graph(parents)), bias_f)
+    np.maximum(out, 0, out=out)
+    need_conv = any(p.requires_grad for p in conv_parents)
+
+    def backward(g):
+        g = g * (out > 0)
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.shape))
+        if gain.requires_grad:
+            gain._accumulate(_unbroadcast(g * normed, gain.shape))
+        if need_conv:
+            _conv_backward(g * gain.data / sd, taps, kernel, conv_bias)
+
+    return Tensor._from_op(out, parents, backward)
 
 
 def _bn_forward(h: np.ndarray, gain: Tensor, bias: Tensor, running_mean: np.ndarray,

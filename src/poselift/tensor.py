@@ -15,7 +15,9 @@ goes as soon as nothing later in the pass reads it, and what remains when
 still refers to. A second `backward()` through a freed graph raises
 `TrainingError`. Inside `no_grad()` an op keeps neither parents nor
 closure, so an inference pass builds no graph and frees each intermediate
-array as soon as the next op has consumed it.
+array as soon as the next op has consumed it. An op whose output keeps no
+graph (`keeps_graph` is False) may also write that output over scratch
+arrays it allocated itself, since no backward will read them.
 
 A Parameter is a Tensor with a name: the model's weights are graph leaves
 that ops take directly. `requires_grad` tells trainable from frozen ones,
@@ -69,6 +71,12 @@ def no_grad():
         _GRAD_ENABLED = previous
 
 
+def keeps_graph(parents: Sequence["Tensor"]) -> bool:
+    """Whether the output of an op on `parents` keeps its graph: grad mode is
+    on and some parent requires a gradient."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def _spent(grad: np.ndarray) -> None:
     """The closure of an op output whose backward has run and freed it;
     `backward()` calls it as soon as its graph search reaches one."""
@@ -106,7 +114,7 @@ class Tensor:
         closure needs no check) and never inside `no_grad`."""
         node = cls.__new__(cls)
         node.data = data
-        node.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        node.requires_grad = keeps_graph(parents)
         node.grad = None
         node._parents = parents if node.requires_grad else ()
         node._backward = backward if node.requires_grad else None

@@ -24,11 +24,13 @@ def test_op_gradient(op_name):
 
 
 # Suite entries by op where they differ from its name: the conv once per
-# padding, dilation and stride case, batch norm once per mode, indexing once
-# basic and once advanced, and the Tensor operators by what they compute.
+# padding, dilation and stride case, batch norm and the TCN unit once per
+# mode, indexing once basic and once advanced, and the Tensor operators by
+# what they compute.
 SUITE_NAMES = {
     "dilated_conv1d": ("conv_valid", "conv_dilated", "conv_same", "conv_strided"),
     "batch_norm": ("batch_norm", "batch_norm_eval"),
+    "conv_bn_relu": ("conv_bn_relu", "conv_bn_relu_eval"),
     "Tensor.__add__": ("add",), "Tensor.__sub__": ("sub",), "Tensor.__mul__": ("mul",),
     "Tensor.__truediv__": ("div",), "Tensor.__neg__": ("neg",),
     "Tensor.__matmul__": ("matmul", "matmul_batched"),

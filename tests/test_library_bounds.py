@@ -2,7 +2,8 @@
 against the config's range table: each call returns, or raises
 `ConfigError` exactly when an argument lies outside its field's range or
 has another type than its field. `PoseLifter.forward_eval` refuses an input
-it cannot lift with a `PoseLiftError`."""
+it cannot lift, and labels that do not name one action per sample, with a
+`PoseLiftError`."""
 
 import math
 import numbers
@@ -10,6 +11,7 @@ import numbers
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from poselift.ablate import variant_config
 from poselift.config import Config
@@ -142,6 +144,13 @@ MODELS = {variant: PoseLifter(variant_config(Config(), variant))
 EMBEDDINGS = {"baseline": None, "full": MODELS["full"].export_embeddings()}
 
 
+# Label arrays beside the input: integer or float, of up to two axes.
+LABELS = st.none() | hnp.arrays(st.sampled_from([np.int64, np.uint32, np.float64]),
+                                hnp.array_shapes(min_dims=0, max_dims=2, min_side=0,
+                                                 max_side=3),
+                                elements=st.integers(0, 3))
+
+
 @SETTINGS
 @given(variant=st.sampled_from(sorted(MODELS)),
        shape=st.one_of(st.just((2, 27, 8, 2)),
@@ -149,19 +158,28 @@ EMBEDDINGS = {"baseline": None, "full": MODELS["full"].export_embeddings()}
                                  st.sampled_from([4, 8]), st.integers(1, 3)),
                        st.lists(st.integers(0, 3), max_size=5).map(tuple)),
        bad_value=st.sampled_from([None, math.nan, math.inf, -math.inf]),
-       seed=st.integers(0, 2**31 - 1))
-@example("full", (0, 27, 8, 2), None, 0).via("a zero-sample batch")
-@example("baseline", (0, 27, 8, 2), None, 0).via("a zero-sample batch, baseline")
-@example("full", (27, 8, 2), None, 0).via("a 3-D input")
-@example("full", (2, 27, 8, 2), math.nan, 0).via("a NaN input")
-def test_forward_eval_lifts_or_refuses_its_input(variant, shape, bad_value, seed):
+       labels=LABELS, seed=st.integers(0, 2**31 - 1))
+@example("full", (0, 27, 8, 2), None, None, 0).via("a zero-sample batch")
+@example("baseline", (0, 27, 8, 2), None, None, 0).via("a zero-sample batch, baseline")
+@example("full", (27, 8, 2), None, None, 0).via("a 3-D input")
+@example("full", (2, 27, 8, 2), math.nan, None, 0).via("a NaN input")
+@example("full", (2, 27, 8, 2), None, np.array([0]), 0).via("one label for two samples")
+@example("full", (2, 27, 8, 2), None, np.array([0.5, 1.2]), 0).via("float labels")
+@example("full", (2, 27, 8, 2), None, np.array([[0, 1]]), 0).via("a (1, 2) label array")
+@example("full", (2, 27, 8, 2), None, np.array([0, 1, 2]), 0).via("three labels for two")
+def test_forward_eval_lifts_or_refuses_its_input(variant, shape, bad_value, labels, seed):
     x = np.random.default_rng(seed).normal(size=shape)
     if bad_value is not None and x.size:
         x.flat[x.size // 2] = bad_value
-    valid = shape[:1] != (0,) and shape[1:] == (27, 8, 2) and bad_value is None
-    if valid:
-        pred, _, _ = MODELS[variant].forward_eval(x, embeddings=EMBEDDINGS[variant])
+    valid_input = shape[:1] != (0,) and shape[1:] == (27, 8, 2) and bad_value is None
+    valid_labels = labels is None or (labels.shape == shape[:1] and labels.dtype.kind in "iu")
+    if valid_input and valid_labels:
+        pred, _, _ = MODELS[variant].forward_eval(x, embeddings=EMBEDDINGS[variant],
+                                                  labels=labels)
         assert pred.shape == (shape[0], 8, 3) and np.isfinite(pred).all()
         return
-    with pytest.raises((DimensionError, ConfigError), match=r"input"):
-        MODELS[variant].forward_eval(x, embeddings=EMBEDDINGS[variant])
+    # each refusal names the shape of what it refuses
+    refusals = ([r"input"] if not valid_input else []) + (
+        [r"labels (have|of) shape \("] if not valid_labels else [])
+    with pytest.raises((DimensionError, ConfigError), match="|".join(refusals)):
+        MODELS[variant].forward_eval(x, embeddings=EMBEDDINGS[variant], labels=labels)

@@ -312,9 +312,27 @@ def test_a_training_forward_keeps_no_unit_or_linear_intermediates():
 
 
 def test_forward_eval_equals_forward_with_a_graph(small_dataset):
-    model = PoseLifter(small_config())
+    assert_eval_equals_forward_with_a_graph(PoseLifter(small_config()),
+                                            small_dataset.eval.input2d[:5],
+                                            small_dataset.eval.labels[:5])
+
+
+def test_forward_eval_equals_forward_with_a_graph_at_the_default_size():
+    # The default config and the 256-sample batch `evaluate` runs, with
+    # running statistics away from their initial 0 and 1.
+    cfg = Config()
+    cfg.data.eval_per_action = 256 // cfg.data.num_actions
+    split = T.dataset_from_config(cfg).eval
+    model = PoseLifter(cfg)
+    randomize_running_stats(model.params.values(), np.random.default_rng(3))
+    assert len(split) == 256
+    assert_eval_equals_forward_with_a_graph(model, split.input2d, split.labels)
+
+
+def assert_eval_equals_forward_with_a_graph(model, x, gt):
+    """`forward_eval`, which keeps no graph, against an eval-mode `forward`
+    that builds one, by predicted and by given labels."""
     emb = model.export_embeddings()
-    x, gt = small_dataset.eval.input2d[:5], small_dataset.eval.labels[:5]
     for labels in (None, gt):
         pred, predicted, probs = model.forward_eval(x, embeddings=emb, labels=labels)
         result = model.forward(x, labels, training=False, embeddings=emb)
