@@ -83,6 +83,7 @@ class _Interval:
 
 _SEED = _Interval(0, 2 ** 53, high_open=False)   # what dataset.bin stores exactly
 POSITIVE = _Interval(0, low_open=True)
+UNBOUNDED = _Interval(-math.inf)                 # checks a value's type alone
 # The range of every numeric field except data.frames and atp.tap_layer,
 # which `validate` checks against the supported sequence lengths. Library
 # functions that take a field's value as an argument check it here too.

@@ -21,7 +21,7 @@ import numpy as np
 from .config import check_range
 from .container import Reader, write_container
 from .encoder import blocks_for_frames
-from .errors import FormatError
+from .errors import ConfigError, DimensionError, FormatError, PoseLiftError
 
 FORMAT_VERSION = 2
 DATASET_MAGIC = b"PLDATA\x00\x00"
@@ -230,21 +230,13 @@ def _write_dataset(dataset: PoseDataset, path: str | Path) -> None:
 
 def _check_dataset(seed: int, names: list[str], train: Split, evals: Split) -> None:
     """Raise `FormatError` unless the seed is a count, the names are distinct,
-    each split's shapes agree, both splits hold samples of the same frames
-    and joints with float32-finite values, and every label is below K."""
+    each split passes `check_split` for K = len(names) and holds samples,
+    and both splits have the same frames and joints."""
     if not (isinstance(seed, (int, np.integer)) and 0 <= seed <= 2 ** 53):
         raise FormatError(f"dataset: seed {seed!r} is not an integer in [0, 2**53]")
     splits = {"train": train, "eval": evals}
     for name, split in splits.items():
-        if split.input2d.ndim != 4 or split.input2d.shape[3] != 2:
-            raise FormatError(f"dataset: {name}.input2d shape {split.input2d.shape} "
-                              "is not (N, F, J, 2)")
-        count, _, joints, _ = split.input2d.shape
-        for what, arr, want in (("target3d", split.target3d, (count, joints, 3)),
-                                ("labels", split.labels, (count,))):
-            if arr.shape != want:
-                raise FormatError(f"dataset: {name}.{what} shape {arr.shape} does not match "
-                                  f"the {want} that input2d implies")
+        check_split(f"dataset: {name}", split, len(names), FormatError)
     if len(set(names)) != len(names):
         raise FormatError(f"dataset action names are not distinct: {names}")
     if train.input2d.shape[1:] != evals.input2d.shape[1:]:
@@ -253,22 +245,38 @@ def _check_dataset(seed: int, names: list[str], train: Split, evals: Split) -> N
     for name, split in splits.items():
         if not len(split):
             raise FormatError(f"dataset: the {name} split holds no samples")
-        for field_name in ("input2d", "target3d"):
-            values = getattr(split, field_name)
-            if values.dtype.kind != "f":
-                raise FormatError(f"dataset: {name}.{field_name} has dtype {values.dtype}, "
-                                  "not a float type")
-            with np.errstate(over="ignore"):      # float32 is what is stored
-                if not np.isfinite(values.astype(np.float32, copy=False)).all():
-                    raise FormatError(f"dataset: {name}.{field_name} holds non-finite values")
-        labels = split.labels
-        if labels.dtype.kind not in "biu":
-            raise FormatError(f"dataset: {name}.labels has dtype {labels.dtype}, "
-                              "not an integer type")
+
+
+def check_split(name: str, split: Split, k: int, error: type[PoseLiftError]) -> None:
+    """Raise unless `split`'s arrays agree in their sample count, input2d is
+    (N, F, J, 2), input2d and target3d hold float32-finite floats and every
+    label is an integer below `k`; an empty split passes. A file's faults
+    are `FormatError`s; an argument's (`error=ConfigError`) are a
+    `DimensionError` for a shape and a `ConfigError` for a value. `name`
+    starts each message."""
+    shape_error = DimensionError if error is ConfigError else error
+    if split.input2d.ndim != 4 or split.input2d.shape[3] != 2:
+        raise shape_error(f"{name}.input2d shape {split.input2d.shape} is not (N, F, J, 2)")
+    count, _, joints, _ = split.input2d.shape
+    for what, arr, want in (("target3d", split.target3d, (count, joints, 3)),
+                            ("labels", split.labels, (count,))):
+        if arr.shape != want:
+            raise shape_error(f"{name}.{what} shape {arr.shape} does not match "
+                              f"the {want} that input2d implies")
+    for field_name in ("input2d", "target3d"):
+        values = getattr(split, field_name)
+        if values.dtype.kind != "f":
+            raise error(f"{name}.{field_name} has dtype {values.dtype}, not a float type")
+        with np.errstate(over="ignore"):      # float32 is what is stored
+            if not np.isfinite(values.astype(np.float32, copy=False)).all():
+                raise error(f"{name}.{field_name} holds non-finite values")
+    labels = split.labels
+    if labels.dtype.kind not in "biu":
+        raise error(f"{name}.labels has dtype {labels.dtype}, not an integer type")
+    if count:
         worst = labels.min() if labels.min() < 0 else labels.max()
-        if not 0 <= worst < len(names):
-            raise FormatError(f"dataset: {name}.labels holds label {worst}, "
-                              f"out of range for {len(names)} actions")
+        if not 0 <= worst < k:
+            raise error(f"{name}.labels holds label {worst}, out of range for {k} actions")
 
 
 def load_dataset(path: str | Path) -> PoseDataset:

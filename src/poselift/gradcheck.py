@@ -139,14 +139,6 @@ def run_op_suite(tol: float = TOL) -> dict[str, GradCheckReport]:
         bias = Parameter("bias", 0.1 * rng.normal(size=4))
         check("layer_norm", lambda: (ops.layer_norm(x, gain, bias)
                                      * w34).sum(), [x, gain, bias])
-        rm, rv = np.zeros(4), np.ones(4)
-        check("batch_norm", lambda: (ops.batch_norm(
-            x, gain, bias, rm, rv, training=True)
-            * w34).sum(), [x, gain, bias])
-        stats_mean, stats_var = np.linspace(-0.5, 0.5, 4), np.linspace(0.5, 2.0, 4)
-        check("batch_norm_eval", lambda: (ops.batch_norm(
-            x, gain, bias, stats_mean, stats_var, training=False)
-            * w34).sum(), [x, gain, bias])
 
         q = Parameter("q", rng.normal(size=(2, 3, 4)))
         kv = Parameter("kv", rng.normal(size=(2, 5, 4)))
@@ -177,6 +169,7 @@ def run_op_suite(tol: float = TOL) -> dict[str, GradCheckReport]:
         check("linear", lambda: (ops.linear(bat, b, lin_bias) * w_bat).sum(),
               [bat, b, lin_bias])
         unit_mean, unit_var = np.zeros(4), np.ones(4)
+        stats_mean, stats_var = np.linspace(-0.5, 0.5, 4), np.linspace(0.5, 2.0, 4)
         check("conv_bn_relu", lambda: (ops.conv_bn_relu(
             seq, kern, cbias, gain, bias, unit_mean, unit_var, training=True,
             dilation=2, padding="same") * w_same).sum(), [seq, kern, cbias, gain, bias])

@@ -8,6 +8,7 @@ import numpy as np
 from . import ops
 from .config import check_range
 from .errors import ConfigError, DimensionError
+from .model import check_labels
 from .tensor import Tensor
 
 
@@ -24,23 +25,17 @@ def pose_loss(pred: Tensor, gt: Tensor) -> Tensor:
 def action_loss(y: Tensor, labels) -> Tensor:
     """Cross-entropy -log y[label], averaged over the batch.
 
-    y: (B, K) or (K,) distribution rows; labels: (B,) ints or a scalar.
+    y: (B, K) distribution rows with B >= 1, or one (K,) row; labels: (B,)
+    ints, or one int for one row, each in [0, K).
     """
-    labels = np.asarray(labels)
-    if y.ndim == 1:
-        k = y.shape[0]
-        if labels.ndim != 0:
-            raise DimensionError(f"scalar label expected for 1D y, got {labels.shape}")
-        if not 0 <= int(labels) < k:
-            raise ConfigError(f"label {int(labels)} out of range [0, {k})")
-        picked = y[int(labels)]
-    else:
-        batch, k = y.shape
-        if labels.shape != (batch,):
-            raise DimensionError(f"labels shape {labels.shape} != batch ({batch},)")
-        if labels.min() < 0 or labels.max() >= k:
-            raise ConfigError(f"label out of range [0, {k}): {labels}")
-        picked = y[np.arange(batch), labels]
+    if y.ndim not in (1, 2) or y.size == 0:
+        raise DimensionError(f"class probabilities have shape {y.shape}, "
+                             "want (B, K) with B >= 1 or (K,)")
+    labels = check_labels(labels, y.shape[:-1])
+    k = y.shape[-1]
+    if labels.min() < 0 or labels.max() >= k:
+        raise ConfigError(f"label out of range [0, {k}): {labels}")
+    picked = y[int(labels)] if y.ndim == 1 else y[np.arange(len(labels)), labels]
     return -(picked.log().mean())
 
 

@@ -51,6 +51,19 @@ def check_embeddings(cfg: Config, embeddings: np.ndarray | None,
         raise error("text embeddings hold non-finite values")
 
 
+def check_labels(labels, shape: tuple) -> np.ndarray:
+    """`labels` as an array, one per sample: a `DimensionError` unless of
+    `shape`, a `ConfigError` unless integers."""
+    labels = np.asarray(labels)
+    if labels.shape != shape:
+        raise DimensionError(f"labels have shape {labels.shape}, want {shape}: "
+                             "one per sample")
+    if labels.dtype.kind not in "iu":
+        raise ConfigError(f"labels of shape {labels.shape} have dtype "
+                          f"{labels.dtype}, want integers")
+    return labels
+
+
 @dataclass
 class ForwardResult:
     pred3d: Tensor                 # (B, J, 3)
@@ -147,13 +160,7 @@ class PoseLifter:
         if not np.isfinite(x2d).all():
             raise ConfigError(f"input of shape {x2d.shape} holds non-finite values")
         if labels is not None:
-            labels = np.asarray(labels)
-            if labels.shape != x2d.shape[:1]:
-                raise DimensionError(f"labels have shape {labels.shape}, want "
-                                     f"({x2d.shape[0]},): one per input sample")
-            if labels.dtype.kind not in "iu":
-                raise ConfigError(f"labels of shape {labels.shape} have dtype "
-                                  f"{labels.dtype}, want integers")
+            labels = check_labels(labels, x2d.shape[:1])
         enc_out = self.encoder.forward(Tensor(x2d), training=training)
         probs = None
         if self.projector is not None:

@@ -7,17 +7,17 @@ cosine similarity reduce over the last axis only; batch norm over all the
 others.
 
 A fused op is one graph node in place of a chain of primitive ones:
-`dilated_conv1d` (besides its tap slices), training-mode `batch_norm`,
-the TCN unit `conv_bn_relu` (conv, batch norm and ReLU) in both modes and
-`linear` (`x @ W + b`). Its forward and backward run the replaced nodes'
-own expressions in their order, so its output and gradients are bitwise
-those of the chain, and it keeps only the arrays that backward reads: a
-training forward keeps no conv, batch-norm or matmul output that no
-backward needs. A fused forward writes a step over an array it allocated
-itself only where the step's result has that array's dtype and shape, so
-it rounds as the chain's new array would: the conv sums its tap products
-in place, `linear` adds its bias in place, and an eval unit that keeps no
-graph writes its whole output over its conv output.
+`dilated_conv1d` (besides its tap slices), the TCN unit `conv_bn_relu`
+(conv, batch norm and ReLU, one body for both modes) and `linear`
+(`x @ W + b`). Its forward and backward run the replaced nodes' own
+expressions in their order, so its output and gradients are bitwise those
+of the chain, and it keeps only the arrays that backward reads: no conv,
+batch-norm or matmul output that no backward needs. A fused forward
+writes a step over an array it allocated itself only where the step's
+result has that array's dtype and shape, so it rounds as the chain's new
+array would: the conv sums its tap products in place, `linear` adds its
+bias in place, and a unit that keeps no graph writes its whole output
+over its conv output.
 """
 
 from __future__ import annotations
@@ -97,13 +97,8 @@ def _conv_forward(x: Tensor, kernel: Tensor, bias: Tensor, dilation: int, paddin
     if padding == "same":
         total = dilation * (width - 1)
         left, right = total // 2, total - total // 2
-        pad_shape = list(x.shape)
-        if left:
-            pad_shape[-2] = left
-            x = concat([zeros(tuple(pad_shape)), x], axis=-2)
-        if right:
-            pad_shape[-2] = right
-            x = concat([x, zeros(tuple(pad_shape))], axis=-2)
+        x = concat([zeros((*x.shape[:-2], left, c_in)), x,
+                    zeros((*x.shape[:-2], right, c_in))], axis=-2)
     elif padding != "valid":
         raise DimensionError(f"unknown conv padding {padding!r}")
     frames = x.shape[-2]
@@ -182,142 +177,82 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return centered / (var + LN_EPS).sqrt() * gain + bias
 
 
-def batch_norm(x: Tensor, gain: Tensor, bias: Tensor,
-               running_mean: np.ndarray, running_var: np.ndarray,
-               training: bool) -> Tensor:
-    """Per-channel batch normalization over all leading axes of (..., C).
-
-    Running statistics are plain arrays mutated in place during training
-    and used verbatim in eval mode.
-    """
-    if not training:
-        normed = (x - running_mean) / np.sqrt(running_var + BN_EPS)
-        return normed * gain + bias
-    out, centered, sd = _bn_forward(x.data, gain, bias, running_mean, running_var,
-                                    overwrite=False)
-
-    def backward(g):
-        g_centered, g_mu = _bn_backward(g, gain, bias, centered, sd, x.requires_grad)
-        if g_centered is not None:
-            x._accumulate(g_centered)
-            x._accumulate(np.broadcast_to(g_mu, x.shape))
-
-    return Tensor._from_op(out, (x, gain, bias), backward)
-
-
 def conv_bn_relu(x: Tensor, kernel: Tensor, conv_bias: Tensor, gain: Tensor, bias: Tensor,
                  running_mean: np.ndarray, running_var: np.ndarray, training: bool,
                  dilation: int = 1, padding: str = "valid", stride: int = 1) -> Tensor:
     """relu(batch_norm(dilated_conv1d(x, ...))), the TCN unit, bitwise.
 
-    One node besides the conv's tap slices, in both modes. Each mode
-    writes the batch norm's first steps over the conv output it allocated
-    and keeps no separate conv or batch-norm output; the `> 0` mask of its
-    own output is the ReLU's.
-    - Training keeps the taps, the centred conv output, the per-channel sd
-      and its output.
-    - Eval normalizes with the running statistics. When its output keeps a
-      graph, it keeps the taps and the normalized conv output, and writes
-      its output into one new array; otherwise it writes the whole unit
-      over the conv output.
+    One node besides the conv's tap slices, with one forward and one
+    backward for both modes; only the statistics depend on the mode.
+    Training normalizes with the batch mean and sd and updates the running
+    statistics; eval normalizes with the running statistics, cast to the
+    default dtype as `x - running_mean` would cast them. The unit centres
+    its conv output in place, divides by the sd, multiplies by the gain,
+    adds the bias and applies the ReLU, each step written over an array it
+    owns where `_apply` can; the divide writes over the centred conv output
+    only when the output keeps no graph. It keeps the taps, the centred
+    conv output, the per-channel sd and its output, whose `> 0` mask is the
+    ReLU's.
     """
     for name, values in (("gain", gain.data), ("bias", bias.data),
                          ("running mean", running_mean), ("running var", running_var)):
         if np.shape(values) != kernel.shape[-1:]:
             raise DimensionError(f"batch-norm {name} has shape {np.shape(values)}, "
                                  f"want one value per conv output channel {kernel.shape[-1:]}")
-    if not training:
-        return _conv_bn_relu_eval(x, kernel, conv_bias, gain, bias, running_mean, running_var,
-                                  dilation, padding, stride)
     taps, h = _conv_forward(x, kernel, conv_bias, dilation, padding, stride)
-    out, centered, sd = _bn_forward(h, gain, bias, running_mean, running_var, overwrite=True)
-    np.maximum(out, 0, out=out)
-    conv_parents = (*taps, kernel, conv_bias)
-    need_conv = any(p.requires_grad for p in conv_parents)
-
-    def backward(g):
-        g_centered, g_mu = _bn_backward(g * (out > 0), gain, bias, centered, sd, need_conv)
-        if g_centered is not None:
-            g_centered += g_mu      # the conv output's two gradient terms, summed as they arrive
-            _conv_backward(g_centered, taps, kernel, conv_bias)
-
-    return Tensor._from_op(out, (*conv_parents, gain, bias), backward)
-
-
-def _conv_bn_relu_eval(x, kernel, conv_bias, gain, bias, running_mean, running_var,
-                       dilation, padding, stride) -> Tensor:
-    """Eval-mode `conv_bn_relu`: the expressions of `batch_norm(training=
-    False)` and `relu`, in their order and dtypes (the running statistics
-    enter as tensors of the default dtype, as `x - running_mean` makes
-    them), each step written over the conv output where `_apply` can."""
-    taps, h = _conv_forward(x, kernel, conv_bias, dilation, padding, stride)
-    mean = np.asarray(running_mean, dtype=default_dtype())
-    sd = np.asarray(np.sqrt(running_var + BN_EPS), dtype=default_dtype())
-    mean_f, sd_f, gain_f, bias_f = (_over_frames(v, h)
-                                    for v in (mean, sd, gain.data, bias.data))
-    normed = _apply(np.true_divide, _apply(np.subtract, h, mean_f), sd_f)
+    axes = tuple(range(h.ndim - 1))
+    inv_n = 1.0 / (h.size // h.shape[-1])
+    mean = (h.sum(axis=axes, keepdims=True) * inv_n if training
+            else np.asarray(running_mean, dtype=default_dtype()))
+    centered = _apply(np.subtract, h, _over_frames(mean, h))
+    sd = (_batch_sd(centered, mean, running_mean, running_var) if training
+          else np.asarray(np.sqrt(running_var + BN_EPS), dtype=default_dtype()))
     conv_parents = (*taps, kernel, conv_bias)
     parents = (*conv_parents, gain, bias)
-    out = _apply(np.add, _apply(np.multiply, normed, gain_f,
-                                overwrite=not keeps_graph(parents)), bias_f)
+    normed = _apply(np.true_divide, centered, _over_frames(sd, h),
+                    overwrite=not keeps_graph(parents))
+    out = _apply(np.add, _apply(np.multiply, normed, _over_frames(gain.data, h)),
+                 _over_frames(bias.data, h))
     np.maximum(out, 0, out=out)
     need_conv = any(p.requires_grad for p in conv_parents)
 
     def backward(g):
+        # The gradient of the ReLU and of batch norm's divide / scale / shift
+        # steps, and in training of its mean / centre / variance / sqrt
+        # steps, each as that op's own backward computes it, in the same
+        # order, so every float rounds as it would node by node.
         g = g * (out > 0)
         if bias.requires_grad:
             bias._accumulate(_unbroadcast(g, bias.shape))
+        normed = centered / sd
         if gain.requires_grad:
             gain._accumulate(_unbroadcast(g * normed, gain.shape))
-        if need_conv:
-            _conv_backward(g * gain.data / sd, taps, kernel, conv_bias)
+        if not need_conv:
+            return
+        g_normed = g * gain.data
+        g_centered = g_normed / sd
+        if training:
+            g_sd = _unbroadcast(-g_normed * normed / sd, sd.shape)
+            g_var = g_sd * 0.5 / np.where(sd == 0, np.inf, sd) * inv_n
+            g_square = g_var * centered
+            g_centered = g_centered + g_square + g_square
+            # the mean's term, added as it arrives
+            g_centered += -_unbroadcast(g_centered, sd.shape) * inv_n
+        _conv_backward(g_centered, taps, kernel, conv_bias)
 
     return Tensor._from_op(out, parents, backward)
 
 
-def _bn_forward(h: np.ndarray, gain: Tensor, bias: Tensor, running_mean: np.ndarray,
-                running_var: np.ndarray, overwrite: bool
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Training-mode batch norm of `h`; updates the running statistics.
-    Returns the output, the centred input and the per-channel sd. With
-    `overwrite` the centred input is written over `h`, which the caller
-    must own."""
-    axes = tuple(range(h.ndim - 1))
-    n = h.size // h.shape[-1]
-    inv_n = 1.0 / n
-    mu = h.sum(axis=axes, keepdims=True) * inv_n
-    centered = np.add(h, -mu, out=h if overwrite else None)
-    var = (centered * centered).sum(axis=axes, keepdims=True) * inv_n
-    sd = np.sqrt(var + BN_EPS)
+def _batch_sd(centered: np.ndarray, mean: np.ndarray, running_mean: np.ndarray,
+              running_var: np.ndarray) -> np.ndarray:
+    """The per-channel sd of the batch whose per-channel `mean` has been
+    subtracted to give `centered` (..., C); moves the running statistics
+    towards the batch's."""
+    axes = tuple(range(centered.ndim - 1))
+    n = centered.size // centered.shape[-1]
+    var = (centered * centered).sum(axis=axes, keepdims=True) * (1.0 / n)
     running_mean *= 1.0 - BN_MOMENTUM
-    running_mean += BN_MOMENTUM * mu.reshape(-1)
+    running_mean += BN_MOMENTUM * mean.reshape(-1)
     running_var *= 1.0 - BN_MOMENTUM
     running_var += BN_MOMENTUM * (var * (n / max(n - 1, 1))).reshape(-1)
-    return centered / sd * gain.data + bias.data, centered, sd
-
-
-def _bn_backward(g: np.ndarray, gain: Tensor, bias: Tensor, centered: np.ndarray,
-                 sd: np.ndarray, need_input: bool) -> tuple:
-    """Pass the output gradient `g` on to `bias` and `gain`, and return the
-    input's two gradient terms: a new full-size array and the per-channel
-    term of the mean, to be added to it. (None, None) unless `need_input`.
-
-    The gradient of the mean / centre / variance / sqrt / divide chain,
-    each step as that op's own backward computes it, in the same order, so
-    every float rounds as it would node by node."""
-    if bias.requires_grad:
-        bias._accumulate(_unbroadcast(g, bias.shape))
-    normed = centered / sd
-    if gain.requires_grad:
-        gain._accumulate(_unbroadcast(g * normed, gain.shape))
-    if not need_input:
-        return None, None
-    inv_n = 1.0 / (centered.size // centered.shape[-1])
-    g_normed = g * gain.data
-    g_centered = g_normed / sd
-    g_sd = _unbroadcast(-g_normed * normed / sd, sd.shape)
-    g_var = g_sd * 0.5 / np.where(sd == 0, np.inf, sd) * inv_n
-    g_square = g_var * centered
-    g_centered = g_centered + g_square + g_square
-    g_mu = -_unbroadcast(g_centered, sd.shape) * inv_n
-    return g_centered, g_mu
+    return np.sqrt(var + BN_EPS)

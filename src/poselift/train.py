@@ -16,9 +16,9 @@ from typing import NoReturn
 
 import numpy as np
 
-from .config import Config, dump_config, parse_config_text
+from .config import UNBOUNDED, Config, check_range, dump_config, parse_config_text
 from .container import Reader, write_container
-from .data import PoseDataset, Split, gen_synthetic
+from .data import PoseDataset, Split, check_split, gen_synthetic
 from .errors import ConfigError, FormatError, TrainingError
 from .layers import seeded_rng
 from .losses import action_loss, pose_loss, total_loss
@@ -73,8 +73,11 @@ def evaluate(model: PoseLifter, split: Split, action_names: list[str],
     """Run the inference path over a split and aggregate metrics.
 
     For text-prompt models, `embeddings` must be the saved per-action
-    embeddings; this function never touches the text encoder.
+    embeddings; this function never touches the text encoder. A split
+    `check_split` refuses, or a `batch_size` that is not a positive int,
+    is a `PoseLiftError`.
     """
+    check_split("split", split, len(action_names), ConfigError)
     if model.cfg.data.joints != split.target3d.shape[1]:
         raise ConfigError(
             f"model joints={model.cfg.data.joints} but dataset joints="
@@ -89,6 +92,7 @@ def evaluate(model: PoseLifter, split: Split, action_names: list[str],
     if len(split) == 0:
         raise ConfigError(f"cannot evaluate an empty split (input2d shape "
                           f"{split.input2d.shape})")
+    check_range("train.batch_size", batch_size, UNBOUNDED)      # its type
     if batch_size <= 0:
         raise ConfigError(f"evaluate batch_size must be positive, got {batch_size}")
     preds, predicted_labels = [], []
@@ -116,8 +120,11 @@ def train_model(cfg: Config, dataset: PoseDataset,
                 out_dir: str | Path | None = None,
                 epochs: int | None = None) -> TrainResult:
     """Minibatch training on the combined loss; logs one line per epoch and
-    keeps the best-eval-P1 checkpoint (including the text embeddings)."""
+    keeps the best-eval-P1 checkpoint (including the text embeddings).
+    `epochs`, when given, replaces `cfg.train.epochs` and is checked as it is."""
     cfg.validate()
+    n_epochs = cfg.train.epochs if epochs is None else epochs
+    check_range("train.epochs", n_epochs)
     names = dataset.manifest.action_names
     if len(names) != cfg.data.num_actions:
         raise ConfigError(
@@ -126,7 +133,6 @@ def train_model(cfg: Config, dataset: PoseDataset,
     optimizer = Adam(model.params, lr=cfg.train.lr, lr_decay=cfg.train.lr_decay)
     shuffle_rng = seeded_rng(cfg.train.seed, STREAM_SHUFFLE)
     hard = resolve_hard_actions(cfg, dataset)
-    n_epochs = cfg.train.epochs if epochs is None else epochs
     weight = cfg.train.loss_weight
     train, evals = dataset.train, dataset.eval
 

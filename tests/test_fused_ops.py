@@ -1,6 +1,6 @@
-"""The fused `batch_norm` and `dilated_conv1d` nodes against the op-by-op
-graphs they replace: equal outputs, running statistics and gradients, bit
-for bit, in float32 and float64."""
+"""The fused `dilated_conv1d` node against the op-by-op graph it replaces:
+equal outputs and gradients, bit for bit, in float32 and float64; and the
+primitive-op oracles the fused units are checked against."""
 
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
@@ -68,56 +68,6 @@ def assert_same_gradients(fused_leaves, oracle_leaves):
 
 FUSED_SETTINGS = settings(max_examples=40, deadline=None)
 DTYPES = st.sampled_from(["float32", "float64"])
-
-
-# -- batch norm -------------------------------------------------------------------------
-
-def run_batch_norm(bn, values, gain_values, stats, weights, grads, shared):
-    """One backward through `bn`; `shared` also feeds the input to a second
-    consumer whose backward runs first, so batch norm's gradient is added to
-    one already there."""
-    x = leaf("x", values, grads[0])
-    gain = leaf("gain", gain_values, grads[1])
-    bias = leaf("bias", -0.5 * gain_values, grads[2])
-    running_mean, running_var = (s.astype(values.dtype) for s in stats)
-    scaled = x * 1.5
-    out = bn(scaled, gain, bias, running_mean, running_var)
-    loss = (out * weights).sum()
-    if shared:
-        loss = (scaled * weights).sum() + loss
-    loss.backward()
-    return out.data, running_mean, running_var, [x, gain, bias]
-
-
-@FUSED_SETTINGS
-@given(lead=hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=5),
-       channels=st.integers(1, 4), constant_channel=st.none() | st.integers(0, 3),
-       grads=st.tuples(st.booleans(), st.booleans(), st.booleans()),
-       shared=st.booleans(), dtype=DTYPES, seed=st.integers(0, 2**31 - 1))
-@example(lead=(1,), channels=3, constant_channel=None, grads=(True, True, True),
-         shared=False, dtype="float32", seed=0)                        # one sample
-@example(lead=(4, 5), channels=2, constant_channel=0, grads=(True, True, True),
-         shared=True, dtype="float32", seed=1)                          # var == 0
-def test_fused_batch_norm_equals_the_composed_graph(lead, channels, constant_channel,
-                                                    grads, shared, dtype, seed):
-    assume(any(grads))
-    rng = np.random.default_rng(seed)
-    with precision(dtype):
-        values = (rng.normal(size=lead + (channels,)) * 3.0 + 0.7).astype(dtype)
-        if constant_channel is not None and constant_channel < channels:
-            values[..., constant_channel] = values.flat[0]
-        gain_values = (1.0 + 0.3 * rng.normal(size=channels)).astype(dtype)
-        stats = (rng.normal(size=channels), 0.5 + rng.uniform(size=channels))
-        weights = rng.normal(size=values.shape).astype(dtype)
-
-        fused = run_batch_norm(
-            lambda *a: ops.batch_norm(*a, training=True),
-            values, gain_values, stats, weights, grads, shared)
-        oracle = run_batch_norm(composed_batch_norm, values, gain_values, stats, weights,
-                                grads, shared)
-    for got, want in zip(fused[:3], oracle[:3]):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert_same_gradients(fused[3], oracle[3])
 
 
 # -- the temporal conv -------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The fused TCN unit and linear nodes against the graphs of the ops they
-replace: `dilated_conv1d` -> `batch_norm` -> `relu`, and `@` -> `+`. Equal
-outputs, running statistics and gradients, bit for bit, in float32 and
-float64."""
+replace: `dilated_conv1d` -> batch norm in primitive nodes -> `relu`, and
+`@` -> `+`. Equal outputs, running statistics and gradients, bit for bit,
+in float32 and float64."""
 
 import numpy as np
 from hypothesis import assume, example, given, strategies as st
@@ -10,16 +10,22 @@ from hypothesis.extra import numpy as hnp
 from poselift import ops
 from poselift.tensor import precision
 
-from test_fused_ops import DTYPES, FUSED_SETTINGS, assert_same_gradients, leaf
+from test_fused_ops import (DTYPES, FUSED_SETTINGS, assert_same_gradients,
+                            composed_batch_norm, leaf)
 
 
 # -- the composed oracles -----------------------------------------------------------------
 
 def composed_conv_bn_relu(x, kernel, conv_bias, gain, bias, running_mean, running_var,
                           training, dilation=1, padding="valid", stride=1):
-    """The TCN unit as three nodes: conv, batch norm and ReLU."""
+    """The TCN unit as the conv node, batch norm in primitive nodes (the
+    batch statistics in training, the running ones in eval) and ReLU."""
     h = ops.dilated_conv1d(x, kernel, conv_bias, dilation, padding, stride)
-    return ops.batch_norm(h, gain, bias, running_mean, running_var, training).relu()
+    if training:
+        normed = composed_batch_norm(h, gain, bias, running_mean, running_var)
+    else:
+        normed = (h - running_mean) / np.sqrt(running_var + ops.BN_EPS) * gain + bias
+    return normed.relu()
 
 
 def composed_linear(x, weight, bias):

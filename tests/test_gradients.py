@@ -24,12 +24,11 @@ def test_op_gradient(op_name):
 
 
 # Suite entries by op where they differ from its name: the conv once per
-# padding, dilation and stride case, batch norm and the TCN unit once per
-# mode, indexing once basic and once advanced, and the Tensor operators by
-# what they compute.
+# padding, dilation and stride case, the TCN unit once per mode, indexing
+# once basic and once advanced, and the Tensor operators by what they
+# compute.
 SUITE_NAMES = {
     "dilated_conv1d": ("conv_valid", "conv_dilated", "conv_same", "conv_strided"),
-    "batch_norm": ("batch_norm", "batch_norm_eval"),
     "conv_bn_relu": ("conv_bn_relu", "conv_bn_relu_eval"),
     "Tensor.__add__": ("add",), "Tensor.__sub__": ("sub",), "Tensor.__mul__": ("mul",),
     "Tensor.__truediv__": ("div",), "Tensor.__neg__": ("neg",),
@@ -105,27 +104,49 @@ def grid_values(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 @PROPERTY_SETTINGS
-@given(lead=hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=4),
-       channels=st.integers(1, 4), constant_channel=st.none() | st.integers(0, 3),
+@given(lead=hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=2),
+       frames=st.integers(1, 9), width=st.integers(1, 3), dilation=st.integers(1, 3),
+       stride=st.integers(1, 3), padding=st.sampled_from(["valid", "same"]),
+       c_in=st.integers(1, 3), c_out=st.integers(1, 3),
+       constant_channel=st.none() | st.integers(0, 2), training=st.booleans(),
        seed=st.integers(0, 2**31 - 1))
-@example(lead=(1,), channels=3, constant_channel=None, seed=0)        # one sample
-@example(lead=(1, 1), channels=2, constant_channel=1, seed=1)
-@example(lead=(4, 5), channels=2, constant_channel=0, seed=2)         # a constant channel
-def test_batch_norm_training_gradient_over_drawn_shapes(lead, channels, constant_channel,
-                                                        seed):
+@example(lead=(1,), frames=1, width=1, dilation=1, stride=1, padding="valid", c_in=2,
+         c_out=3, constant_channel=None, training=True, seed=0)         # one sample
+@example(lead=(1, 1), frames=1, width=1, dilation=1, stride=1, padding="valid", c_in=1,
+         c_out=2, constant_channel=1, training=True, seed=1)
+@example(lead=(4,), frames=7, width=3, dilation=1, stride=1, padding="valid", c_in=2,
+         c_out=2, constant_channel=0, training=True, seed=2)            # a constant channel
+def test_conv_bn_relu_gradient_over_drawn_shapes(lead, frames, width, dilation, stride,
+                                                 padding, c_in, c_out, constant_channel,
+                                                 training, seed):
+    # A constant channel has a zero kernel column: its conv output is the
+    # conv bias, so its batch variance is 0 and its pre-activation the bias.
+    assume(padding == "same" or frames > dilation * (width - 1))
     rng = np.random.default_rng(seed)
-    values = grid_values(rng, lead + (channels,))
-    if constant_channel is not None and constant_channel < channels:
-        values[..., constant_channel] = rng.integers(-30, 31) / 10.0
+    kernel_values = grid_values(rng, (width, c_in, c_out))
+    if constant_channel is not None and constant_channel < c_out:
+        kernel_values[..., constant_channel] = 0.0
     with precision("float64"):
-        x = Parameter("x", values)
-        gain = Parameter("gain", 1.0 + 0.1 * rng.normal(size=channels))
-        bias = Parameter("bias", 0.1 * rng.normal(size=channels))
-        running_mean, running_var = np.zeros(channels), np.ones(channels)
-        weights = rng.normal(size=values.shape)
-        report = grad_check(lambda: (ops.batch_norm(
-            x, gain, bias, running_mean, running_var,
-            training=True) * weights).sum(), [x, gain, bias], tol=1e-4)
+        x = Parameter("x", grid_values(rng, lead + (frames, c_in)))
+        kernel = Parameter("kernel", kernel_values)
+        conv_bias = Parameter("conv_bias", grid_values(rng, c_out))
+        gain = Parameter("gain", 1.0 + 0.1 * rng.normal(size=c_out))
+        bias = Parameter("bias", rng.choice([-1.0, 1.0], c_out)
+                         * (0.1 + 0.2 * rng.uniform(size=c_out)))
+        running_mean, running_var = rng.normal(size=c_out), 0.5 + rng.uniform(size=c_out)
+        kw = dict(training=training, dilation=dilation, padding=padding, stride=stride)
+
+        def unit(gain, bias):
+            return ops.conv_bn_relu(x, kernel, conv_bias, gain, bias, running_mean,
+                                    running_var, **kw)
+
+        # relu(p) - relu(-p) is p: no central difference may carry a
+        # pre-activation across the ReLU's kink at 0
+        pre = (unit(gain, bias) - unit(-gain, -bias)).data
+        assume(np.abs(pre).min() > 0.01)
+        weights = rng.normal(size=pre.shape)
+        report = grad_check(lambda: (unit(gain, bias) * weights).sum(),
+                            [x, kernel, conv_bias, gain, bias], tol=1e-4)
     assert report.passed, str(report)
 
 

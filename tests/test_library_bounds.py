@@ -1,12 +1,14 @@
 """Library entry points that take a config value as an argument check it
 against the config's range table: each call returns, or raises
 `ConfigError` exactly when an argument lies outside its field's range or
-has another type than its field. `PoseLifter.forward_eval` refuses an input
-it cannot lift, and labels that do not name one action per sample, with a
-`PoseLiftError`."""
+has another type than its field. `PoseLifter.forward_eval`, `evaluate` and
+`action_loss` refuse an input they cannot use, and labels that do not name
+one action per sample, with a `PoseLiftError`."""
 
 import math
 import numbers
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,15 +16,16 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from poselift.ablate import variant_config
-from poselift.config import Config
-from poselift.data import gen_synthetic
+from poselift.config import Config, apply_overrides
+from poselift.data import Split, gen_synthetic
 from poselift.errors import ConfigError, DimensionError
-from poselift.gradcheck import grad_check
-from poselift.losses import total_loss
+from poselift.gradcheck import grad_check, micro_model_config
+from poselift.losses import action_loss, total_loss
 from poselift.model import PoseLifter
 from poselift.optim import Adam
 from poselift.tensor import Parameter, Tensor, precision
 from poselift.text_prompts import classify
+from poselift.train import evaluate, train_model
 
 SETTINGS = settings(max_examples=40, deadline=None)
 SPECIAL = st.sampled_from([0.0, -0.0, -1.0, math.inf, -math.inf, math.nan])
@@ -183,3 +186,98 @@ def test_forward_eval_lifts_or_refuses_its_input(variant, shape, bad_value, labe
         [r"labels (have|of) shape \("] if not valid_labels else [])
     with pytest.raises((DimensionError, ConfigError), match="|".join(refusals)):
         MODELS[variant].forward_eval(x, embeddings=EMBEDDINGS[variant], labels=labels)
+
+
+# A micro model and a two-sample dataset: an epoch on them takes milliseconds.
+MICRO = apply_overrides(micro_model_config(), {"train.epochs": 1})
+MICRO_DATA = gen_synthetic(2, 9, 4, 1, 1, 0)
+
+
+@SETTINGS
+@given(epochs=st.integers(-1, 2) | WRONG_TYPES, to_disk=st.booleans())
+@example(0, True).via("epochs = 0 with out_dir")
+@example(-1, False).via("epochs = -1 without out_dir")
+@example(1.5, False).via("epochs = 1.5")
+def test_train_model_checks_its_epochs(epochs, to_disk):
+    # None keeps the config's epochs; a refused call creates no out_dir.
+    valid = epochs is None or (is_int(epochs) and epochs >= 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "run" if to_disk else None
+        result = check(lambda: train_model(MICRO, MICRO_DATA, out_dir=out, epochs=epochs),
+                       valid, "is outside" if is_int(epochs) else "is not an int")
+        if result is None:
+            assert out is None or not out.exists()
+            return
+        assert result.best is not None and len(result.log_lines) == 1 + (epochs or 1)
+        assert out is None or (out / "checkpoint.bin").exists()
+
+
+# Four eval samples, one per action, for the default-size models above.
+EVAL_SPLIT = gen_synthetic(4, 27, 8, 1, 1, 0).eval
+ACTIONS = ["sway", "stride", "reach", "crouch"]
+
+
+@SETTINGS
+@given(variant=st.sampled_from(sorted(MODELS)), counts=st.tuples(*[st.integers(0, 4)] * 3),
+       labels=hnp.arrays(st.sampled_from([np.int64, np.uint32, np.float64]), 4,
+                         elements=st.integers(0, 5)),
+       batch_size=st.integers(-1, 3) | WRONG_TYPES)
+@example("full", (4, 3, 4), np.arange(4), 256).via("one target3d short")
+@example("full", (4, 4, 3), np.arange(4), 256).via("one label short")
+@example("full", (4, 4, 4), np.array([0, 1, 2, 7]), 256).via("a label out of range")
+@example("full", (4, 4, 4), np.arange(4.0), 256).via("float labels")
+@example("full", (4, 4, 4), np.arange(4), 2.5).via("batch_size = 2.5")
+@example("full", (4, 4, 4), np.arange(4), True).via("batch_size = True")
+def test_evaluate_reports_or_refuses_its_split(variant, counts, labels, batch_size):
+    inputs, targets, n_labels = counts
+    split = Split(EVAL_SPLIT.input2d[:inputs], EVAL_SPLIT.target3d[:targets],
+                  labels[:n_labels])
+    # In the order evaluate checks them: the first fault names the refusal.
+    faults = [(DimensionError, "does not match")] if len(set(counts)) > 1 else []
+    if labels.dtype.kind == "f":
+        faults.append((ConfigError, "not an integer type"))
+    elif inputs and labels[:inputs].max() >= len(ACTIONS):
+        faults.append((ConfigError, "out of range for 4 actions"))
+    if not inputs:
+        faults.append((ConfigError, "empty split"))
+    if not is_int(batch_size):
+        faults.append((ConfigError, "is not an int"))
+    elif batch_size <= 0:
+        faults.append((ConfigError, "must be positive"))
+
+    def call():
+        return evaluate(MODELS[variant], split, ACTIONS, ACTIONS,
+                        embeddings=EMBEDDINGS[variant], batch_size=batch_size)
+
+    if not faults:
+        report = call()
+        assert sum(report.counts.values()) == inputs and np.isfinite(report.p1)
+        return
+    error, message = faults[0]
+    with pytest.raises(error, match=message):
+        call()
+
+
+@SETTINGS
+@given(y_shape=st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple),
+       labels=hnp.arrays(st.sampled_from([np.int64, np.float64]),
+                         hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3),
+                         elements=st.integers(0, 3)))
+@example((2, 3), np.array([0.0, 1.0])).via("float labels")
+@example((0, 3), np.zeros(0, np.int64)).via("an empty batch")
+@example((2, 2, 3), np.array([0, 1])).via("a 3-D y")
+def test_action_loss_scores_or_refuses_its_labels(y_shape, labels):
+    y = Tensor(np.full(y_shape, 0.5))
+    if len(y_shape) > 2 or 0 in y_shape:
+        refusal = (DimensionError, "class probabilities have shape")
+    elif labels.shape != y_shape[:-1]:
+        refusal = (DimensionError, "labels have shape")
+    elif labels.dtype.kind == "f":
+        refusal = (ConfigError, "want integers")
+    elif labels.max() >= y_shape[-1]:
+        refusal = (ConfigError, "out of range")
+    else:
+        assert action_loss(y, labels).item() == pytest.approx(math.log(2.0))
+        return
+    with pytest.raises(refusal[0], match=refusal[1]):
+        action_loss(y, labels)
