@@ -7,10 +7,11 @@ feature that downstream consumers difference over time.
 
 A block is two TCN units, `ops.conv_bn_relu` (temporal conv, batch norm,
 ReLU), the first dilated and the second pointwise, plus a residual. Each
-unit is one graph node, one body for both modes, that keeps neither its
-conv nor its batch-norm output. Training normalizes with batch statistics
-and eval with running ones; a unit that builds no graph (`forward_eval`)
-writes its output over its own conv output.
+unit is one graph node, one body for both modes, that slices its taps from
+its input's values and keeps neither its conv nor its batch-norm output.
+Training normalizes with batch statistics and eval with running ones; a
+unit that builds no graph (`forward_eval`) writes its output over its own
+conv output.
 
 Block 1 runs once in both modes, and block 2 reads its valid frames,
 z0[:, 1:-1]; in training, block 1's batch statistics thus cover all F

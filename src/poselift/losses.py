@@ -8,6 +8,7 @@ import numpy as np
 from . import ops
 from .config import check_range
 from .errors import ConfigError, DimensionError
+from .metrics import check_poses
 from .model import check_labels
 from .tensor import Tensor
 
@@ -15,10 +16,9 @@ from .tensor import Tensor
 def pose_loss(pred: Tensor, gt: Tensor) -> Tensor:
     """Mean over batch and joints of the per-joint Euclidean error.
 
-    pred, gt: (B, J, 3) or (J, 3).
+    pred, gt: (B, J, 3) or (J, 3), with B, J >= 1.
     """
-    if pred.shape != gt.shape:
-        raise DimensionError(f"pose loss shapes disagree: {pred.shape} vs {gt.shape}")
+    check_poses("pose loss", pred, gt)
     return ops.l2_norm(pred - gt).mean()     # per joint (..., J), then mean
 
 

@@ -27,17 +27,24 @@ class MetricsReport:
 
 
 def mpjpe(pred: np.ndarray, gt: np.ndarray) -> float:
-    """Mean per-joint Euclidean error over (N, J, 3) arrays."""
-    if pred.shape != gt.shape:
-        raise DimensionError(f"mpjpe shapes disagree: {pred.shape} vs {gt.shape}")
+    """Mean per-joint Euclidean error over (N, J, 3) arrays, N, J >= 1."""
+    check_poses("mpjpe", pred, gt)
     return float(np.linalg.norm(pred - gt, axis=-1).mean())
 
 
 def dmpjpe(pred: np.ndarray, gt: np.ndarray) -> float:
     """Mean absolute error on the depth axis (coordinate index 2)."""
-    if pred.shape != gt.shape:
-        raise DimensionError(f"dmpjpe shapes disagree: {pred.shape} vs {gt.shape}")
+    check_poses("dmpjpe", pred, gt)
     return float(np.abs(pred[..., 2] - gt[..., 2]).mean())
+
+
+def check_poses(name: str, pred, gt) -> None:
+    """Predicted and true poses of one shape, holding at least one position:
+    the mean over none is no error."""
+    if pred.shape != gt.shape:
+        raise DimensionError(f"{name} shapes disagree: {pred.shape} vs {gt.shape}")
+    if pred.size == 0:
+        raise DimensionError(f"{name} of an empty batch: poses of shape {pred.shape}")
 
 
 def tail_dmpjpe(per_action_p2: dict[str, float], hard_actions: list[str]) -> float:

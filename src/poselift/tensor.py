@@ -378,9 +378,15 @@ def _is_basic_index(index) -> bool:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate along `axis`; gradients split back to each input."""
+    """Concatenate along `axis`; gradients split back to each input. No
+    tensors, shapes that differ off `axis`, and an `axis` outside them are
+    `DimensionError`s."""
     tensors = [_ensure_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
+    try:
+        data = np.concatenate([t.data for t in tensors], axis=axis)
+    except ValueError:      # numpy's AxisError is one too
+        raise DimensionError(f"concat cannot join shapes {[t.shape for t in tensors]} "
+                             f"along axis {axis}") from None
     extents = [t.shape[axis] for t in tensors]
 
     def backward(g):

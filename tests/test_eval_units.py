@@ -1,7 +1,7 @@
 """The eval-mode TCN unit when it keeps no graph, and the in-place sums of
 the conv and `linear`: outputs bitwise those of the composed ops, in the
-composed ops' dtype, and an eval unit that allocates no more than its conv
-needs."""
+composed ops' dtype; an eval unit that allocates no more than its conv
+needs, and a training unit whose backward peaks below the composed ops'."""
 
 import contextlib
 import tracemalloc
@@ -123,7 +123,7 @@ def test_a_no_grad_eval_unit_peaks_at_its_conv_output_and_one_tap_product():
     # One F=81, C=32, B=64 unit, the size of a TCN block's dilated conv. The
     # conv sums each tap product into its output, and the unit writes batch
     # norm and ReLU over it: no more than two output-sized arrays live at a
-    # time, plus a little for the tap nodes. The three ops in a row peak
+    # time, plus a little for the tap indices. The three ops in a row peak
     # at three (an old sum, a tap product and the new sum).
     args = unit_inputs(np.random.default_rng(9), (64,), 81, 3, 32, 32, "float32")
     kw = dict(training=False, dilation=1)
@@ -133,3 +133,36 @@ def test_a_no_grad_eval_unit_peaks_at_its_conv_output_and_one_tap_product():
         fused = peak_bytes(lambda: ops.conv_bn_relu(*args, **kw))
         composed = peak_bytes(lambda: composed_conv_bn_relu(*args, **kw))
     assert fused <= bound < composed, (fused, bound, composed, out_bytes)
+
+
+def training_peak_bytes(unit, args, weights, padding) -> int:
+    """Peak bytes live while one training backward through `unit` runs,
+    counted from before its forward: what the forward kept, and what the
+    backward adds on top before it frees it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss = (unit(*args, training=True, padding=padding) * weights).sum()
+        tracemalloc.reset_peak()
+        loss.backward()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("padding", ["valid", "same"])
+def test_a_training_unit_backward_peaks_below_the_composed_ops(padding):
+    # One F=81, C=32, B=64 unit, as above. The forward keeps the output, the
+    # centred conv output, with "same" the padded input, and the loss's
+    # weighted output. The backward adds about 4 output-sized arrays: it
+    # writes batch norm's chain over arrays it owns and sums the taps' input
+    # gradients in one buffer. That is 7.1 ("valid") or 8.1 ("same") in all,
+    # against the composed ops' 9.3 or 10.3. A backward that allocated a new
+    # array per step and a zero-filled input per tap peaked at 11.5 or 12.5.
+    args = unit_inputs(np.random.default_rng(11), (64,), 81, 3, 32, 32, "float32")
+    out_frames = 81 if padding == "same" else 79
+    weights = np.random.default_rng(12).normal(size=(64, out_frames, 32)).astype(np.float32)
+    bound = 8.5 * weights.nbytes
+    fused = training_peak_bytes(ops.conv_bn_relu, args, weights, padding)
+    composed = training_peak_bytes(composed_conv_bn_relu, args, weights, padding)
+    assert fused <= bound < composed, (fused / weights.nbytes, composed / weights.nbytes)

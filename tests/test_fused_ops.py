@@ -72,19 +72,41 @@ DTYPES = st.sampled_from(["float32", "float64"])
 
 # -- the temporal conv -------------------------------------------------------------------
 
-def run_conv(conv, x_values, kernel_values, bias_values, weights, grads, residual, **kw):
-    """One backward through `conv`; `residual` also reads the input's first
-    frame and, as in a TCN block, passes its gradient back before the conv."""
+# Readers of a conv's or unit's input besides it, each drawn or not.
+CONSUMERS = st.lists(st.sampled_from(["residual", "shared", "summed"]), unique=True).map(
+    lambda names: tuple(sorted(names)))
+
+
+def add_consumers(h, loss, leaves, consumers):
+    """`loss` plus the terms of the `consumers` of `h`, each of whose
+    backward runs before the rest of `loss`'s, the later in the list the
+    earlier. "residual" reads the first frame, as a TCN block's residual
+    does; "shared" is `(h + y)` for a new leaf `y`, appended to `leaves`,
+    which gets the very array `h` gets; "summed" is `h.sum()`, whose
+    gradient is a read-only broadcast view."""
+    if "residual" in consumers:
+        loss = (h[..., :1, :] * 2.0).sum() + loss
+    if "shared" in consumers:
+        y = leaf("y", h.data * 0.5, True)
+        leaves.append(y)
+        loss = ((h + y) * h.data).sum() + loss
+    if "summed" in consumers:
+        loss = h.sum() + loss
+    return loss
+
+
+def run_conv(conv, x_values, kernel_values, bias_values, weights, grads, consumers, **kw):
+    """One backward through `conv`; `consumers` are the other readers of its
+    input whose backward runs first (see `add_consumers`)."""
     x = leaf("x", x_values, grads[0])
     kernel = leaf("kernel", kernel_values, grads[1])
     bias = None if bias_values is None else leaf("bias", bias_values, grads[2])
+    leaves = [p for p in (x, kernel, bias) if p is not None]
     h = x * 1.5
     out = conv(h, kernel, bias=bias, **kw)
-    loss = (out * weights).sum()
-    if residual:
-        loss = (h[..., :1, :] * 2.0).sum() + loss
+    loss = add_consumers(h, (out * weights).sum(), leaves, consumers)
     loss.backward()
-    return out.data, [p for p in (x, kernel, bias) if p is not None]
+    return out.data, leaves
 
 
 @FUSED_SETTINGS
@@ -93,16 +115,28 @@ def run_conv(conv, x_values, kernel_values, bias_values, weights, grads, residua
        stride=st.integers(1, 4), padding=st.sampled_from(["valid", "same"]),
        c_in=st.integers(1, 4), c_out=st.integers(1, 4), with_bias=st.just(True),
        grads=st.tuples(st.booleans(), st.booleans(), st.booleans()),
-       residual=st.booleans(), dtype=DTYPES, seed=st.integers(0, 2**31 - 1))
+       consumers=CONSUMERS, dtype=DTYPES, seed=st.integers(0, 2**31 - 1))
 @example(lead=(2,), frames=27, width=3, dilation=3, stride=1, padding="valid", c_in=4,
-         c_out=4, with_bias=True, grads=(True, True, True), residual=True,
+         c_out=4, with_bias=True, grads=(True, True, True), consumers=("residual",),
          dtype="float32", seed=0)                                      # a TCN block
 @example(lead=(2,), frames=9, width=3, dilation=1, stride=3, padding="valid", c_in=2,
-         c_out=3, with_bias=True, grads=(True, True, True), residual=False,
+         c_out=3, with_bias=True, grads=(True, True, True), consumers=(),
          dtype="float32", seed=1)                                      # eval layout
+@example(lead=(2,), frames=9, width=3, dilation=2, stride=1, padding="valid", c_in=2,
+         c_out=3, with_bias=True, grads=(True, True, True), consumers=("shared",),
+         dtype="float64", seed=2)                      # an input gradient y shares
+@example(lead=(2,), frames=9, width=3, dilation=2, stride=1, padding="same", c_in=2,
+         c_out=3, with_bias=True, grads=(True, True, True), consumers=("shared",),
+         dtype="float32", seed=3)
+@example(lead=(2,), frames=9, width=3, dilation=1, stride=1, padding="valid", c_in=2,
+         c_out=3, with_bias=True, grads=(True, True, True), consumers=("summed",),
+         dtype="float32", seed=4)                      # a read-only input gradient
+@example(lead=(2,), frames=9, width=3, dilation=1, stride=1, padding="same", c_in=2,
+         c_out=3, with_bias=True, grads=(True, True, True), consumers=("summed",),
+         dtype="float64", seed=5)
 def test_fused_dilated_conv1d_equals_the_composed_graph(lead, frames, width, dilation,
                                                         stride, padding, c_in, c_out,
-                                                        with_bias, grads, residual, dtype,
+                                                        with_bias, grads, consumers, dtype,
                                                         seed):
     assume(padding == "same" or frames > dilation * (width - 1))
     assume(grads[0] or grads[1] or (with_bias and grads[2]))
@@ -117,9 +151,9 @@ def test_fused_dilated_conv1d_equals_the_composed_graph(lead, frames, width, dil
         weights = rng.normal(size=out_shape).astype(dtype)
 
         fused = run_conv(ops.dilated_conv1d, x_values, kernel_values, bias_values, weights,
-                         grads, residual, **kw)
+                         grads, consumers, **kw)
         oracle = run_conv(composed_dilated_conv1d, x_values, kernel_values, bias_values,
-                          weights, grads, residual, **kw)
+                          weights, grads, consumers, **kw)
     assert fused[0].dtype == oracle[0].dtype and np.array_equal(fused[0], oracle[0])
     assert_same_gradients(fused[1], oracle[1])
 

@@ -10,8 +10,8 @@ from hypothesis.extra import numpy as hnp
 from poselift import ops
 from poselift.tensor import precision
 
-from test_fused_ops import (DTYPES, FUSED_SETTINGS, assert_same_gradients,
-                            composed_batch_norm, leaf)
+from test_fused_ops import (CONSUMERS, DTYPES, FUSED_SETTINGS, add_consumers,
+                            assert_same_gradients, composed_batch_norm, leaf)
 
 
 # -- the composed oracles -----------------------------------------------------------------
@@ -35,9 +35,9 @@ def composed_linear(x, weight, bias):
 
 # -- the TCN unit -------------------------------------------------------------------------
 
-def run_unit(unit, values, stats, weights, grads, residual, training, **kw):
-    """One backward through `unit`; `residual` also reads the input's first
-    frame and, as in a TCN block, passes its gradient back before the unit."""
+def run_unit(unit, values, stats, weights, grads, consumers, training, **kw):
+    """One backward through `unit`; `consumers` are the other readers of its
+    input whose backward runs first (see `add_consumers`)."""
     x_values, kernel_values, conv_bias_values, gain_values = values
     leaves = [leaf("x", x_values, grads[0]), leaf("kernel", kernel_values, grads[1]),
               leaf("conv_bias", conv_bias_values, grads[2]),
@@ -47,9 +47,7 @@ def run_unit(unit, values, stats, weights, grads, residual, training, **kw):
     running_mean, running_var = (s.astype(x_values.dtype) for s in stats)
     h = x * 1.5
     out = unit(h, kernel, conv_bias, gain, bias, running_mean, running_var, training, **kw)
-    loss = (out * weights).sum()
-    if residual:
-        loss = (h[..., :1, :] * 2.0).sum() + loss
+    loss = add_consumers(h, (out * weights).sum(), leaves, consumers)
     loss.backward()
     return out.data, running_mean, running_var, leaves
 
@@ -60,20 +58,33 @@ def run_unit(unit, values, stats, weights, grads, residual, training, **kw):
        stride=st.integers(1, 3), padding=st.sampled_from(["valid", "same"]),
        c_in=st.integers(1, 3), c_out=st.integers(1, 3),
        constant_channel=st.none() | st.integers(0, 2),
-       grads=st.tuples(*[st.booleans()] * 5), residual=st.booleans(),
+       grads=st.tuples(*[st.booleans()] * 5), consumers=CONSUMERS,
        training=st.booleans(), dtype=DTYPES, seed=st.integers(0, 2**31 - 1))
 @example(lead=(2,), frames=27, width=3, dilation=3, stride=1, padding="valid", c_in=4,
-         c_out=4, constant_channel=None, grads=(True,) * 5, residual=True, training=True,
-         dtype="float32", seed=0)                                      # a TCN block
+         c_out=4, constant_channel=None, grads=(True,) * 5, consumers=("residual",),
+         training=True, dtype="float32", seed=0)                       # a TCN block
 @example(lead=(2,), frames=9, width=3, dilation=1, stride=1, padding="same", c_in=3,
-         c_out=3, constant_channel=1, grads=(True,) * 5, residual=True, training=True,
-         dtype="float32", seed=1)                      # block 1, with a channel of var 0
+         c_out=3, constant_channel=1, grads=(True,) * 5, consumers=("residual",),
+         training=True, dtype="float32", seed=1)       # block 1, with a channel of var 0
 @example(lead=(2,), frames=9, width=3, dilation=1, stride=3, padding="valid", c_in=2,
-         c_out=3, constant_channel=None, grads=(True,) * 5, residual=False,
+         c_out=3, constant_channel=None, grads=(True,) * 5, consumers=(),
          training=True, dtype="float64", seed=2)                       # strided
+@example(lead=(2,), frames=9, width=3, dilation=2, stride=1, padding="valid", c_in=2,
+         c_out=3, constant_channel=None, grads=(True,) * 5, consumers=("shared",),
+         training=True, dtype="float32", seed=3)       # an input gradient y shares
+@example(lead=(2,), frames=9, width=3, dilation=2, stride=1, padding="same", c_in=2,
+         c_out=3, constant_channel=None, grads=(True,) * 5, consumers=("shared",),
+         training=False, dtype="float64", seed=4)
+@example(lead=(2,), frames=9, width=3, dilation=1, stride=1, padding="valid", c_in=2,
+         c_out=3, constant_channel=None, grads=(True,) * 5, consumers=("summed",),
+         training=True, dtype="float64", seed=5)       # a read-only input gradient
+@example(lead=(2,), frames=9, width=3, dilation=1, stride=1, padding="same", c_in=2,
+         c_out=3, constant_channel=None, grads=(True,) * 5,
+         consumers=("residual", "shared", "summed"), training=True, dtype="float32", seed=6)
 def test_fused_conv_bn_relu_equals_the_composed_graph(lead, frames, width, dilation, stride,
                                                       padding, c_in, c_out, constant_channel,
-                                                      grads, residual, training, dtype, seed):
+                                                      grads, consumers, training, dtype,
+                                                      seed):
     assume(padding == "same" or frames > dilation * (width - 1))
     assume(any(grads))
     rng = np.random.default_rng(seed)
@@ -90,9 +101,9 @@ def test_fused_conv_bn_relu_equals_the_composed_graph(lead, frames, width, dilat
                                    else frames - dilation * (width - 1)), stride))
         weights = rng.normal(size=lead + (out_frames, c_out)).astype(dtype)
 
-        fused = run_unit(ops.conv_bn_relu, values, stats, weights, grads, residual,
+        fused = run_unit(ops.conv_bn_relu, values, stats, weights, grads, consumers,
                          training, **kw)
-        oracle = run_unit(composed_conv_bn_relu, values, stats, weights, grads, residual,
+        oracle = run_unit(composed_conv_bn_relu, values, stats, weights, grads, consumers,
                           training, **kw)
     for got, want in zip(fused[:3], oracle[:3]):
         assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -3,7 +3,9 @@ against the config's range table: each call returns, or raises
 `ConfigError` exactly when an argument lies outside its field's range or
 has another type than its field. `PoseLifter.forward_eval`, `evaluate` and
 `action_loss` refuse an input they cannot use, and labels that do not name
-one action per sample, with a `PoseLiftError`."""
+one action per sample, with a `PoseLiftError`; `concat`, the pose errors
+and the pose loss refuse arrays they cannot join or average with a
+`DimensionError`."""
 
 import math
 import numbers
@@ -20,10 +22,11 @@ from poselift.config import Config, apply_overrides
 from poselift.data import Split, gen_synthetic
 from poselift.errors import ConfigError, DimensionError
 from poselift.gradcheck import grad_check, micro_model_config
-from poselift.losses import action_loss, total_loss
+from poselift.losses import action_loss, pose_loss, total_loss
+from poselift.metrics import dmpjpe, mpjpe
 from poselift.model import PoseLifter
 from poselift.optim import Adam
-from poselift.tensor import Parameter, Tensor, precision
+from poselift.tensor import Parameter, Tensor, concat, precision
 from poselift.text_prompts import classify
 from poselift.train import evaluate, train_model
 
@@ -281,3 +284,38 @@ def test_action_loss_scores_or_refuses_its_labels(y_shape, labels):
         return
     with pytest.raises(refusal[0], match=refusal[1]):
         action_loss(y, labels)
+
+
+@SETTINGS
+@given(shapes=st.lists(st.lists(st.integers(1, 3), max_size=3).map(tuple), max_size=3),
+       axis=st.integers(-4, 3))
+@example([], 0).via("no tensors")
+@example([(2, 3), (2, 4)], 0).via("shapes that disagree off the axis")
+@example([(2, 3), (2, 3)], 2).via("an axis out of range")
+def test_concat_joins_or_refuses_its_tensors(shapes, axis):
+    tensors = [Tensor(np.ones(shape)) for shape in shapes]
+    ndim = len(shapes[0]) if shapes else 0
+    if (ndim and -ndim <= axis < ndim and all(len(s) == ndim for s in shapes)
+            and len({s[:axis % ndim] + s[axis % ndim + 1:] for s in shapes}) == 1):
+        assert concat(tensors, axis).shape[axis] == sum(s[axis] for s in shapes)
+        return
+    with pytest.raises(DimensionError, match=r"concat cannot join shapes \[.*along axis"):
+        concat(tensors, axis)
+
+
+@SETTINGS
+@given(lead=st.lists(st.integers(0, 3), min_size=1, max_size=2).map(tuple),
+       seed=st.integers(0, 2**31 - 1))
+@example((0, 4), 0).via("an empty batch")
+@example((2, 0), 0).via("no joints")
+def test_pose_errors_and_the_pose_loss_average_or_refuse_their_poses(lead, seed):
+    rng = np.random.default_rng(seed)
+    pred, gt = rng.normal(size=lead + (3,)), rng.normal(size=lead + (3,))
+    calls = {"mpjpe": lambda: mpjpe(pred, gt), "dmpjpe": lambda: dmpjpe(pred, gt),
+             "pose loss": lambda: pose_loss(Tensor(pred), Tensor(gt)).item()}
+    for name, call in calls.items():
+        if 0 in lead:
+            with pytest.raises(DimensionError, match=f"{name} of an empty batch"):
+                call()
+        else:
+            assert np.isfinite(call()) and call() >= 0.0
