@@ -27,6 +27,8 @@ _ROWS = {
     "full": {"atp.enabled": True, "app.enabled": True, "train.label_aux": "off"},
 }
 VARIANTS = tuple(_ROWS)
+# The summary's columns after the means: each variant's range over its seeds.
+SPREAD_COLUMNS = ["P1_min", "P1_max", "accuracy_min", "accuracy_max"]
 
 
 def variant_config(cfg: Config, variant: str, sweep: dict[str, object] | None = None
@@ -43,21 +45,23 @@ def variant_config(cfg: Config, variant: str, sweep: dict[str, object] | None = 
 class AblationRow:
     key: dict
     report: MetricsReport
+    tail: dict = field(default_factory=dict)    # the table's `tail` columns' values
 
 
 @dataclass
 class AblationTable:
     columns: list[str]
     rows: list[AblationRow] = field(default_factory=list)
+    tail: list[str] = field(default_factory=list)     # columns after the metrics
 
     def to_csv(self) -> str:
-        header = ",".join(self.columns + ["P1", "P2", "P3", "accuracy"])
+        header = ",".join(self.columns + ["P1", "P2", "P3", "accuracy"] + self.tail)
         lines = [header]
         for row in self.rows:
-            acc = "" if row.report.accuracy is None else f"{row.report.accuracy:.6f}"
             front = ",".join(str(row.key[c]) for c in self.columns)
+            back = "".join(f",{_cell(row.tail[c])}" for c in self.tail)
             lines.append(f"{front},{row.report.p1:.6f},{row.report.p2:.6f},"
-                         f"{row.report.p3:.6f},{acc}")
+                         f"{row.report.p3:.6f},{_cell(row.report.accuracy)}{back}")
         return "\n".join(lines) + "\n"
 
     def write(self, path: str | Path) -> None:
@@ -110,12 +114,17 @@ def train_runs(runs: list[Run], dataset: PoseDataset | None = None) -> AblationT
 
 
 def summarize(detail: AblationTable) -> AblationTable:
-    """Per-variant means over the seeds of a component table."""
-    summary = AblationTable(columns=["variant"])
+    """Per-variant means over the seeds of a component table, and the
+    spread of P1 and accuracy over the seeds: their minimum and maximum."""
+    summary = AblationTable(columns=["variant"], tail=SPREAD_COLUMNS)
     for variant in dict.fromkeys(row.key["variant"] for row in detail.rows):
         reports = [row.report for row in detail.rows if row.key["variant"] == variant]
+        p1s, accs = [r.p1 for r in reports], [r.accuracy for r in reports]
+        spread = {"P1_min": min(p1s), "P1_max": max(p1s),
+                  "accuracy_min": None if accs[0] is None else min(accs),
+                  "accuracy_max": None if accs[0] is None else max(accs)}
         summary.rows.append(AblationRow(key={"variant": variant},
-                                        report=_mean_report(reports)))
+                                        report=_mean_report(reports), tail=spread))
     return summary
 
 
@@ -132,6 +141,10 @@ def run_components(cfg: Config, seeds: list | None = None,
 def run_seq_length(cfg: Config, frames_list: tuple[int, ...] = (9, 27)) -> AblationTable:
     """Sequence-length sweep: baseline vs text prompts at each length."""
     return train_runs(seq_length_runs(cfg, frames_list))
+
+
+def _cell(value: float | None) -> str:
+    return "" if value is None else f"{value:.6f}"
 
 
 def _mean_report(reports: list[MetricsReport]) -> MetricsReport:

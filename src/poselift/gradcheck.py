@@ -176,6 +176,11 @@ def run_op_suite(tol: float = TOL) -> dict[str, GradCheckReport]:
         check("conv_bn_relu_eval", lambda: (ops.conv_bn_relu(
             seq, kern, cbias, gain, bias, stats_mean, stats_var, training=False,
             dilation=2, padding="same") * w_same).sum(), [seq, kern, cbias, gain, bias])
+        # classify's shapes: K = 3 embeddings against each of 2 samples' features
+        feature = Parameter("feature", rng.normal(size=(2, 1, 5)))
+        w_cls = rng.normal(size=(2, 3))
+        check("cosine_softmax", lambda: (ops.cosine_softmax(bat[:, :3], feature, 0.5)
+                                         * w_cls).sum(), [bat, feature])
     return reports
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DimensionError
+from .model import check_labels
 
 
 @dataclass
@@ -60,8 +61,21 @@ def tail_dmpjpe(per_action_p2: dict[str, float], hard_actions: list[str]) -> flo
 def build_report(pred: np.ndarray, gt: np.ndarray, labels: np.ndarray,
                  action_names: list[str], hard_actions: list[str],
                  predicted_labels: np.ndarray | None = None) -> MetricsReport:
-    """Group per-sample errors by ground-truth action and aggregate."""
-    labels = np.asarray(labels)
+    """Group per-sample errors by ground-truth action and aggregate.
+
+    `pred` and `gt` are (N, J, 3) poses of one shape with N, J >= 1;
+    `labels`, and `predicted_labels` when given, one integer per sample.
+    Poses or labels of another shape are a `DimensionError`; labels that
+    are not integers, or a label that names no action, a `ConfigError`.
+    """
+    check_poses("build_report", pred, gt)
+    labels = check_labels(labels, pred.shape[:1])
+    if predicted_labels is not None:
+        predicted_labels = check_labels(predicted_labels, pred.shape[:1])
+    unnamed = labels[(labels < 0) | (labels >= len(action_names))]
+    if unnamed.size:
+        raise ConfigError(f"label {unnamed[0]} names no action: want one in "
+                          f"[0, {len(action_names)}) for actions {action_names}")
     per_p1, per_p2, counts = {}, {}, {}
     for idx, name in enumerate(action_names):
         mask = labels == idx
@@ -72,7 +86,7 @@ def build_report(pred: np.ndarray, gt: np.ndarray, labels: np.ndarray,
         counts[name] = int(mask.sum())
     accuracy = None
     if predicted_labels is not None:
-        accuracy = float((np.asarray(predicted_labels) == labels).mean())
+        accuracy = float((predicted_labels == labels).mean())
     present_hard = [a for a in hard_actions if a in per_p2]
     return MetricsReport(
         per_action_p1=per_p1, per_action_p2=per_p2, counts=counts,

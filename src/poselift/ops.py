@@ -1,37 +1,50 @@
-"""Neural-net operations composed from the autodiff primitives, and fused
-nodes.
+"""Neural-net operations: fused graph nodes, and the two chains of
+primitive nodes that other modules build (`softmax` for `LabelHead`,
+`l2_norm` for `pose_loss`).
 
 Everything here is differentiable end to end; shapes follow the
-channel-last convention (..., frames, channels). Softmax, the norms and
-cosine similarity reduce over the last axis only; batch norm over all the
-others.
+channel-last convention (..., frames, channels). Softmax, the norms, the
+cosines and layer norm reduce over the last axis only; batch norm over all
+the others.
 
 A fused op is one graph node in place of a chain of primitive ones:
 `dilated_conv1d`, the TCN unit `conv_bn_relu` (conv, batch norm and ReLU,
-one body for both modes) and `linear` (`x @ W + b`). The conv's parents
-are its input, kernel and bias: it slices its taps from the input's values
-(for "same", from one zero-padded copy of them) and builds no slice, pad
-or concat node. A fused op's forward and backward run the replaced nodes'
-own expressions in their order, so its output and gradients are bitwise
-those of the chain, and it keeps only the arrays that backward reads: no
-conv, batch-norm or matmul output that no backward needs. A fused step
-writes over an array the op allocated itself only where the step's result
-has that array's dtype and shape, so it rounds as the chain's new array
-would: the conv sums its tap products in place, `linear` adds its bias in
-place, a unit that keeps no graph writes its whole output over its conv
-output, and the unit's backward runs batch norm's chain over arrays it
-owns and sums the taps' input gradients in one buffer.
+one body for both modes), `linear` (`x @ W + b`), `layer_norm`,
+`scaled_dot_attention`, `cosine_similarity` and the cosine classifier
+`cosine_softmax` (the temperature softmax over the cosines). The conv's
+parents are its input, kernel and bias: it slices its taps from the
+input's values (for "same", from one zero-padded copy of them) and builds
+no slice, pad or concat node. A fused op's forward and backward run the
+replaced nodes' own expressions in their order, with the chain's constants
+as the chain's nodes hold them (0-d arrays of the default dtype, see
+`_const`), so its output and gradients are bitwise those of the chain. It
+delivers each input's gradient terms in the order the chain delivers them,
+and its parents' order lets `Tensor.backward` reach the inputs' ancestries
+in the order the chain let it; so every gradient sums its terms in the
+chain's order wherever no input of the op is computed from another of its
+inputs, as none is in the model. It keeps only the arrays that backward
+reads: no conv, batch-norm, matmul or score array that no backward needs.
+A fused step writes over an array the op allocated itself only where the
+step's result has that array's dtype and shape, so it rounds as the
+chain's new array would: the conv sums its tap products in place, `linear`
+adds its bias in place, attention scales, shifts and exponentiates its
+scores in place, an op that keeps no graph writes its later steps over its
+own earlier arrays (the unit its whole output over its conv output), and
+the unit's backward runs batch norm's chain over arrays it owns and sums
+the taps' input gradients in one buffer. The tests hold the chains as the
+oracles.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
 from .errors import DimensionError, SequenceTooShortError
-from .tensor import (Tensor, _check_matmul, _matmul_backward, _unbroadcast, default_dtype,
-                     keeps_graph)
+from .tensor import (Tensor, _check_matmul, _elementwise, _matmul_backward, _unbroadcast,
+                     default_dtype, keeps_graph)
 
 
 LN_EPS = 1e-5        # added to the layer-norm variance
@@ -53,15 +66,74 @@ def l2_norm(x: Tensor) -> Tensor:
 
 
 def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
-    """cos(a, b) over the last axis, with `COS_EPS` guarding the denominator."""
-    dot = (a * b).sum(axis=-1)
-    return dot / (l2_norm(a) * l2_norm(b) + COS_EPS)
+    """cos(a, b) over the last axis, with `COS_EPS` guarding the denominator;
+    one node. At a zero vector its gradient is finite: the norm's
+    subgradient there is 0."""
+    return _cosine(a, b, None)
+
+
+def cosine_softmax(a: Tensor, b: Tensor, tau: float) -> Tensor:
+    """softmax(cos(a, b) / tau) over the last axis of the cosines: the cosine
+    classifier as one node."""
+    return _cosine(a, b, tau)
+
+
+def _cosine(a: Tensor, b: Tensor, tau: float | None) -> Tensor:
+    """The cosine node, and with a `tau` the temperature softmax over it.
+
+    Forward and backward run the expressions of the chain they replace in
+    its order: `a * b` -> sum, the two norms `(x * x)` -> sum -> sqrt, their
+    product + `COS_EPS`, the divide, then `* (1 / tau)`, the max shift, exp,
+    sum and divide. Each input's gradient contributions are delivered as
+    that chain delivers them: `a`, `b` from the dot product, then `a`
+    twice from its norm and `b` twice from its own.
+    """
+    ab = _elementwise("*", operator.mul, a, b)
+    dot = np.asarray(ab.sum(axis=-1))
+    norm_a = np.sqrt(np.asarray((a.data * a.data).sum(axis=-1)))
+    norm_b = np.sqrt(np.asarray((b.data * b.data).sum(axis=-1)))
+    den = norm_a * norm_b + _const(COS_EPS)
+    cos = dot / den
+    out = cos
+    if tau is not None:
+        inv_tau = _const(1.0 / tau)
+        e = cos * inv_tau
+        e = np.exp(_apply(np.subtract, e, np.max(e, axis=-1, keepdims=True)), out=e)
+        z = np.asarray(e.sum(axis=-1, keepdims=True))
+        out = e / z
+
+    def backward(g):
+        if tau is not None:     # the softmax's divide, sum, exp and shift, then the scale
+            g_z = _unbroadcast(-g * out / z, z.shape)
+            g = (g / z + np.broadcast_to(g_z, e.shape)) * e * inv_tau
+        g_den = -g * cos / den
+        g_ab = np.broadcast_to(np.expand_dims(g / den, -1), np.broadcast_shapes(a.shape, b.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g_ab * b.data, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g_ab * a.data, b.shape))
+        for x, norm, other in ((a, norm_a, norm_b), (b, norm_b, norm_a)):
+            if x.requires_grad:
+                g_norm = _unbroadcast(g_den * other, norm.shape)
+                g_sq = g_norm * 0.5 / np.where(norm == 0, np.inf, norm)
+                g_x = np.broadcast_to(np.expand_dims(g_sq, -1), x.shape) * x.data
+                x._accumulate(g_x)
+                x._accumulate(g_x)
+
+    return Tensor._from_op(out, (a, b), backward)
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """softmax(q kᵀ / sqrt(C)) v over the last two axes; batch dims broadcast.
 
     q: (..., nq, C), k: (..., nk, C), v: (..., nk, C) -> (..., nq, C)
+
+    One node, whose forward and backward run the chain's expressions in
+    its order (`q @ kᵀ`, the scale, the max shift, exp, sum, divide, `@ v`)
+    and which keeps the exponentials, their sums and the weights. It
+    delivers `v`'s gradient, then `q`'s, then `k`'s, as the chain does, and
+    its parents `(q, k, v)` let `backward()` reach `v`'s ancestry first,
+    then `k`'s, then `q`'s, as it reached them through the chain.
     """
     if q.shape[-1] != k.shape[-1] or k.shape[-1] != v.shape[-1]:
         raise DimensionError(
@@ -69,8 +141,35 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     if k.shape[-2] != v.shape[-2]:
         raise DimensionError(
             f"attention key/value counts disagree: k {k.shape}, v {v.shape}")
-    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
-    return softmax(scores) @ v
+    for x in (q, k, v):
+        if x.ndim < 2:
+            raise DimensionError(f"attention needs 2D+ operands, got q {q.shape}, "
+                                 f"k {k.shape}, v {v.shape}")
+    scale = _const(1.0 / math.sqrt(q.shape[-1]))
+    e = _apply(np.multiply, q.data @ k.data.swapaxes(-1, -2), scale)
+    e = np.exp(_apply(np.subtract, e, np.max(e, axis=-1, keepdims=True)), out=e)
+    z = np.asarray(e.sum(axis=-1, keepdims=True))
+    parents = (q, k, v)
+    weights = _apply(np.true_divide, e, z, overwrite=not keeps_graph(parents))
+
+    def backward(g):
+        need_scores = q.requires_grad or k.requires_grad
+        if need_scores:
+            g_weights = _unbroadcast(g @ v.data.swapaxes(-1, -2), weights.shape)
+        if v.requires_grad:
+            v._accumulate(_unbroadcast(weights.swapaxes(-1, -2) @ g, v.shape))
+        if not need_scores:
+            return
+        g_z = _unbroadcast(-g_weights * weights / z, z.shape)
+        g_scores = (g_weights / z + np.broadcast_to(g_z, e.shape)) * e * scale
+        if q.requires_grad:
+            q._accumulate(_unbroadcast(g_scores @ k.data, q.shape))
+        if k.requires_grad:
+            k_t = k.shape[:-2] + k.shape[:-3:-1]
+            k._accumulate(_unbroadcast(q.data.swapaxes(-1, -2) @ g_scores,
+                                       k_t).swapaxes(-1, -2))
+
+    return Tensor._from_op(weights @ v.data, parents, backward)
 
 
 def dilated_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, dilation: int = 1,
@@ -127,10 +226,19 @@ def _conv_forward(x: Tensor, kernel: Tensor, bias: Tensor, dilation: int, paddin
 
 
 def _over_frames(v: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Per-channel `v` repeated over the frames of `h` (..., F, C). In an
-    elementwise op with `h` it gives the values that broadcasting `v` does,
-    with numpy's inner loop run once per sample instead of once per frame."""
-    return np.tile(v, (h.shape[-2], 1))
+    """Per-channel `v`, (C,) or (1, ..., 1, C), repeated over the frames of
+    `h` (..., F, C), as `np.tile(v, (F, 1))` repeats it. In an elementwise
+    op with `h` it gives the values that broadcasting `v` does, with numpy's
+    inner loop run once per sample instead of once per frame."""
+    out = np.empty((*v.shape[:-2], h.shape[-2], v.shape[-1]), v.dtype)
+    out[...] = v
+    return out
+
+
+def _const(value: float) -> np.ndarray:
+    """A constant operand as a Tensor op receives it: a 0-d array of the
+    default dtype."""
+    return np.asarray(value, dtype=default_dtype())
 
 
 def _apply(ufunc: np.ufunc, acc: np.ndarray, operand: np.ndarray,
@@ -178,9 +286,12 @@ def _conv_backward(g: np.ndarray, x: Tensor, source: np.ndarray, taps: list[tupl
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """x @ weight + bias as one node, which keeps no matmul output; its
-    gradients are those of the matmul and add nodes it replaces."""
+    gradients are those of the matmul and add nodes it replaces. The bias
+    is added in place, repeated over the frames of a (..., F, C) product."""
     _check_matmul(x, weight)
-    data = _apply(np.add, x.data @ weight.data, bias.data)
+    product = x.data @ weight.data
+    data = _apply(np.add, product,
+                  _over_frames(bias.data, product) if product.ndim > 2 else bias.data)
 
     def backward(g):
         if bias.requires_grad:
@@ -191,11 +302,46 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale and shift."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / (var + LN_EPS).sqrt() * gain + bias
+    """Normalize the last axis to zero mean / unit variance, then scale and
+    shift: one node.
+
+    Its forward and backward run the expressions of the chain it replaces
+    in its order: mean, subtract, square, mean, + `LN_EPS`, sqrt, divide,
+    `* gain`, `+ bias`. It delivers `x`'s gradient as the chain does, the
+    subtract's term and then the mean's, and keeps the centred input, the
+    sd and the normalized input. Without a graph it writes the divide, the
+    scale and the shift over the centred input.
+    """
+    for name, p in (("gain", gain), ("bias", bias)):
+        if p.shape != x.shape[-1:]:
+            raise DimensionError(f"layer norm of input {x.shape} needs a {name} of shape "
+                                 f"{x.shape[-1:]}, got {p.shape}")
+    parents = (x, gain, bias)
+    graph = keeps_graph(parents)
+    inv_c = _const(1.0 / x.shape[-1])
+    centered = x.data - np.asarray(x.data.sum(axis=-1, keepdims=True)) * inv_c
+    sd = np.sqrt(np.asarray((centered * centered).sum(axis=-1, keepdims=True)) * inv_c
+                 + _const(LN_EPS))
+    normed = _apply(np.true_divide, centered, sd, overwrite=not graph)
+    out = _apply(np.add, _apply(np.multiply, normed, gain.data, overwrite=not graph),
+                 bias.data)
+
+    def backward(g):
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.shape))
+        if gain.requires_grad:
+            gain._accumulate(_unbroadcast(g * normed, gain.shape))
+        if not x.requires_grad:
+            return
+        g_normed = g * gain.data
+        g_sd = _unbroadcast(-g_normed * normed / sd, sd.shape)
+        g_var = g_sd * 0.5 / np.where(sd == 0, np.inf, sd) * inv_c
+        g_square = np.broadcast_to(g_var, centered.shape) * centered
+        g_centered = g_normed / sd + g_square + g_square
+        x._accumulate(g_centered)
+        x._accumulate(np.broadcast_to(-_unbroadcast(g_centered, sd.shape) * inv_c, x.shape))
+
+    return Tensor._from_op(out, parents, backward)
 
 
 def conv_bn_relu(x: Tensor, kernel: Tensor, conv_bias: Tensor, gain: Tensor, bias: Tensor,

@@ -157,6 +157,5 @@ def classify(t_bar: Tensor, action_feature: Tensor, tau: float) -> Tensor:
     a = action_feature.reshape(1, -1) if squeeze else action_feature
     t3 = t_bar.reshape(1, *t_bar.shape) if t_bar.ndim == 2 else t_bar
     batch, channels = a.shape
-    cos = ops.cosine_similarity(t3, a.reshape(batch, 1, channels))  # (B, K)
-    y = ops.softmax(cos * (1.0 / tau))
+    y = ops.cosine_softmax(t3, a.reshape(batch, 1, channels), tau)  # (B, K)
     return y.reshape(-1) if squeeze else y

@@ -131,6 +131,7 @@ def train_model(cfg: Config, dataset: PoseDataset,
             f"config k={cfg.data.num_actions} but dataset has {len(names)} actions")
     model = PoseLifter(cfg)
     optimizer = Adam(model.params, lr=cfg.train.lr, lr_decay=cfg.train.lr_decay)
+    frozen = [p for p in model.params.values() if not p.requires_grad]
     shuffle_rng = seeded_rng(cfg.train.seed, STREAM_SHUFFLE)
     hard = resolve_hard_actions(cfg, dataset)
     weight = cfg.train.loss_weight
@@ -164,9 +165,11 @@ def train_model(cfg: Config, dataset: PoseDataset,
             seen += len(idx)
             del result, lp, la, loss      # free this step's graph before the next forward
         optimizer.decay_lr()
-        for name, param in model.params.items():
-            if not np.isfinite(param.data).all():
-                _abort(f"non-finite parameter {name!r} after epoch {epoch}", best, out_path)
+        # the trainable values in one call; the frozen ones hold the running statistics
+        if not (np.isfinite(optimizer.values).all()
+                and all(np.isfinite(p.data).all() for p in frozen)):
+            name = next(name for name, p in model.params.items() if not np.isfinite(p.data).all())
+            _abort(f"non-finite parameter {name!r} after epoch {epoch}", best, out_path)
 
         embeddings = model.export_embeddings() if cfg.atp.enabled else None
         report = evaluate(model, evals, names, hard, embeddings=embeddings,

@@ -150,15 +150,20 @@ def test_criterion_5_classification_efficacy(ablation):
 def test_criterion_6_directional_improvement(ablation):
     p1 = {name: ablation[name].p1 for name in ablate.VARIANTS}
     band = 1.02
-    checks = {
-        "full<=baseline": p1["full"] <= p1["baseline"],
-        "label<=1.02*baseline": p1["label_only"] <= band * p1["baseline"],
-        "atp<=1.02*label": p1["atp"] <= band * p1["label_only"],
-        "app<=1.02*label": p1["app"] <= band * p1["label_only"],
-        "full<=1.02*atp": p1["full"] <= band * p1["atp"],
-        "full<=1.02*app": p1["full"] <= band * p1["app"],
+    # each check as (left side, bound): it passes when left <= bound
+    sides = {
+        "full<=baseline": (p1["full"], p1["baseline"]),
+        "label<=1.02*baseline": (p1["label_only"], band * p1["baseline"]),
+        "atp<=1.02*label": (p1["atp"], band * p1["label_only"]),
+        "app<=1.02*label": (p1["app"], band * p1["label_only"]),
+        "full<=1.02*atp": (p1["full"], band * p1["atp"]),
+        "full<=1.02*app": (p1["full"], band * p1["app"]),
     }
-    detail = " ".join(f"{k}:{'ok' if v else 'FAIL'}" for k, v in checks.items())
+    checks = {k: left <= bound for k, (left, bound) in sides.items()}
+    # headroom: how far below its bound the left side sits, in percent of the bound
+    detail = " ".join(f"{k}:{'ok' if checks[k] else 'FAIL'}"
+                      f"({100 * (bound - left) / bound:+.2f}%)"
+                      for k, (left, bound) in sides.items())
     means = " ".join(f"{k}={v:.2f}" for k, v in p1.items())
     _announce("criterion 6 (directional improvement)", all(checks.values()),
               f"{means} | {detail}")

@@ -93,7 +93,7 @@ def test_ablate_components(quick_ini, tmp_path):
     assert main(["ablate", "--config", quick_ini, "--out", str(out),
                  "--seeds", "0"]) == 0
     summary = (out / "ablation_summary.csv").read_text().splitlines()
-    assert summary[0] == "variant,P1,P2,P3,accuracy"
+    assert summary[0] == "variant,P1,P2,P3,accuracy,P1_min,P1_max,accuracy_min,accuracy_max"
     variants = [line.split(",")[0] for line in summary[1:]]
     assert variants == ["baseline", "label_only", "atp", "app", "full"]
     detail = (out / "ablation.csv").read_text().splitlines()

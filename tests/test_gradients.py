@@ -14,6 +14,8 @@ from poselift.gradcheck import grad_check, run_op_suite
 from poselift.losses import pose_loss
 from poselift.tensor import Parameter, Tensor, concat, precision
 
+from test_fused_layers import composed_cosine_similarity
+
 OP_REPORTS = run_op_suite()
 
 
@@ -192,11 +194,13 @@ def gradients(build, leaves, sqrt=None) -> list[np.ndarray]:
     return [leaf.grad for leaf in leaves]
 
 
-def check_zero_rows(build, leaves, live: np.ndarray) -> None:
+def check_zero_rows(build, leaves, live: np.ndarray, composed=None) -> None:
     """Finite gradients everywhere; on `live` rows (nonzero norms) equal to
-    the former backward's; on the others the former backward was not finite."""
+    the former backward's; on the others the former backward was not finite.
+    For a fused op, `composed` builds the same loss from primitive nodes,
+    whose `Tensor.sqrt` takes the former backward."""
     new = gradients(build, leaves)
-    old = gradients(build, leaves, sqrt=former_sqrt)
+    old = gradients(composed or build, leaves, sqrt=former_sqrt)
     for leaf, g_new, g_old in zip(leaves, new, old):
         assert np.isfinite(g_new).all(), leaf.name
         assert np.array_equal(g_new[live], g_old[live]), leaf.name
@@ -221,7 +225,8 @@ def test_cosine_similarity_gradient_with_zero_rows(rows, channels, zeroed, both,
     with precision("float64"):
         a, b = Parameter("a", a_values), Parameter("b", b_values)
         live = ((a_values * a_values).sum(-1) > 0) & ((b_values * b_values).sum(-1) > 0)
-        check_zero_rows(lambda: (ops.cosine_similarity(a, b) * weights).sum(), [a, b], live)
+        check_zero_rows(lambda: (ops.cosine_similarity(a, b) * weights).sum(), [a, b], live,
+                        lambda: (composed_cosine_similarity(a, b) * weights).sum())
 
 
 @PROPERTY_SETTINGS

@@ -5,7 +5,8 @@ has another type than its field. `PoseLifter.forward_eval`, `evaluate` and
 `action_loss` refuse an input they cannot use, and labels that do not name
 one action per sample, with a `PoseLiftError`; `concat`, the pose errors
 and the pose loss refuse arrays they cannot join or average with a
-`DimensionError`."""
+`DimensionError`; `build_report` refuses poses and labels that do not
+pair one label with each sample, and a label that names no action."""
 
 import math
 import numbers
@@ -23,7 +24,7 @@ from poselift.data import Split, gen_synthetic
 from poselift.errors import ConfigError, DimensionError
 from poselift.gradcheck import grad_check, micro_model_config
 from poselift.losses import action_loss, pose_loss, total_loss
-from poselift.metrics import dmpjpe, mpjpe
+from poselift.metrics import build_report, dmpjpe, mpjpe
 from poselift.model import PoseLifter
 from poselift.optim import Adam
 from poselift.tensor import Parameter, Tensor, concat, precision
@@ -319,3 +320,38 @@ def test_pose_errors_and_the_pose_loss_average_or_refuse_their_poses(lead, seed)
                 call()
         else:
             assert np.isfinite(call()) and call() >= 0.0
+
+
+@SETTINGS
+@given(rows=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+       labels=st.lists(st.integers(-1, 2), min_size=1, max_size=4),
+       float_labels=st.booleans(), seed=st.integers(0, 2**31 - 1))
+@example((6, 6, 6), [0, 0, 1, 1, 5, 5], False, 0).via("a label outside action_names")
+@example((6, 5, 6), [0, 0, 1, 1, 0, 1], False, 0).via("fewer gt rows than pred rows")
+@example((6, 6, 5), [0, 0, 1, 1, 0], False, 0).via("labels of another length")
+@example((2, 2, 2), [0, 1], True, 0).via("float labels")
+def test_build_report_reports_or_refuses_its_samples(rows, labels, float_labels, seed):
+    rng = np.random.default_rng(seed)
+    n_pred, n_gt, n_predicted = rows
+    pred, gt = rng.normal(size=(n_pred, 2, 3)), rng.normal(size=(n_gt, 2, 3))
+    labels = np.array(labels, dtype=np.float64 if float_labels else np.int64)
+    predicted = np.zeros(n_predicted, np.int64)
+    names = ["a", "b"]
+    if n_gt != n_pred:
+        refusal = (DimensionError, "build_report shapes disagree")
+    elif labels.shape != (n_pred,):
+        refusal = (DimensionError, "labels have shape")
+    elif float_labels:
+        refusal = (ConfigError, "want integers")
+    elif n_predicted != n_pred:
+        refusal = (DimensionError, "labels have shape")
+    elif ((labels < 0) | (labels >= len(names))).any():
+        refusal = (ConfigError, "names no action")
+    else:
+        report = build_report(pred, gt, labels, names, ["a", "b"], predicted_labels=predicted)
+        assert sum(report.counts.values()) == n_pred
+        assert report.p1 == pytest.approx(mpjpe(pred, gt))
+        assert report.accuracy == pytest.approx(float((labels == 0).mean()))
+        return
+    with pytest.raises(refusal[0], match=refusal[1]):
+        build_report(pred, gt, labels, names, ["a", "b"], predicted_labels=predicted)

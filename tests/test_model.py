@@ -245,7 +245,7 @@ def test_backward_frees_the_step_graph_before_it_returns(small_dataset):
             loss.backward()
     finally:
         gc.enable()
-    assert during > before + 250 and after == before + 1, (before, during, after)
+    assert during > before + 100 and after == before + 1, (before, during, after)
     trainable = [p for p in model.params.values() if p.requires_grad]
     assert all(p.grad is not None for p in trainable)
     assert all(p.grad is None for p in model.params.values() if not p.requires_grad)

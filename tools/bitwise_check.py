@@ -6,7 +6,9 @@ Usage, from anywhere inside a git checkout:
 
 Unpacks `<rev>` with `git archive` into a temporary directory. In that tree
 and in this checkout's working tree, with BLAS pinned to one thread, it runs
-`poselift train --out` at the default config and with `--frames 81`, and
+`poselift train --out` at the default config and with `--frames 81`,
+`poselift ablate --mode components --out` (the five variants at seeds 0, 1
+and 2, whose per-variant means are acceptance criterion 6's), and
 `poselift gradcheck` with its standard output saved to a file. It prints
 each output file's sha256 in both trees and, for each file that differs,
 its first differing line (text) or byte offset (binary). The exit status
@@ -30,6 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 RUNS = {
     "train_default": ["train"],
     "train_frames81": ["train", "--frames", "81"],
+    "ablate_components": ["ablate", "--mode", "components"],
     "gradcheck": ["gradcheck"],
 }
 
@@ -44,7 +47,7 @@ def run_outputs(tree: Path, out: Path) -> None:
         run_dir = out / name
         run_dir.mkdir(parents=True)
         cmd = [sys.executable, "-m", "poselift.cli", *args]
-        if args[0] == "train":
+        if args[0] != "gradcheck":
             cmd += ["--out", str(run_dir)]
         proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True)
         if proc.returncode != 0:
