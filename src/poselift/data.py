@@ -224,7 +224,10 @@ def _write_dataset(dataset: PoseDataset, path: str | Path) -> None:
     for split in (dataset.train, dataset.eval):
         records += [split.input2d, split.target3d, split.labels]
     path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create dataset directory: {exc}") from None
     write_container(path / "dataset.bin", DATASET_MAGIC, FORMAT_VERSION, records)
 
 
@@ -302,7 +305,11 @@ def nearest_centroid_accuracy(train: Split, evals: Split) -> float:
     """Accuracy of a nearest-centroid classifier on flattened 3D target poses.
 
     Calibrates how separable the generated actions are before any learning.
+    A split with no samples is a `DimensionError`.
     """
+    if not len(train) or not len(evals):
+        raise DimensionError(f"nearest-centroid accuracy needs samples in both splits, "
+                             f"got {len(train)} train and {len(evals)} eval")
     feats_train = train.target3d.reshape(len(train), -1).astype(np.float64)
     feats_eval = evals.target3d.reshape(len(evals), -1).astype(np.float64)
     classes = np.unique(train.labels)

@@ -212,11 +212,9 @@ def _conv_forward(x: Tensor, kernel: Tensor, bias: Tensor, dilation: int, paddin
         raise SequenceTooShortError(
             f"conv needs at least {dilation * (width - 1) + 1} frames, got {frames}")
     span = (out_frames - 1) // stride * stride + 1     # first to last kept frame
-    index = [slice(None)] * source.ndim
     taps, out = [], None
     for i, k in enumerate(kernel.data):
-        index[-2] = slice(i * dilation, i * dilation + span, stride)
-        taps.append(tuple(index))
+        taps.append((..., slice(i * dilation, i * dilation + span, stride), slice(None)))
         # no name holds a tap product, so each is freed once it is summed
         out = source[taps[i]] @ k if out is None else _apply(np.add, out, source[taps[i]] @ k)
     # A new array, not the tap sum itself: in training it outlives the

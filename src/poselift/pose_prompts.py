@@ -2,9 +2,10 @@
 
 One learnable (L, C) prompt slice per action; the slice matching the sample's
 label (ground truth while training, predicted at inference) is attended by
-the final pose feature in a standard transformer-decoder block. The refined
-feature enters through a per-channel residual scale initialized to zero, so
-an untrained module leaves the feature untouched.
+the final pose feature, one query token, in a transformer-decoder block
+whose self-attention is therefore its value path. The refined feature
+enters through a per-channel residual scale initialized to zero, so an
+untrained module leaves the feature untouched.
 """
 
 from __future__ import annotations
@@ -40,20 +41,24 @@ def select_prompts(bank: PosePromptBank, labels) -> Tensor:
 
 
 class DecoderBlock:
-    """Pre-norm transformer decoder block: self-attention over the query
-    tokens, cross-attention into the prompts, then feed-forward."""
+    """Pre-norm decoder block over one query token: self-attention, which a
+    softmax over one key (exactly 1) makes bitwise its value path
+    `out(v(ln1(query)))`, then cross-attention into the prompts and
+    feed-forward. q and k would get zero gradients and are not built; their
+    initial values are still drawn and discarded, so later draws are unchanged."""
 
     def __init__(self, name: str, channels: int, rng: np.random.Generator):
         self.ln1 = LayerNorm(f"{name}.ln1", channels)
-        self.self_attn = CrossAttention(f"{name}.self_attn", channels, rng)
+        rng.uniform(size=2 * (channels * channels + channels))   # q's and k's draws
+        self.v = Linear(f"{name}.self_attn.v", channels, channels, rng)
+        self.out = Linear(f"{name}.self_attn.out", channels, channels, rng)
         self.ln2 = LayerNorm(f"{name}.ln2", channels)
         self.cross_attn = CrossAttention(f"{name}.cross_attn", channels, rng)
         self.ln3 = LayerNorm(f"{name}.ln3", channels)
         self.ffn = FeedForward(f"{name}.ffn", channels, rng)
 
     def __call__(self, query: Tensor, memory: Tensor) -> Tensor:
-        normed = self.ln1(query)
-        query = query + self.self_attn(normed, normed)
+        query = query + self.out(self.v(self.ln1(query)))
         query = query + self.cross_attn(self.ln2(query), memory)
         return query + self.ffn(self.ln3(query))
 
@@ -68,10 +73,10 @@ class PosePromptRefiner:
 
     def __call__(self, zd: Tensor, selected: Tensor) -> Tensor:
         channels = self.gamma.shape[0]
-        if zd.shape[-1] != channels or selected.shape[-1] != channels:
+        if zd.shape[-2:] != (1, channels) or selected.shape[-1] != channels:
             raise DimensionError(
-                f"channel mismatch: zd {zd.shape}, prompts {selected.shape}, "
-                f"refiner expects C={channels}")
+                f"shape mismatch: zd {zd.shape}, prompts {selected.shape}, "
+                f"refiner expects one query token of C={channels}")
         h = zd
         for block in self.blocks:
             h = block(h, selected)

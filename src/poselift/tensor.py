@@ -285,7 +285,11 @@ class Tensor:
     # -- shape ops ----------------------------------------------------------
 
     def reshape(self, *shape: int) -> "Tensor":
-        return Tensor._from_op(self.data.reshape(shape), (self,),
+        try:
+            data = self.data.reshape(shape)
+        except ValueError as exc:
+            raise DimensionError(f"cannot reshape {self.shape} to {shape}: {exc}") from None
+        return Tensor._from_op(data, (self,),
                                lambda g: self._accumulate(g.reshape(self.shape)))
 
     def swapaxes(self, a: int, b: int) -> "Tensor":
@@ -297,9 +301,10 @@ class Tensor:
                                lambda g: self._accumulate(_unbroadcast(g, self.shape)))
 
     def __getitem__(self, index) -> "Tensor":
-        data = self.data[index]
-        if np.isscalar(data) or data.ndim == 0:
-            data = np.asarray(data)
+        try:
+            data = np.asarray(self.data[index])     # a 0-d array for one element
+        except IndexError as exc:
+            raise DimensionError(f"cannot index {self.shape} with {index!r}: {exc}") from None
 
         def backward(g):
             # A basic index names each element at most once, so its gradient

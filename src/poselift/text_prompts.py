@@ -118,11 +118,7 @@ def first_order_motion(z0: Tensor) -> Tensor:
     frames = z0.shape[-2]
     if frames < 2:
         raise SequenceTooShortError(f"need at least 2 frames to difference, got {frames}")
-    index_hi = [slice(None)] * z0.ndim
-    index_lo = [slice(None)] * z0.ndim
-    index_hi[-2] = slice(1, frames)
-    index_lo[-2] = slice(0, frames - 1)
-    return z0[tuple(index_hi)] - z0[tuple(index_lo)]
+    return z0[..., 1:, :] - z0[..., :-1, :]
 
 
 class PoseToText:

@@ -78,17 +78,12 @@ def evaluate(model: PoseLifter, split: Split, action_names: list[str],
     is a `PoseLiftError`.
     """
     check_split("split", split, len(action_names), ConfigError)
-    if model.cfg.data.joints != split.target3d.shape[1]:
-        raise ConfigError(
-            f"model joints={model.cfg.data.joints} but dataset joints="
-            f"{split.target3d.shape[1]}")
-    if model.cfg.data.num_actions != len(action_names):
-        raise ConfigError(f"model actions={model.cfg.data.num_actions} but dataset "
-                          f"actions={len(action_names)}")
-    if model.cfg.data.frames != split.input2d.shape[1]:
-        raise ConfigError(
-            f"model frames={model.cfg.data.frames} but dataset frames="
-            f"{split.input2d.shape[1]}")
+    data = model.cfg.data
+    for what, model_has, split_has in (("joints", data.joints, split.target3d.shape[1]),
+                                       ("actions", data.num_actions, len(action_names)),
+                                       ("frames", data.frames, split.input2d.shape[1])):
+        if model_has != split_has:
+            raise ConfigError(f"model {what}={model_has} but dataset {what}={split_has}")
     if len(split) == 0:
         raise ConfigError(f"cannot evaluate an empty split (input2d shape "
                           f"{split.input2d.shape})")

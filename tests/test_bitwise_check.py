@@ -1,9 +1,16 @@
 """`tools/bitwise_check.py`'s comparison of two output trees: identical
 trees report every file the same; one flipped byte names the file and
-where it first differs."""
+where it first differs; two checkpoints that differ by one record or by one
+value are read and the difference named."""
 
 import importlib.util
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from poselift.config import Config
+from poselift.train import Checkpoint, write_checkpoint
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bitwise_check.py"
 _spec = importlib.util.spec_from_file_location("bitwise_check", TOOL)
@@ -45,3 +52,37 @@ def test_one_flipped_byte_names_the_file_and_where_it_differs(tmp_path):
     assert differing == 2
     assert any("train.log: first difference at line 2: 'epoch 2 loss 0.25' vs "
                "'epoch 2 loss 0.35'" in line for line in lines), lines
+
+
+def small_checkpoint(extra_record=False, changed_value=False):
+    """A three-record checkpoint of the default config, which no model has:
+    the tool compares records and never restores a model."""
+    params = {"encoder.w": np.arange(6, dtype=np.float32).reshape(2, 3),
+              "app.gamma": np.zeros(4, np.float32),
+              "head.out.bias": np.ones(3, np.float32)}
+    if extra_record:
+        params["app.decoder1.self_attn.q.weight"] = np.ones((2, 2), np.float32)
+    if changed_value:
+        params["app.gamma"][2] = 0.5
+    return Checkpoint(cfg=Config(), params=params, embeddings=np.ones((4, 16), np.float32))
+
+
+@pytest.mark.parametrize("change,report", [
+    pytest.param(dict(extra_record=True),
+                 ["  parameters only in parent: app.decoder1.self_attn.q.weight",
+                  "  parameters only in checkout: none",
+                  "  all 3 shared parameters are equal",
+                  "  embeddings equal, config equal"], id="one record"),
+    pytest.param(dict(changed_value=True),
+                 ["  parameters only in parent: none",
+                  "  parameters only in checkout: none",
+                  "  first shared parameter that differs: app.gamma",
+                  "  embeddings equal, config equal"], id="one value")])
+def test_differing_checkpoints_are_read_and_the_difference_named(tmp_path, change, report):
+    for side, chk in (("a", small_checkpoint(**change)), ("b", small_checkpoint())):
+        (tmp_path / side / "train_default").mkdir(parents=True)
+        write_checkpoint(tmp_path / side / "train_default" / "checkpoint.bin", chk)
+    lines, differing = bitwise_check.compare_dirs(tmp_path / "a", tmp_path / "b",
+                                                  ("parent", "checkout"))
+    assert differing == 1 and lines[0].startswith("DIFF ")
+    assert lines[1:] == report

@@ -11,7 +11,7 @@ from poselift.config import Config
 from poselift.data import Split, _write_dataset, load_dataset, save_dataset
 from poselift.errors import FormatError
 from poselift.model import PoseLifter
-from poselift.train import _write_checkpoint, snapshot, write_checkpoint
+from poselift.train import _write_checkpoint, restore_model, snapshot, write_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -342,6 +342,34 @@ def test_bad_checkpoint_values_are_an_error_line(tmp_path, capsys, corrupt):
         write_checkpoint(tmp_path / "saved.bin", chk)
     assert err == f"error:FormatError:{refused.value}\n"
     assert not (tmp_path / "saved.bin").exists()
+
+
+def _a_self_attention_query_record(chk):
+    # as in every checkpoint written while the decoder's self-attention had q and k
+    chk.params["app.decoder1.self_attn.q.weight"] = np.zeros((16, 16), np.float32)
+
+
+def _no_app_gamma(chk):
+    del chk.params["app.gamma"]
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    pytest.param(_a_self_attention_query_record,
+                 "checkpoint has unknown parameters: ['app.decoder1.self_attn.q.weight']",
+                 id="an unknown record"),
+    pytest.param(_no_app_gamma, "checkpoint is missing parameter 'app.gamma'",
+                 id="a missing record")])
+def test_checkpoint_records_must_name_the_model_parameters(tmp_path, capsys, corrupt,
+                                                           message):
+    chk = default_checkpoint()
+    corrupt(chk)
+    with pytest.raises(FormatError) as refused:
+        restore_model(chk)
+    assert str(refused.value) == message
+    path = tmp_path / "checkpoint.bin"
+    write_checkpoint(path, chk)                     # the records are not its to check
+    assert main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error:FormatError:{message}\n"
 
 
 @pytest.mark.parametrize("mode,flags", [

@@ -6,7 +6,10 @@ has another type than its field. `PoseLifter.forward_eval`, `evaluate` and
 one action per sample, with a `PoseLiftError`; `concat`, the pose errors
 and the pose loss refuse arrays they cannot join or average with a
 `DimensionError`; `build_report` refuses poses and labels that do not
-pair one label with each sample, and a label that names no action."""
+pair one label with each sample, and a label that names no action;
+`nearest_centroid_accuracy` refuses an empty split, `Tensor` an index or a
+shape its values do not fit, each with a `DimensionError`, and
+`save_dataset` a path it cannot make a directory with a `ConfigError`."""
 
 import math
 import numbers
@@ -20,7 +23,8 @@ from hypothesis.extra import numpy as hnp
 
 from poselift.ablate import variant_config
 from poselift.config import Config, apply_overrides
-from poselift.data import Split, gen_synthetic
+from poselift.data import (Split, gen_synthetic, load_dataset, nearest_centroid_accuracy,
+                           save_dataset)
 from poselift.errors import ConfigError, DimensionError
 from poselift.gradcheck import grad_check, micro_model_config
 from poselift.losses import action_loss, pose_loss, total_loss
@@ -355,3 +359,64 @@ def test_build_report_reports_or_refuses_its_samples(rows, labels, float_labels,
         return
     with pytest.raises(refusal[0], match=refusal[1]):
         build_report(pred, gt, labels, names, ["a", "b"], predicted_labels=predicted)
+
+
+@SETTINGS
+@given(counts=st.tuples(st.integers(0, 3), st.integers(0, 3)), seed=st.integers(0, 2**31 - 1))
+@example((0, 2), 0).via("an empty train split")
+@example((2, 0), 0).via("an empty eval split")
+def test_nearest_centroid_accuracy_scores_or_refuses_its_splits(counts, seed):
+    rng = np.random.default_rng(seed)
+    train, evals = (Split(rng.normal(size=(n, 3, 4, 2)), rng.normal(size=(n, 4, 3)),
+                          rng.integers(0, 2, size=n)) for n in counts)
+    if 0 in counts:
+        with pytest.raises(DimensionError, match="needs samples in both splits"):
+            nearest_centroid_accuracy(train, evals)
+    else:
+        assert 0.0 <= nearest_centroid_accuracy(train, evals) <= 1.0
+
+
+DATASET = gen_synthetic(2, 9, 4, 1, 1, 0)
+
+
+@settings(max_examples=8, deadline=None)
+@given(path=st.sampled_from(["new", "an existing directory", "an existing file",
+                             "under an existing file"]))
+@example("an existing file").via("an existing file")
+def test_save_dataset_writes_or_refuses_its_path(path):
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "data"
+        if path == "an existing directory":
+            target.mkdir()
+        elif path != "new":
+            target.write_text("not a directory")
+            target = target / "sub" if path == "under an existing file" else target
+        if path in ("new", "an existing directory"):
+            save_dataset(DATASET, target)
+            assert np.array_equal(load_dataset(target).eval.labels, DATASET.eval.labels)
+            return
+        with pytest.raises(ConfigError, match="cannot create dataset directory"):
+            save_dataset(DATASET, target)
+
+
+@SETTINGS
+@given(shape=hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=3),
+       index=st.integers(-4, 3), new_shape=st.lists(st.integers(-1, 6), min_size=1,
+                                                    max_size=3).map(tuple))
+@example((2, 3), 2, (6,)).via("an index out of range")
+@example((2, 3), 0, (4,)).via("a reshape to a size that does not fit")
+def test_tensor_index_and_reshape_fit_or_refuse(shape, index, new_shape):
+    values = np.arange(np.prod(shape), dtype=np.float64).reshape(shape)
+    x = Tensor(values)
+    if -shape[0] <= index < shape[0]:
+        assert np.array_equal(x[index].data, values[index])
+    else:
+        with pytest.raises(DimensionError, match=r"cannot index \("):
+            x[index]
+    try:
+        expected = values.reshape(new_shape)
+    except ValueError:
+        with pytest.raises(DimensionError, match=r"cannot reshape \("):
+            x.reshape(*new_shape)
+    else:
+        assert np.array_equal(x.reshape(*new_shape).data, expected)

@@ -57,10 +57,10 @@ PARAMETER_TABLE = {
                    "a0394717d40ae514"),
     "atp": (113, 58, 8217, 55, 7184, "encoder 38, head 2, proj 26, atp 38, p2t 9",
             "e55532f56b8dcca6"),
-    "app": (96, 76, 11548, 20, 320, "encoder 38, head 2, proj 26, labelhead 2, app 28",
-            "89e7d9d477fb8e69"),
-    "full": (141, 86, 13145, 55, 7184, "encoder 38, head 2, proj 26, atp 38, p2t 9, app 28",
-             "cf9d8f9a3d6c72a9"),
+    "app": (92, 72, 11004, 20, 320, "encoder 38, head 2, proj 26, labelhead 2, app 24",
+            "479bc1d30aa386b8"),
+    "full": (137, 82, 12601, 55, 7184, "encoder 38, head 2, proj 26, atp 38, p2t 9, app 24",
+             "25596e14727dfae9"),
 }
 
 

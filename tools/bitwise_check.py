@@ -11,8 +11,12 @@ and in this checkout's working tree, with BLAS pinned to one thread, it runs
 and 2, whose per-variant means are acceptance criterion 6's), and
 `poselift gradcheck` with its standard output saved to a file. It prints
 each output file's sha256 in both trees and, for each file that differs,
-its first differing line (text) or byte offset (binary). The exit status
-is 1 if any file differs or is missing from one side, else 0.
+its first differing line (text) or byte offset (binary). For a differing
+`checkpoint.bin` it also reads both files with this checkout's
+`load_checkpoint` and prints the parameter names found on one side only,
+the first shared parameter whose values differ, and whether the text
+embeddings and the configs are equal. The exit status is 1 if any file
+differs or is missing from one side, else 0.
 """
 
 from __future__ import annotations
@@ -27,7 +31,13 @@ import tarfile
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+from poselift.errors import PoseLiftError  # noqa: E402
+from poselift.train import load_checkpoint  # noqa: E402
+
 # Each run's arguments after `poselift`, by the name of its output directory.
 RUNS = {
     "train_default": ["train"],
@@ -72,10 +82,39 @@ def first_difference(a: bytes, b: bytes) -> str:
             f"{len(lines_a)} lines vs {len(lines_b)}")
 
 
-def compare_dirs(left: Path, right: Path) -> tuple[list[str], int]:
+def same_bits(a: np.ndarray | None, b: np.ndarray | None) -> bool:
+    if a is None or b is None:
+        return a is b
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def checkpoint_report(left: Path, right: Path, sides: tuple[str, str]) -> list[str]:
+    """Indented lines on how two checkpoints differ, each read with this
+    checkout's `load_checkpoint`: the parameter names on one side only, the
+    first shared parameter (in `left`'s record order) whose values differ,
+    and whether the embeddings and the configs are equal."""
+    try:
+        a, b = load_checkpoint(left), load_checkpoint(right)
+    except PoseLiftError as exc:
+        return [f"  not a checkpoint this checkout reads: {type(exc).__name__}: {exc}"]
+    only = [[name for name in x.params if name not in y.params] for x, y in ((a, b), (b, a))]
+    lines = [f"  parameters only in {side}: {', '.join(names) or 'none'}"
+             for side, names in zip(sides, only)]
+    shared = [n for n in a.params if n in b.params]
+    first = next((n for n in shared if not same_bits(a.params[n], b.params[n])), None)
+    lines.append(f"  first shared parameter that differs: {first}" if first else
+                 f"  all {len(shared)} shared parameters are equal")
+    lines.append(f"  embeddings {'equal' if same_bits(a.embeddings, b.embeddings) else 'differ'}, "
+                 f"config {'equal' if a.cfg == b.cfg else 'differs'}")
+    return lines
+
+
+def compare_dirs(left: Path, right: Path,
+                 sides: tuple[str, str] = ("left", "right")) -> tuple[list[str], int]:
     """One report line per file under either directory, by relative path,
     with its sha256 on each side (`-` where it is missing) and, where they
-    differ, the first difference; and the number of files that differ."""
+    differ, the first difference, followed for a `checkpoint.bin` by
+    `checkpoint_report`'s lines; and the number of files that differ."""
     files = sorted({p.relative_to(root) for root in (left, right)
                     for p in root.rglob("*") if p.is_file()})
     lines, differing = [], 0
@@ -91,6 +130,8 @@ def compare_dirs(left: Path, right: Path) -> tuple[list[str], int]:
         where = (first_difference(a, b) if a is not None and b is not None
                  else "missing on one side")
         lines.append(f"DIFF {sha_a} {sha_b} {rel}: {where}")
+        if rel.name == "checkpoint.bin" and a is not None and b is not None:
+            lines += checkpoint_report(left / rel, right / rel, sides)
     return lines, differing
 
 
@@ -111,10 +152,11 @@ def main(argv: list[str] | None = None) -> int:
         unpack(args.rev, tmp / "tree")
         run_outputs(tmp / "tree", tmp / "rev")
         run_outputs(ROOT, tmp / "checkout")
-        lines, differing = compare_dirs(tmp / "rev", tmp / "checkout")
+        lines, differing = compare_dirs(tmp / "rev", tmp / "checkout", (args.rev, "checkout"))
     print(f"{args.rev} against the working tree of {ROOT}:")
     print("\n".join(lines))
-    print(f"{differing} of {len(lines)} files differ")
+    files = sum(not line.startswith(" ") for line in lines)
+    print(f"{differing} of {files} files differ")
     return 1 if differing else 0
 
 
