@@ -25,11 +25,16 @@ print("dloss/dx row 0:", x.grad[0])
 print("dloss/dw col 0:", w.grad[:, 0])
 
 # --- the ops the pose model is built from -----------------------------------
+# The TCN unit: a dilated temporal conv, batch norm and ReLU as one node.
 seq = Tensor(rng.normal(size=(2, 9, 4)))          # (batch, frames, channels)
 kernel = Tensor(rng.normal(size=(3, 4, 4)))       # width-3 temporal conv
-bias = Tensor(np.zeros(4))                        # one per output channel
-conv = ops.dilated_conv1d(seq, kernel, bias, dilation=2)
-print("\ndilated conv: (2, 9, 4) -> ", conv.shape, " (valid, dilation 2)")
+conv_bias = Tensor(np.zeros(4))                   # one per output channel
+gain, bn_bias = Tensor(np.ones(4)), Tensor(np.zeros(4))
+running_mean, running_var = np.zeros(4), np.ones(4)
+unit = ops.conv_bn_relu(seq, kernel, conv_bias, gain, bn_bias, running_mean, running_var,
+                        training=True, dilation=2)
+print("\nTCN unit: (2, 9, 4) -> ", unit.shape, " (valid, dilation 2)")
+print("batch statistics moved the running mean to", running_mean.round(3))
 
 probs = ops.softmax(Tensor([[2.0, 1.0, 0.1]]))   # over the last axis
 print("softmax row:", probs.data[0], "sums to", probs.data.sum())

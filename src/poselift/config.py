@@ -146,6 +146,12 @@ class Config:
         return self.app.enabled and not self.atp.enabled
 
 
+def check_type(what: str, value, kind: type) -> None:
+    """Raise `ConfigError` unless `value`, the argument `what`, is a `kind`."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
+
+
 def check_range(key: str, value, interval: _Interval | None = None) -> None:
     """Raise `ConfigError` unless `value` has the type of the dotted field
     `key` (e.g. "train.lr") and lies in `interval`, by default the field's

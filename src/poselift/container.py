@@ -24,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 
 _TAGS = {"<f4": 1, "<u4": 2, "string": 3, "scalar": 4}
 _TAG_U32 = struct.Struct("<II")      # tag, then ndim or string length
@@ -47,12 +47,18 @@ def _encode(value) -> list[bytes]:
 
 
 def write_container(path: str | Path, magic: bytes, version: int, records: Iterable) -> None:
-    """Write strings, numbers (f64 scalars) and arrays (<u4 if integer, else <f4)."""
+    """Write strings, numbers (f64 scalars) and arrays (<u4 if integer, else <f4).
+    A path that cannot be opened for writing, such as a directory, is a
+    `ConfigError`."""
     parts = [magic, struct.pack("<I", version)]
     for value in records:
         parts += _encode(value)
     crc = 0
-    with open(path, "wb") as fh:
+    try:
+        fh = open(path, "wb")
+    except OSError as exc:
+        raise ConfigError(f"cannot create file: {exc}") from None
+    with fh:
         for part in parts:
             fh.write(part)
             crc = zlib.crc32(part, crc)

@@ -132,8 +132,6 @@ def run_op_suite(tol: float = TOL) -> dict[str, GradCheckReport]:
                                * w34[:, :1]).sum(), [x])
         check("softmax", lambda: (ops.softmax(x) * w34).sum(), [x])
         check("l2_norm", lambda: (ops.l2_norm(x) * w34[:, 0]).sum(), [x])
-        check("cosine_similarity",
-              lambda: (ops.cosine_similarity(x, Tensor(w34)) * w34[:, 1]).sum(), [x])
 
         gain = Parameter("gain", 1.0 + 0.1 * rng.normal(size=4))
         bias = Parameter("bias", 0.1 * rng.normal(size=4))
@@ -151,18 +149,16 @@ def run_op_suite(tol: float = TOL) -> dict[str, GradCheckReport]:
         kern = Parameter("kern", rng.normal(size=(3, 3, 4)))
         cbias = Parameter("cbias", rng.normal(size=4))
         w_same = rng.normal(size=(2, 9, 4))
-        check("conv_valid", lambda: (ops.dilated_conv1d(
-            seq, kern, dilation=1, bias=cbias)
-            * w_same[:, :7]).sum(), [seq, kern, cbias])
-        check("conv_dilated", lambda: (ops.dilated_conv1d(
-            seq, kern, dilation=3, bias=cbias)
-            * w_same[:, :3]).sum(), [seq, kern, cbias])
-        check("conv_strided", lambda: (ops.dilated_conv1d(
-            seq, kern, dilation=1, bias=cbias, stride=3)
-            * w_same[:, :3]).sum(), [seq, kern, cbias])
-        check("conv_same", lambda: (ops.dilated_conv1d(
-            seq, kern, dilation=1, bias=cbias, padding="same")
-            * w_same).sum(), [seq, kern, cbias])
+        # The conv's cases, each a training-mode unit over the layer norm's
+        # gain and bias: "valid", dilated, strided and "same".
+        conv_cases = {"conv_valid": (dict(dilation=1), w_same[:, :7]),
+                      "conv_dilated": (dict(dilation=3), w_same[:, :3]),
+                      "conv_strided": (dict(dilation=1, stride=3), w_same[:, :3]),
+                      "conv_same": (dict(dilation=1, padding="same"), w_same)}
+        for name, (kw, weights) in conv_cases.items():
+            check(name, lambda kw=kw, weights=weights: (ops.conv_bn_relu(
+                seq, kern, cbias, gain, bias, np.zeros(4), np.ones(4), training=True, **kw)
+                * weights).sum(), [seq, kern, cbias, gain, bias])
 
         # Drawn after every other entry's values, so those stay as they were.
         lin_bias = Parameter("lin_bias", rng.normal(size=3))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pose_prompts, text_prompts
-from .config import Config
+from .config import Config, check_type
 from .encoder import TcnEncoder
 from .errors import ConfigError, DimensionError, PoseLiftError
 from .layers import seeded_rng
@@ -74,6 +74,7 @@ class PoseLifter:
     """2D-sequence to 3D-pose model with optional action prompting."""
 
     def __init__(self, cfg: Config):
+        check_type("PoseLifter cfg", cfg, Config)
         cfg.validate()
         self.cfg = cfg
         seed = cfg.train.seed

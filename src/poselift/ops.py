@@ -7,31 +7,32 @@ channel-last convention (..., frames, channels). Softmax, the norms, the
 cosines and layer norm reduce over the last axis only; batch norm over all
 the others.
 
-A fused op is one graph node in place of a chain of primitive ones:
-`dilated_conv1d`, the TCN unit `conv_bn_relu` (conv, batch norm and ReLU,
-one body for both modes), `linear` (`x @ W + b`), `layer_norm`,
-`scaled_dot_attention`, `cosine_similarity` and the cosine classifier
-`cosine_softmax` (the temperature softmax over the cosines). The conv's
-parents are its input, kernel and bias: it slices its taps from the
-input's values (for "same", from one zero-padded copy of them) and builds
-no slice, pad or concat node. A fused op's forward and backward run the
-replaced nodes' own expressions in their order, with the chain's constants
-as the chain's nodes hold them (0-d arrays of the default dtype, see
-`_const`), so its output and gradients are bitwise those of the chain. It
-delivers each input's gradient terms in the order the chain delivers them,
-and its parents' order lets `Tensor.backward` reach the inputs' ancestries
-in the order the chain let it; so every gradient sums its terms in the
-chain's order wherever no input of the op is computed from another of its
-inputs, as none is in the model. It keeps only the arrays that backward
-reads: no conv, batch-norm, matmul or score array that no backward needs.
-A fused step writes over an array the op allocated itself only where the
-step's result has that array's dtype and shape, so it rounds as the
-chain's new array would: the conv sums its tap products in place, `linear`
-adds its bias in place, attention scales, shifts and exponentiates its
-scores in place, an op that keeps no graph writes its later steps over its
-own earlier arrays (the unit its whole output over its conv output), and
-the unit's backward runs batch norm's chain over arrays it owns and sums
-the taps' input gradients in one buffer. The tests hold the chains as the
+A fused op is one graph node in place of a chain of primitive ones: the
+TCN unit `conv_bn_relu` (temporal conv, batch norm and ReLU, one body for
+both modes), `linear` (`x @ W + b`), `layer_norm`, `scaled_dot_attention`
+and the cosine classifier `cosine_softmax` (the temperature softmax over
+the cosines). Each is the model's only op for what it computes. The
+unit's conv parents are its input, kernel and bias: it slices its taps
+from the input's values (for "same", from one zero-padded copy of them)
+and builds no slice, pad or concat node. A fused op's forward and backward
+run the replaced nodes' own expressions in their order, with the chain's
+constants as the chain's nodes hold them (0-d arrays of the default dtype,
+see `_const`), so its output and gradients are bitwise those of the
+chain. It delivers each input's gradient terms in the order the chain
+delivers them, and its parents' order lets `Tensor.backward` reach the
+inputs' ancestries in the order the chain let it; so every gradient sums
+its terms in the chain's order wherever no input of the op is computed
+from another of its inputs, as none is in the model. It keeps only the
+arrays that backward reads: no conv, batch-norm, matmul or score array
+that no backward needs. A fused step writes over an array the op
+allocated itself only where the step's result has that array's dtype and
+shape, so it rounds as the chain's new array would: the conv sums its tap
+products in place, `linear` adds its bias in place, attention scales,
+shifts and exponentiates its scores in place, an op that keeps no graph
+writes its later steps over its own earlier arrays (the unit its whole
+output over its conv output), and the unit's backward runs batch norm's
+chain over arrays it owns and sums the taps' input gradients in one
+buffer. The chains, built from primitive nodes in the tests, are the only
 oracles.
 """
 
@@ -65,23 +66,13 @@ def l2_norm(x: Tensor) -> Tensor:
     return (x * x).sum(axis=-1).sqrt()
 
 
-def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
-    """cos(a, b) over the last axis, with `COS_EPS` guarding the denominator;
-    one node. At a zero vector its gradient is finite: the norm's
-    subgradient there is 0."""
-    return _cosine(a, b, None)
-
-
 def cosine_softmax(a: Tensor, b: Tensor, tau: float) -> Tensor:
     """softmax(cos(a, b) / tau) over the last axis of the cosines: the cosine
-    classifier as one node."""
-    return _cosine(a, b, tau)
+    classifier as one node, with `COS_EPS` guarding the cosine's
+    denominator. At a zero vector its gradient is finite: the norm's
+    subgradient there is 0.
 
-
-def _cosine(a: Tensor, b: Tensor, tau: float | None) -> Tensor:
-    """The cosine node, and with a `tau` the temperature softmax over it.
-
-    Forward and backward run the expressions of the chain they replace in
+    Forward and backward run the expressions of the chain it replaces in
     its order: `a * b` -> sum, the two norms `(x * x)` -> sum -> sqrt, their
     product + `COS_EPS`, the divide, then `* (1 / tau)`, the max shift, exp,
     sum and divide. Each input's gradient contributions are delivered as
@@ -94,18 +85,16 @@ def _cosine(a: Tensor, b: Tensor, tau: float | None) -> Tensor:
     norm_b = np.sqrt(np.asarray((b.data * b.data).sum(axis=-1)))
     den = norm_a * norm_b + _const(COS_EPS)
     cos = dot / den
-    out = cos
-    if tau is not None:
-        inv_tau = _const(1.0 / tau)
-        e = cos * inv_tau
-        e = np.exp(_apply(np.subtract, e, np.max(e, axis=-1, keepdims=True)), out=e)
-        z = np.asarray(e.sum(axis=-1, keepdims=True))
-        out = e / z
+    inv_tau = _const(1.0 / tau)
+    e = cos * inv_tau
+    e = np.exp(_apply(np.subtract, e, np.max(e, axis=-1, keepdims=True)), out=e)
+    z = np.asarray(e.sum(axis=-1, keepdims=True))
+    out = e / z
 
     def backward(g):
-        if tau is not None:     # the softmax's divide, sum, exp and shift, then the scale
-            g_z = _unbroadcast(-g * out / z, z.shape)
-            g = (g / z + np.broadcast_to(g_z, e.shape)) * e * inv_tau
+        # the softmax's divide, sum, exp and shift, then the scale
+        g_z = _unbroadcast(-g * out / z, z.shape)
+        g = (g / z + np.broadcast_to(g_z, e.shape)) * e * inv_tau
         g_den = -g * cos / den
         g_ab = np.broadcast_to(np.expand_dims(g / den, -1), np.broadcast_shapes(a.shape, b.shape))
         if a.requires_grad:
@@ -170,20 +159,6 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
                                        k_t).swapaxes(-1, -2))
 
     return Tensor._from_op(weights @ v.data, parents, backward)
-
-
-def dilated_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, dilation: int = 1,
-                   padding: str = "valid", stride: int = 1) -> Tensor:
-    """Temporal convolution along axis -2.
-
-    x: (..., F, Cin), kernel: (w, Cin, Cout), bias: (Cout,).
-    "valid" yields F' = F - dilation*(w-1); "same" zero-pads to keep F.
-    `stride` keeps every stride-th of those output frames, starting at the
-    first: ceil(F' / stride) frames, each computed as at stride 1.
-    """
-    source, taps, out = _conv_forward(x, kernel, bias, dilation, padding, stride)
-    return Tensor._from_op(out, (x, kernel, bias),
-                           lambda g: _conv_backward(g, x, source, taps, kernel, bias))
 
 
 def _conv_forward(x: Tensor, kernel: Tensor, bias: Tensor, dilation: int, padding: str,
@@ -345,7 +320,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 def conv_bn_relu(x: Tensor, kernel: Tensor, conv_bias: Tensor, gain: Tensor, bias: Tensor,
                  running_mean: np.ndarray, running_var: np.ndarray, training: bool,
                  dilation: int = 1, padding: str = "valid", stride: int = 1) -> Tensor:
-    """relu(batch_norm(dilated_conv1d(x, ...))), the TCN unit, bitwise.
+    """relu(batch_norm(conv(x))), the TCN unit, bitwise.
+
+    x: (..., F, Cin), kernel: (w, Cin, Cout), conv bias and the
+    per-channel gain, bias and running statistics: (Cout,). The temporal
+    conv runs along axis -2: "valid" yields F' = F - dilation*(w-1) frames,
+    "same" zero-pads to keep F, and `stride` keeps every stride-th of those
+    output frames, starting at the first: ceil(F' / stride) frames, each
+    computed as at stride 1.
 
     One node, whose parents are `x`, the kernel, the conv bias, the gain
     and the bias, with one forward and one backward for both modes; only

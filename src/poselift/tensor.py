@@ -406,10 +406,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor._from_op(data, tuple(tensors), backward)
 
 
-def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=default_dtype()))
-
-
 class Parameter(Tensor):
     """A named leaf tensor; names are unique paths like "atp.context". A
     frozen one (`requires_grad=False`) gets no gradient and no update."""

@@ -16,7 +16,8 @@ from typing import NoReturn
 
 import numpy as np
 
-from .config import UNBOUNDED, Config, check_range, dump_config, parse_config_text
+from .config import (UNBOUNDED, Config, check_range, check_type, dump_config,
+                     parse_config_text)
 from .container import Reader, write_container
 from .data import PoseDataset, Split, check_split, gen_synthetic
 from .errors import ConfigError, FormatError, TrainingError
@@ -117,6 +118,7 @@ def train_model(cfg: Config, dataset: PoseDataset,
     """Minibatch training on the combined loss; logs one line per epoch and
     keeps the best-eval-P1 checkpoint (including the text embeddings).
     `epochs`, when given, replaces `cfg.train.epochs` and is checked as it is."""
+    check_type("train_model cfg", cfg, Config)
     cfg.validate()
     n_epochs = cfg.train.epochs if epochs is None else epochs
     check_range("train.epochs", n_epochs)
@@ -200,7 +202,8 @@ def _abort(problem: str, best: Checkpoint | None, out_path: Path | None) -> NoRe
 def write_checkpoint(path: str | Path, chk: Checkpoint) -> None:
     """Write `chk` as a version-5 container. Refuses, with the same
     `FormatError` and before it opens the file, values `restore_model`
-    would reject."""
+    would reject; a `chk` that is no `Checkpoint` is a `ConfigError`."""
+    check_type("write_checkpoint chk", chk, Checkpoint)
     _check_checkpoint_values(chk)
     _write_checkpoint(path, chk)
 

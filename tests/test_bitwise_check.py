@@ -1,7 +1,8 @@
 """`tools/bitwise_check.py`'s comparison of two output trees: identical
 trees report every file the same; one flipped byte names the file and
-where it first differs; two checkpoints that differ by one record or by one
-value are read and the difference named."""
+where it first differs; a text file's differing lines are each named, up
+to 20; two checkpoints that differ by one record or by one value are read
+and the difference named."""
 
 import importlib.util
 from pathlib import Path
@@ -52,6 +53,40 @@ def test_one_flipped_byte_names_the_file_and_where_it_differs(tmp_path):
     assert differing == 2
     assert any("train.log: first difference at line 2: 'epoch 2 loss 0.25' vs "
                "'epoch 2 loss 0.35'" in line for line in lines), lines
+
+
+def gradcheck_lines(errors: dict[str, str]) -> str:
+    return "".join(f"{name}: PASS max rel err {err}\n" for name, err in errors.items())
+
+
+@pytest.mark.parametrize("left,right,report", [
+    pytest.param("a\nb\nc\nd\n", "a\nB\nc\nD\n",
+                 ["first difference at line 2: 'b' vs 'B'", "  line 4: 'd' vs 'D'"],
+                 id="two lines"),
+    pytest.param(gradcheck_lines({"l2_norm": "1e-11", "cosine_similarity": "3e-11",
+                                  "layer_norm": "2e-11", "conv_valid": "3e-10",
+                                  "conv_same": "2e-10"}),
+                 gradcheck_lines({"l2_norm": "1e-11", "layer_norm": "2e-11",
+                                  "conv_valid": "1e-10", "conv_same": "1e-10"}),
+                 ["first difference at line 2: 'cosine_similarity: PASS max rel err 3e-11' "
+                  "only in parent",
+                  "  line 4 (checkout line 3): 'conv_valid: PASS max rel err 3e-10' vs "
+                  "'conv_valid: PASS max rel err 1e-10'",
+                  "  line 5 (checkout line 4): 'conv_same: PASS max rel err 2e-10' vs "
+                  "'conv_same: PASS max rel err 1e-10'"], id="a deleted line"),
+    pytest.param("".join(f"{n}\n" for n in range(30)), "".join(f"{-n}\n" for n in range(30)),
+                 ["first difference at line 2: '1' vs '-1'",
+                  *[f"  line {n + 1}: '{n}' vs '{-n}'" for n in range(2, 21)],
+                  "  and 9 more differing lines"], id="more than 20 lines")])
+def test_every_differing_line_of_a_text_file_is_named(tmp_path, left, right, report):
+    for side, text in (("a", left), ("b", right)):
+        (tmp_path / side / "gradcheck").mkdir(parents=True)
+        (tmp_path / side / "gradcheck" / "stdout.txt").write_text(text)
+    lines, differing = bitwise_check.compare_dirs(tmp_path / "a", tmp_path / "b",
+                                                  ("parent", "checkout"))
+    assert differing == 1
+    assert lines[0].startswith("DIFF ") and lines[0].endswith(f"gradcheck/stdout.txt: {report[0]}")
+    assert lines[1:] == report[1:]
 
 
 def small_checkpoint(extra_record=False, changed_value=False):

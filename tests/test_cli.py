@@ -221,6 +221,17 @@ def test_out_under_a_regular_file_is_an_error_line(tmp_path, capsys):
     assert_one_error_line(capsys, "ConfigError")
 
 
+@pytest.mark.parametrize("command,name", [("gen-data", "dataset.bin"),
+                                          ("train", "checkpoint.bin")])
+def test_an_output_file_that_is_a_directory_is_an_error_line(quick_ini, tmp_path, capsys,
+                                                             command, name):
+    (tmp_path / "o" / name).mkdir(parents=True)
+    assert main([command, "--config", quick_ini, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("error:ConfigError:cannot create file: ") and name in err, err
+
+
 def test_missing_config_is_an_error_line(tmp_path, capsys):
     assert main(["gen-data", "--config", str(tmp_path / "nope.ini"),
                  "--out", str(tmp_path / "o")]) == 2

@@ -202,7 +202,11 @@ def test_strided_conv_keeps_every_stride_th_valid_frame(frames, dilation, stride
     assume(frames > dilation * (width - 1))
     rng = np.random.default_rng(seed)
     x = Tensor(rng.normal(size=(2, frames, 3)))
-    kernel, bias = Tensor(rng.normal(size=(width, 3, 5))), Tensor(rng.normal(size=5))
-    full = ops.dilated_conv1d(x, kernel, dilation=dilation, bias=bias)
-    strided = ops.dilated_conv1d(x, kernel, dilation=dilation, bias=bias, stride=stride)
+    kernel, conv_bias = Tensor(rng.normal(size=(width, 3, 5))), Tensor(rng.normal(size=5))
+    # eval mode: each output frame depends on its own taps only
+    stats = (Tensor(1.0 + 0.3 * rng.normal(size=5)), Tensor(0.3 * rng.normal(size=5)),
+             rng.normal(size=5), 0.5 + rng.uniform(size=5))
+    full = ops.conv_bn_relu(x, kernel, conv_bias, *stats, training=False, dilation=dilation)
+    strided = ops.conv_bn_relu(x, kernel, conv_bias, *stats, training=False,
+                               dilation=dilation, stride=stride)
     assert np.allclose(strided.data, full.data[:, ::stride], rtol=1e-5, atol=1e-5)

@@ -15,7 +15,7 @@ from poselift import ops
 from poselift.errors import DimensionError
 from poselift.tensor import Parameter, no_grad, precision
 
-from test_fused_ops import DTYPES, FUSED_SETTINGS, composed_dilated_conv1d
+from test_fused_ops import DTYPES, FUSED_SETTINGS
 from test_fused_units import composed_conv_bn_relu, composed_linear
 
 
@@ -69,17 +69,21 @@ def test_eval_unit_without_a_graph_equals_the_composed_ops(lead, frames, width, 
 
 def test_mixed_dtype_sums_keep_the_composed_dtype():
     # A float32 product plus a float64 bias is float64, so it cannot be
-    # written over the product: the out-of-place sum, in its dtype, is kept.
+    # written over the product: the out-of-place sum, in its dtype, is kept,
+    # and the eval unit's batch norm and ReLU run over it in float64.
     rng = np.random.default_rng(7)
     with precision("float32"):
         x = Parameter("x", rng.normal(size=(2, 9, 3)))
         weight = Parameter("weight", rng.normal(size=(3, 4)))
         kernel = Parameter("kernel", rng.normal(size=(3, 3, 4)))
+        gain = Parameter("gain", 1.0 + 0.3 * rng.normal(size=4))
+        unit_bias = Parameter("unit_bias", 0.3 * rng.normal(size=4))
     with precision("float64"):
         bias = Parameter("bias", rng.normal(size=4))
+    unit = (x, kernel, bias, gain, unit_bias, rng.normal(size=4), 0.5 + rng.uniform(size=4))
     pairs = [(ops.linear(x, weight, bias), composed_linear(x, weight, bias)),
-             (ops.dilated_conv1d(x, kernel, bias, dilation=2),
-              composed_dilated_conv1d(x, kernel, dilation=2, bias=bias))]
+             (ops.conv_bn_relu(*unit, training=False, dilation=2),
+              composed_conv_bn_relu(*unit, training=False, dilation=2))]
     for got, want in pairs:
         assert got.dtype == want.dtype == np.float64
         assert np.array_equal(got.data, want.data)

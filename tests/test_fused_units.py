@@ -1,7 +1,7 @@
 """The fused TCN unit and linear nodes against the graphs of the ops they
-replace: `dilated_conv1d` -> batch norm in primitive nodes -> `relu`, and
-`@` -> `+`. Equal outputs, running statistics and gradients, bit for bit,
-in float32 and float64."""
+replace: the conv in slice, matmul and add nodes -> batch norm in
+primitive nodes -> `relu`, and `@` -> `+`. Equal outputs, running
+statistics and gradients, bit for bit, in float32 and float64."""
 
 import numpy as np
 from hypothesis import assume, example, given, strategies as st
@@ -11,16 +11,18 @@ from poselift import ops
 from poselift.tensor import precision
 
 from test_fused_ops import (CONSUMERS, DTYPES, FUSED_SETTINGS, add_consumers,
-                            assert_same_gradients, composed_batch_norm, leaf)
+                            assert_same_gradients, composed_batch_norm,
+                            composed_dilated_conv1d, leaf)
 
 
 # -- the composed oracles -----------------------------------------------------------------
 
 def composed_conv_bn_relu(x, kernel, conv_bias, gain, bias, running_mean, running_var,
                           training, dilation=1, padding="valid", stride=1):
-    """The TCN unit as the conv node, batch norm in primitive nodes (the
-    batch statistics in training, the running ones in eval) and ReLU."""
-    h = ops.dilated_conv1d(x, kernel, conv_bias, dilation, padding, stride)
+    """The TCN unit as the conv in slice, matmul and add nodes, batch norm
+    in primitive nodes (the batch statistics in training, the running ones
+    in eval) and ReLU."""
+    h = composed_dilated_conv1d(x, kernel, dilation, conv_bias, padding, stride)
     if training:
         normed = composed_batch_norm(h, gain, bias, running_mean, running_var)
     else:
@@ -52,11 +54,22 @@ def run_unit(unit, values, stats, weights, grads, consumers, training, **kw):
     return out.data, running_mean, running_var, leaves
 
 
+def in_both_modes(*cases):
+    """`@example`s of the unit test for each conv case, once per mode."""
+    def decorate(test):
+        for case in reversed(cases):
+            for training in (False, True):
+                test = example(**case, constant_channel=None, grads=(True,) * 5,
+                               training=training)(test)
+        return test
+    return decorate
+
+
 @FUSED_SETTINGS
 @given(lead=hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=3),
-       frames=st.integers(1, 12), width=st.integers(1, 3), dilation=st.integers(1, 3),
-       stride=st.integers(1, 3), padding=st.sampled_from(["valid", "same"]),
-       c_in=st.integers(1, 3), c_out=st.integers(1, 3),
+       frames=st.integers(1, 20), width=st.integers(1, 3), dilation=st.integers(1, 4),
+       stride=st.integers(1, 4), padding=st.sampled_from(["valid", "same"]),
+       c_in=st.integers(1, 4), c_out=st.integers(1, 4),
        constant_channel=st.none() | st.integers(0, 2),
        grads=st.tuples(*[st.booleans()] * 5), consumers=CONSUMERS,
        training=st.booleans(), dtype=DTYPES, seed=st.integers(0, 2**31 - 1))
@@ -81,6 +94,19 @@ def run_unit(unit, values, stats, weights, grads, consumers, training, **kw):
 @example(lead=(2,), frames=9, width=3, dilation=1, stride=1, padding="same", c_in=2,
          c_out=3, constant_channel=None, grads=(True,) * 5,
          consumers=("residual", "shared", "summed"), training=True, dtype="float32", seed=6)
+@in_both_modes(
+    dict(lead=(2,), frames=27, width=3, dilation=3, stride=1, padding="valid", c_in=4,
+         c_out=4, consumers=("residual",), dtype="float32", seed=0),   # a TCN block
+    dict(lead=(2,), frames=9, width=3, dilation=1, stride=3, padding="valid", c_in=2,
+         c_out=3, consumers=(), dtype="float32", seed=1),              # eval layout
+    dict(lead=(2,), frames=9, width=3, dilation=2, stride=1, padding="valid", c_in=2,
+         c_out=3, consumers=("shared",), dtype="float64", seed=2),     # y shares x's gradient
+    dict(lead=(2,), frames=9, width=3, dilation=2, stride=1, padding="same", c_in=2,
+         c_out=3, consumers=("shared",), dtype="float32", seed=3),
+    dict(lead=(2,), frames=9, width=3, dilation=1, stride=1, padding="valid", c_in=2,
+         c_out=3, consumers=("summed",), dtype="float32", seed=4),     # a read-only gradient
+    dict(lead=(2,), frames=9, width=3, dilation=1, stride=1, padding="same", c_in=2,
+         c_out=3, consumers=("summed",), dtype="float64", seed=5))
 def test_fused_conv_bn_relu_equals_the_composed_graph(lead, frames, width, dilation, stride,
                                                       padding, c_in, c_out, constant_channel,
                                                       grads, consumers, training, dtype,

@@ -14,7 +14,7 @@ from poselift.gradcheck import grad_check, run_op_suite
 from poselift.losses import pose_loss
 from poselift.tensor import Parameter, Tensor, concat, precision
 
-from test_fused_layers import composed_cosine_similarity
+from test_fused_layers import composed_cosine_softmax
 
 OP_REPORTS = run_op_suite()
 
@@ -25,13 +25,13 @@ def test_op_gradient(op_name):
     assert report.passed, f"{op_name}: {report}"
 
 
-# Suite entries by op where they differ from its name: the conv once per
-# padding, dilation and stride case, the TCN unit once per mode, indexing
-# once basic and once advanced, and the Tensor operators by what they
-# compute.
+# Suite entries by op where they differ from its name: the TCN unit once
+# per mode and, in training, once per padding, dilation and stride case of
+# its conv, indexing once basic and once advanced, and the Tensor operators
+# by what they compute.
 SUITE_NAMES = {
-    "dilated_conv1d": ("conv_valid", "conv_dilated", "conv_same", "conv_strided"),
-    "conv_bn_relu": ("conv_bn_relu", "conv_bn_relu_eval"),
+    "conv_bn_relu": ("conv_bn_relu", "conv_bn_relu_eval", "conv_valid", "conv_dilated",
+                     "conv_same", "conv_strided"),
     "Tensor.__add__": ("add",), "Tensor.__sub__": ("sub",), "Tensor.__mul__": ("mul",),
     "Tensor.__truediv__": ("div",), "Tensor.__neg__": ("neg",),
     "Tensor.__matmul__": ("matmul", "matmul_batched"),
@@ -59,7 +59,7 @@ def suite_entries(op: str) -> tuple[str, ...]:
 
 def test_every_public_op_is_in_the_suite():
     found = differentiable_ops()
-    assert {"dilated_conv1d", "concat", "Tensor.__add__", "Tensor.swapaxes",
+    assert {"conv_bn_relu", "concat", "Tensor.__add__", "Tensor.swapaxes",
             "Tensor.__getitem__"} <= set(found)
     unchecked = [op for op in found if not all(e in OP_REPORTS for e in suite_entries(op))]
     assert unchecked == []
@@ -107,8 +107,8 @@ def grid_values(rng: np.random.Generator, shape) -> np.ndarray:
 
 @PROPERTY_SETTINGS
 @given(lead=hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=2),
-       frames=st.integers(1, 9), width=st.integers(1, 3), dilation=st.integers(1, 3),
-       stride=st.integers(1, 3), padding=st.sampled_from(["valid", "same"]),
+       frames=st.integers(1, 20), width=st.integers(1, 3), dilation=st.integers(1, 4),
+       stride=st.integers(1, 4), padding=st.sampled_from(["valid", "same"]),
        c_in=st.integers(1, 3), c_out=st.integers(1, 3),
        constant_channel=st.none() | st.integers(0, 2), training=st.booleans(),
        seed=st.integers(0, 2**31 - 1))
@@ -152,29 +152,6 @@ def test_conv_bn_relu_gradient_over_drawn_shapes(lead, frames, width, dilation, 
     assert report.passed, str(report)
 
 
-@PROPERTY_SETTINGS
-@given(lead=hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=2),
-       frames=st.integers(1, 20), width=st.integers(1, 3), dilation=st.integers(1, 4),
-       stride=st.integers(1, 4), padding=st.sampled_from(["valid", "same"]),
-       c_in=st.integers(1, 3), c_out=st.integers(1, 3), seed=st.integers(0, 2**31 - 1))
-def test_dilated_conv1d_gradient_over_drawn_shapes(lead, frames, width, dilation, stride,
-                                                   padding, c_in, c_out, seed):
-    assume(padding == "same" or frames > dilation * (width - 1))
-    rng = np.random.default_rng(seed)
-    with precision("float64"):
-        x = Parameter("x", rng.normal(size=lead + (frames, c_in)))
-        kernel = Parameter("kernel", rng.normal(size=(width, c_in, c_out)))
-        bias = Parameter("bias", rng.normal(size=c_out))
-        out_shape = ops.dilated_conv1d(x, kernel, dilation=dilation,
-                                       bias=bias, padding=padding,
-                                       stride=stride).shape
-        weights = rng.normal(size=out_shape)
-        report = grad_check(lambda: (ops.dilated_conv1d(
-            x, kernel, dilation=dilation, bias=bias,
-            padding=padding, stride=stride) * weights).sum(), [x, kernel, bias], tol=1e-4)
-    assert report.passed, str(report)
-
-
 # -- zero vectors: the norm's subgradient there is 0, and sqrt's backward is
 # -- unchanged everywhere else --------------------------------------------------
 
@@ -214,6 +191,7 @@ def check_zero_rows(build, leaves, live: np.ndarray, composed=None) -> None:
        both=st.booleans(), seed=st.integers(0, 2**31 - 1))
 @example(rows=1, channels=3, zeroed=[True] * 5, both=False, seed=0)
 def test_cosine_similarity_gradient_with_zero_rows(rows, channels, zeroed, both, seed):
+    # through the cosine classifier, whose softmax runs over the rows
     rng = np.random.default_rng(seed)
     dead = np.array(zeroed[:rows])
     a_values = grid_values(rng, (rows, channels))
@@ -225,8 +203,8 @@ def test_cosine_similarity_gradient_with_zero_rows(rows, channels, zeroed, both,
     with precision("float64"):
         a, b = Parameter("a", a_values), Parameter("b", b_values)
         live = ((a_values * a_values).sum(-1) > 0) & ((b_values * b_values).sum(-1) > 0)
-        check_zero_rows(lambda: (ops.cosine_similarity(a, b) * weights).sum(), [a, b], live,
-                        lambda: (composed_cosine_similarity(a, b) * weights).sum())
+        check_zero_rows(lambda: (ops.cosine_softmax(a, b, 0.5) * weights).sum(), [a, b], live,
+                        lambda: (composed_cosine_softmax(a, b, 0.5) * weights).sum())
 
 
 @PROPERTY_SETTINGS

@@ -8,8 +8,11 @@ and the pose loss refuse arrays they cannot join or average with a
 `DimensionError`; `build_report` refuses poses and labels that do not
 pair one label with each sample, and a label that names no action;
 `nearest_centroid_accuracy` refuses an empty split, `Tensor` an index or a
-shape its values do not fit, each with a `DimensionError`, and
-`save_dataset` a path it cannot make a directory with a `ConfigError`."""
+shape its values do not fit, each with a `DimensionError`; `save_dataset`
+refuses a path it cannot make a directory, and `write_checkpoint` one it
+cannot open for writing, with a `ConfigError`; and `PoseLifter`,
+`train_model` and `write_checkpoint` refuse a config or checkpoint
+argument of another type with a `ConfigError`."""
 
 import math
 import numbers
@@ -33,7 +36,8 @@ from poselift.model import PoseLifter
 from poselift.optim import Adam
 from poselift.tensor import Parameter, Tensor, concat, precision
 from poselift.text_prompts import classify
-from poselift.train import evaluate, train_model
+from poselift.train import (Checkpoint, evaluate, load_checkpoint, snapshot, train_model,
+                            write_checkpoint)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 SPECIAL = st.sampled_from([0.0, -0.0, -1.0, math.inf, -math.inf, math.nan])
@@ -420,3 +424,52 @@ def test_tensor_index_and_reshape_fit_or_refuse(shape, index, new_shape):
             x.reshape(*new_shape)
     else:
         assert np.array_equal(x.reshape(*new_shape).data, expected)
+
+
+# Arguments of another type than a config or a checkpoint.
+WRONG_OBJECTS = st.sampled_from([None, {}, "quick.ini", MICRO.data])
+
+
+@settings(max_examples=8, deadline=None)
+@given(cfg=st.just(MICRO) | WRONG_OBJECTS)
+@example(None).via("PoseLifter(None)")
+@example(MICRO.data).via("a config section")
+def test_pose_lifter_and_train_model_take_a_config_or_refuse_it(cfg):
+    if isinstance(cfg, Config):
+        assert PoseLifter(cfg).params
+        assert train_model(cfg, MICRO_DATA).best is not None
+        return
+    for what, call in (("PoseLifter", lambda: PoseLifter(cfg)),
+                       ("train_model", lambda: train_model(cfg, MICRO_DATA))):
+        with pytest.raises(ConfigError, match=f"^{what} cfg must be a Config, got "
+                                              f"{type(cfg).__name__}$"):
+            call()
+
+
+def micro_checkpoint() -> Checkpoint:
+    model = PoseLifter(MICRO)
+    return snapshot(model, model.export_embeddings())
+
+
+@settings(max_examples=8, deadline=None)
+@given(chk=st.just("a checkpoint") | WRONG_OBJECTS,
+       path=st.sampled_from(["new", "an existing directory"]))
+@example(None, "new").via("write_checkpoint(path, None)")
+@example("a checkpoint", "an existing directory").via("onto a directory")
+def test_write_checkpoint_writes_or_refuses_its_arguments(chk, path):
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "checkpoint.bin"
+        if path == "an existing directory":
+            target.mkdir()
+        if chk != "a checkpoint":
+            with pytest.raises(ConfigError, match="^write_checkpoint chk must be a "
+                                                  f"Checkpoint, got {type(chk).__name__}$"):
+                write_checkpoint(target, chk)
+            return
+        chk = micro_checkpoint()
+        if path == "new":
+            write_checkpoint(target, chk)
+            assert load_checkpoint(target).params.keys() == chk.params.keys()
+            return
+        with pytest.raises(ConfigError, match="^cannot create file: .*checkpoint.bin"):
+            write_checkpoint(target, chk)

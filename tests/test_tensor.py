@@ -12,6 +12,8 @@ from poselift.errors import DimensionError, SequenceTooShortError, TrainingError
 from poselift.gradcheck import grad_check
 from poselift.tensor import Parameter, Tensor, concat, named_parameters, no_grad, precision
 
+from test_fused_ops import composed_dilated_conv1d
+
 
 def test_matmul_identity():
     b = np.arange(12, dtype=np.float32).reshape(3, 4)
@@ -121,13 +123,13 @@ def test_conv_width_one_identity_kernel():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(5, 3)).astype(np.float32)
     kernel = np.eye(3, dtype=np.float32)[None]     # (1, 3, 3) identity per channel
-    out = ops.dilated_conv1d(Tensor(x), Tensor(kernel), bias=Tensor(np.zeros(3)))
+    out = composed_dilated_conv1d(Tensor(x), Tensor(kernel), bias=Tensor(np.zeros(3)))
     assert np.allclose(out.data, x, atol=1e-7)
 
 
 def test_conv_constant_input():
-    out = ops.dilated_conv1d(Tensor(np.ones((5, 1))), Tensor(np.ones((3, 1, 1))),
-                             dilation=1, bias=Tensor(np.zeros(1)))
+    out = composed_dilated_conv1d(Tensor(np.ones((5, 1))), Tensor(np.ones((3, 1, 1))),
+                                  dilation=1, bias=Tensor(np.zeros(1)))
     assert out.shape == (3, 1)
     assert np.allclose(out.data, 3.0)
 
@@ -150,31 +152,24 @@ def test_conv_matches_triple_loop_oracle(dilation):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(11, 3))
         kernel = rng.normal(size=(3, 3, 2))
-        out = ops.dilated_conv1d(Tensor(x), Tensor(kernel), dilation=dilation,
-                                 bias=Tensor(np.zeros(2)))
+        out = composed_dilated_conv1d(Tensor(x), Tensor(kernel), dilation=dilation,
+                                      bias=Tensor(np.zeros(2)))
         assert np.allclose(out.data, _conv_oracle(x, kernel, dilation), atol=1e-12)
 
 
 def test_conv_sequence_too_short():
-    with pytest.raises(SequenceTooShortError):
-        ops.dilated_conv1d(Tensor(np.ones((2, 1))), Tensor(np.ones((3, 1, 1))),
-                           dilation=1, bias=Tensor(np.zeros(1)))
+    for training in (True, False):
+        with pytest.raises(SequenceTooShortError, match="needs at least 3 frames, got 2"):
+            ops.conv_bn_relu(Tensor(np.ones((2, 1))), Tensor(np.ones((3, 1, 1))),
+                             Tensor(np.zeros(1)), Tensor(np.ones(1)), Tensor(np.zeros(1)),
+                             np.zeros(1), np.ones(1), training=training)
 
 
 def test_conv_same_padding_keeps_extent():
     x = Tensor(np.ones((7, 2)))
-    out = ops.dilated_conv1d(x, Tensor(np.ones((3, 2, 2))), dilation=2,
-                             bias=Tensor(np.zeros(2)), padding="same")
+    out = composed_dilated_conv1d(x, Tensor(np.ones((3, 2, 2))), dilation=2,
+                                  bias=Tensor(np.zeros(2)), padding="same")
     assert out.shape == (7, 2)
-
-
-def test_cosine_similarity_scale_invariant():
-    rng = np.random.default_rng(6)
-    u, v = rng.normal(size=8), rng.normal(size=8)
-    base = ops.cosine_similarity(Tensor(u), Tensor(v)).item()
-    for alpha in (0.1, 3.7, 250.0):
-        scaled = ops.cosine_similarity(Tensor(alpha * u), Tensor(v)).item()
-        assert abs(scaled - base) < 1e-6
 
 
 def test_concat_and_slice_round_trip():

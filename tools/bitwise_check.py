@@ -11,7 +11,8 @@ and in this checkout's working tree, with BLAS pinned to one thread, it runs
 and 2, whose per-variant means are acceptance criterion 6's), and
 `poselift gradcheck` with its standard output saved to a file. It prints
 each output file's sha256 in both trees and, for each file that differs,
-its first differing line (text) or byte offset (binary). For a differing
+its differing lines, up to 20, as `difflib` aligns them (text), or its
+first differing byte offset (binary). For a differing
 `checkpoint.bin` it also reads both files with this checkout's
 `load_checkpoint` and prints the parameter names found on one side only,
 the first shared parameter whose values differ, and whether the text
@@ -22,6 +23,7 @@ differs or is missing from one side, else 0.
 from __future__ import annotations
 
 import argparse
+import difflib
 import hashlib
 import io
 import os
@@ -37,6 +39,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 from poselift.errors import PoseLiftError  # noqa: E402
 from poselift.train import load_checkpoint  # noqa: E402
+
+MAX_LINES = 20      # the differing lines printed per text file
 
 # Each run's arguments after `poselift`, by the name of its output directory.
 RUNS = {
@@ -67,19 +71,35 @@ def run_outputs(tree: Path, out: Path) -> None:
             (run_dir / "stdout.txt").write_bytes(proc.stdout)
 
 
-def first_difference(a: bytes, b: bytes) -> str:
-    """Where two differing files first differ: a line for UTF-8 text, else a
-    byte offset."""
+def differences(a: bytes, b: bytes, sides: tuple[str, str]) -> list[str]:
+    """How two differing files differ. For UTF-8 text, one entry per
+    differing line, up to `MAX_LINES`, then how many more there are, as
+    `difflib.SequenceMatcher` aligns the two files: the lines of a replaced
+    block are paired in order, and a line left over, or inserted or deleted,
+    is named with its own side's line number. For binary files, the first
+    differing byte offset."""
     try:
         lines_a, lines_b = a.decode().splitlines(), b.decode().splitlines()
     except UnicodeDecodeError:
         offset = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
-        return f"first difference at byte {offset} (sizes {len(a)}, {len(b)})"
-    for number, (line_a, line_b) in enumerate(zip(lines_a, lines_b), start=1):
-        if line_a != line_b:
-            return f"first difference at line {number}: {line_a!r} vs {line_b!r}"
-    return (f"first difference at line {min(len(lines_a), len(lines_b)) + 1}: "
-            f"{len(lines_a)} lines vs {len(lines_b)}")
+        return [f"first difference at byte {offset} (sizes {len(a)}, {len(b)})"]
+    found = []
+    matcher = difflib.SequenceMatcher(None, lines_a, lines_b, autojunk=False)
+    for op, i1, i2, j1, j2 in matcher.get_opcodes():
+        if op == "equal":
+            continue
+        pairs = min(i2 - i1, j2 - j1)
+        for i, j in zip(range(i1, i1 + pairs), range(j1, j1 + pairs)):
+            where = f"line {i + 1}" + ("" if i == j else f" ({sides[1]} line {j + 1})")
+            found.append(f"{where}: {lines_a[i]!r} vs {lines_b[j]!r}")
+        for side, lines, rest in ((sides[0], lines_a, range(i1 + pairs, i2)),
+                                  (sides[1], lines_b, range(j1 + pairs, j2))):
+            found += [f"line {n + 1}: {lines[n]!r} only in {side}" for n in rest]
+    if not found:
+        return ["the same lines with other line endings"]
+    found[0] = f"first difference at {found[0]}"
+    more = len(found) - MAX_LINES
+    return found[:MAX_LINES] + ([f"and {more} more differing lines"] if more > 0 else [])
 
 
 def same_bits(a: np.ndarray | None, b: np.ndarray | None) -> bool:
@@ -113,8 +133,10 @@ def compare_dirs(left: Path, right: Path,
                  sides: tuple[str, str] = ("left", "right")) -> tuple[list[str], int]:
     """One report line per file under either directory, by relative path,
     with its sha256 on each side (`-` where it is missing) and, where they
-    differ, the first difference, followed for a `checkpoint.bin` by
-    `checkpoint_report`'s lines; and the number of files that differ."""
+    differ, the first difference, followed by indented lines for the other
+    differing lines of a text file (see `differences`) and for a
+    `checkpoint.bin` by `checkpoint_report`'s lines; and the number of
+    files that differ."""
     files = sorted({p.relative_to(root) for root in (left, right)
                     for p in root.rglob("*") if p.is_file()})
     lines, differing = [], 0
@@ -127,9 +149,10 @@ def compare_dirs(left: Path, right: Path,
             lines.append(f"same {sha_a} {rel}")
             continue
         differing += 1
-        where = (first_difference(a, b) if a is not None and b is not None
-                 else "missing on one side")
-        lines.append(f"DIFF {sha_a} {sha_b} {rel}: {where}")
+        where = (differences(a, b, sides) if a is not None and b is not None
+                 else ["missing on one side"])
+        lines.append(f"DIFF {sha_a} {sha_b} {rel}: {where[0]}")
+        lines += [f"  {line}" for line in where[1:]]
         if rel.name == "checkpoint.bin" and a is not None and b is not None:
             lines += checkpoint_report(left / rel, right / rel, sides)
     return lines, differing
